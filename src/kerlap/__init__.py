@@ -31,7 +31,7 @@ from .estimator import (
 )
 from .filters import CUTOFF, TIKHONOV, FilterSpec, filter_coefficients
 from .filters import apply as apply_filter
-from .kernel import GaussianKernel, Kernel
+from .kernel import GaussianKernel
 from .operators import (
     LandmarkSet,
     OperatorBundle,
@@ -66,7 +66,6 @@ __all__ = [
     "GraphConfig",
     "HarmonicResult",
     "InvalidArgumentError",
-    "Kernel",
     "KerlapError",
     "LANDMARK_KERNEL",
     "LandmarkSet",

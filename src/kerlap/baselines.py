@@ -13,11 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
-from scipy.linalg.lapack import dpotrf
 
-from .errors import InvalidArgumentError, SingularPencilError
+from .errors import InvalidArgumentError
 from .estimator import LANDMARK_KERNEL, FittedModel
-from .kernel import GaussianKernel, Kernel, _sqdist_matrix
+from .kernel import GaussianKernel, _sqdist_matrix
+from .pencil import _cholesky_with_jitter
 
 
 @dataclass(frozen=True)
@@ -65,23 +65,15 @@ def harmonic_propagate(ds, config: GraphConfig) -> HarmonicResult:
     L_uu = np.diag(D[n_l:]) - W[n_l:, n_l:]
     rhs = W[n_l:, :n_l] @ y
 
-    jittered = False
-    L_factor, info = dpotrf(L_uu, lower=1, clean=1, overwrite_a=0)
-    if info != 0:
-        jittered = True
-        L_uu = L_uu + 1e-10 * np.trace(L_uu) * np.eye(n - n_l)
-        L_factor, info = dpotrf(L_uu, lower=1, clean=1, overwrite_a=0)
-        if info != 0:
-            raise SingularPencilError(
-                f"unlabeled graph block is singular even after jitter (pivot {info})",
-                pivot=int(info),
-            )
+    L_factor, jitter = _cholesky_with_jitter(L_uu, "the unlabeled graph block")
     half = sla.solve_triangular(L_factor, rhs, lower=True, check_finite=False)
     f_u = sla.solve_triangular(L_factor, half, lower=True, trans="T", check_finite=False)
-    return HarmonicResult(values=f_u, jittered=jittered)
+    return HarmonicResult(values=f_u, jittered=jitter > 0)
 
 
-def krr_fit(inputs: np.ndarray, labels: np.ndarray, kernel: Kernel, ridge: float) -> FittedModel:
+def krr_fit(
+    inputs: np.ndarray, labels: np.ndarray, kernel: GaussianKernel, ridge: float
+) -> FittedModel:
     """Kernel ridge regression on labeled data: (K + n_l*ridge*I) c = y."""
     X = np.asarray(inputs, dtype=float)
     y = np.asarray(labels, dtype=float)
@@ -91,15 +83,7 @@ def krr_fit(inputs: np.ndarray, labels: np.ndarray, kernel: Kernel, ridge: float
         raise InvalidArgumentError(f"ridge must be a positive finite real, got {ridge!r}")
     n_l = X.shape[0]
     M = kernel.gram(X, X) + n_l * ridge * np.eye(n_l)
-    L_factor, info = dpotrf(M, lower=1, clean=1, overwrite_a=0)
-    if info != 0:
-        M = M + 1e-10 * np.trace(M) * np.eye(n_l)
-        L_factor, info = dpotrf(M, lower=1, clean=1, overwrite_a=0)
-        if info != 0:
-            raise SingularPencilError(
-                f"ridge system is singular even after jitter (pivot {info})",
-                pivot=int(info),
-            )
+    L_factor, _ = _cholesky_with_jitter(M, "the ridge system")
     half = sla.solve_triangular(L_factor, y, lower=True, check_finite=False)
     coef = sla.solve_triangular(L_factor, half, lower=True, trans="T", check_finite=False)
     return FittedModel(

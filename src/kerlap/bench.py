@@ -103,7 +103,6 @@ class ExperimentConfig:
     metric: str = "classification"
     inductive_test: int = 0
     clip: bool = False
-    low_memory: bool = False
     seed: int = 0
 
     def __post_init__(self):
@@ -263,7 +262,7 @@ def _run_one(cfg: ExperimentConfig, n: int, trial: int) -> BenchRecord:
                 ds, kernel, cfg.resolve_p(n), mu,
                 FilterSpec(cfg.filter_kind, cfg.lam), seed,
                 sigma_over_labeled=cfg.sigma_over_labeled,
-                clip=cfg.clip, low_memory=cfg.low_memory,
+                clip=cfg.clip,
             )
         elif cfg.method == "krr":
             model = krr_fit(ds.inputs[:n_l], ds.labels, kernel, cfg.ridge)
@@ -300,12 +299,6 @@ def run_error_curve(cfg: ExperimentConfig) -> list[BenchRecord]:
     ]
     records.sort(key=lambda r: (r.method, r.n, r.trial))
     return records
-
-
-def run_timing(cfg: ExperimentConfig) -> list[BenchRecord]:
-    """Same sweep as ``run_error_curve``; kept separate so timing runs can
-    use their own configs (e.g. a raised dense cap for the exact method)."""
-    return run_error_curve(cfg)
 
 
 def write_records_csv(records: list[BenchRecord], path) -> None:

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import bench as bench_mod
 from .baselines import krr_fit
-from .bench import ExperimentConfig, preset, run_error_curve, run_timing, write_records_csv
+from .bench import ExperimentConfig, preset, run_error_curve, write_records_csv
 from .errors import EXIT_INVALID_ARGUMENT, EXIT_OK, InvalidArgumentError, KerlapError
 from .estimator import decode_sign, fit, fit_exact, model_from_json, model_to_json, predict
 from .filters import FILTER_KINDS, FilterSpec
@@ -102,7 +102,6 @@ def _add_bench(sub, name: str, help_text: str):
                    help="shorthand for --method graph|krr")
     p.add_argument("--graph-sigma", default=None, help="float or 'auto'")
     p.add_argument("--sigma-over-labeled", action="store_true", default=None)
-    p.add_argument("--low-memory", action="store_true", default=None)
     p.add_argument("--lambda", dest="lam", type=float, default=None)
     for field_name, typ in _OVERRIDE_FIELDS.items():
         if field_name in ("filter_kind", "lam"):
@@ -139,7 +138,7 @@ def _bench_config(args) -> ExperimentConfig:
         updates["graph_sigma"] = (
             args.graph_sigma if args.graph_sigma == "auto" else float(args.graph_sigma)
         )
-    for field_name in list(_OVERRIDE_FIELDS) + ["lam", "sigma_over_labeled", "low_memory"]:
+    for field_name in list(_OVERRIDE_FIELDS) + ["lam", "sigma_over_labeled"]:
         val = getattr(args, field_name, None)
         if val is not None:
             updates[field_name] = val
@@ -248,7 +247,7 @@ def main(argv=None) -> int:
         "predict": _cmd_predict,
         "eigvecs": _cmd_eigvecs,
         "bench-error": lambda a: _cmd_bench(a, run_error_curve),
-        "bench-time": lambda a: _cmd_bench(a, run_timing),
+        "bench-time": lambda a: _cmd_bench(a, run_error_curve),
         "plot": _cmd_plot,
     }
     try:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import InvalidArgumentError, SingularPencilError
 from .filters import FilterSpec, filter_coefficients
-from .kernel import GaussianKernel, Kernel
+from .kernel import GaussianKernel
 from .operators import (
     OperatorBundle,
     SemiDataset,
@@ -50,7 +50,7 @@ class FittedModel:
     clip_bound] when a bound is set.
     """
 
-    kernel: Kernel
+    kernel: GaussianKernel
     basis_coordinates: np.ndarray
     coefficients: np.ndarray
     basis_kind: str
@@ -121,25 +121,21 @@ def schedule(n: int, sp: ScheduleParams = ScheduleParams()) -> tuple[float, floa
 
 def fit(
     ds: SemiDataset,
-    kernel: Kernel,
+    kernel: GaussianKernel,
     p: int,
     mu: float,
     filter_spec: FilterSpec,
     seed: int,
     sigma_over_labeled: bool = False,
     clip: bool = False,
-    low_memory: bool = False,
 ) -> FittedModel:
     """Landmark-compressed spectral-filtering fit.
 
-    Work is O(p^2 n d) assembly plus O(p^3) eigendecomposition; nothing is
-    formed beyond the requested (n x p) and (n*d x p) evaluation matrices.
+    Work is O(p^2 n d) assembly plus O(p^3) eigendecomposition; memory is
+    O(n p): the (n*d x p) derivative matrix is never held whole.
     """
     landmarks = select_landmarks(ds, p, seed)
-    bundle = assemble(
-        ds, kernel, landmarks, mu,
-        sigma_over_labeled=sigma_over_labeled, low_memory=low_memory,
-    )
+    bundle = assemble(ds, kernel, landmarks, mu, sigma_over_labeled=sigma_over_labeled)
     dec = gevd(bundle.A, bundle.B)
     coef = filter_coefficients(dec, filter_spec, bundle.b)
     return FittedModel(
@@ -153,7 +149,7 @@ def fit(
 
 def fit_exact(
     ds: SemiDataset,
-    kernel: Kernel,
+    kernel: GaussianKernel,
     lam: float,
     mu: float,
     dense_cap: int = DEFAULT_DENSE_CAP,

@@ -1,12 +1,11 @@
 """Gaussian kernel with the first- and cross-derivative evaluations used by
 the derivative feature maps.
 
-The kernel interface is deliberately small: a kernel must provide pointwise
-``eval``, ``grad1`` (gradient in the first argument) and ``cross_hessian``
-(mixed second derivatives, one per argument).  Batched variants have generic
-loop fallbacks so additional twice-differentiable kernels only need the three
-pointwise operations; the Gaussian kernel overrides them with vectorized
-implementations.
+``GaussianKernel`` is the only kernel: the estimators, the baselines and the
+model JSON format all take it.  It provides pointwise ``eval``, ``grad1``
+(gradient in the first argument) and ``cross_hessian`` (mixed second
+derivatives, one per argument), and their vectorized all-pairs forms
+``gram``, ``grad1_gram`` and ``cross_hessian_gram``.
 """
 
 from __future__ import annotations
@@ -33,21 +32,32 @@ def _as_point(x, name: str) -> np.ndarray:
     return x
 
 
-def _check_pair(x, y) -> tuple[np.ndarray, np.ndarray]:
+def _sqnorm(diff: np.ndarray) -> float:
+    if diff.size > _KAHAN_DIM:
+        return math.fsum(float(t) for t in diff * diff)
+    return float(diff @ diff)
+
+
+def _pair_diff(x, y) -> tuple[np.ndarray, float]:
+    """x - y and its squared norm for two points, validated.
+
+    Any non-finite input makes the squared norm non-finite, so the full
+    per-point check (which raises on bad input) runs only when the shapes
+    are not two equal-size vectors or the norm is not finite.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.ndim == 1 and x.size and x.shape == y.shape:
+        diff = x - y
+        sq = _sqnorm(diff)
+        if math.isfinite(sq):
+            return diff, sq
     x = _as_point(x, "x")
     y = _as_point(y, "y")
     if x.shape != y.shape:
-        raise InvalidArgumentError(
-            f"dimension mismatch: x has d={x.size}, y has d={y.size}"
-        )
-    return x, y
-
-
-def _sqdist(x: np.ndarray, y: np.ndarray) -> float:
-    diff = x - y
-    if x.size > _KAHAN_DIM:
-        return math.fsum(float(t) for t in diff * diff)
-    return float(diff @ diff)
+        raise InvalidArgumentError(f"dimension mismatch: x has d={x.size}, y has d={y.size}")
+    diff = x - y  # finite inputs whose squared distance overflows
+    return diff, _sqnorm(diff)
 
 
 def _sqdist_matrix(X: np.ndarray, Z: np.ndarray) -> np.ndarray:
@@ -73,49 +83,8 @@ def _sqdist_matrix(X: np.ndarray, Z: np.ndarray) -> np.ndarray:
     return total
 
 
-class Kernel:
-    """Twice-differentiable kernel interface.
-
-    Subclasses implement ``eval``, ``grad1`` and ``cross_hessian``; the batch
-    methods have generic fallbacks.
-    """
-
-    def eval(self, x, y) -> float:
-        raise NotImplementedError
-
-    def grad1(self, x, y) -> np.ndarray:
-        """Gradient of k(x, y) with respect to the coordinates of x."""
-        raise NotImplementedError
-
-    def cross_hessian(self, x, y) -> np.ndarray:
-        """Matrix of mixed partials d^2 k / dx_i dy_j, shape (d, d)."""
-        raise NotImplementedError
-
-    # Batched fallbacks -----------------------------------------------------
-
-    def gram(self, X: np.ndarray, Z: np.ndarray) -> np.ndarray:
-        """k(X[i], Z[j]) for all pairs, shape (n, m)."""
-        return np.array([[self.eval(x, z) for z in Z] for x in X])
-
-    def grad1_gram(self, X: np.ndarray, Z: np.ndarray) -> np.ndarray:
-        """d/dX[l]_j k(X[l], Z[i]) for all pairs, shape (n, d, m)."""
-        out = np.empty((X.shape[0], X.shape[1], Z.shape[0]))
-        for l, x in enumerate(X):
-            for i, z in enumerate(Z):
-                out[l, :, i] = self.grad1(x, z)
-        return out
-
-    def cross_hessian_gram(self, X: np.ndarray, Z: np.ndarray) -> np.ndarray:
-        """d^2 k / dX[l]_j dZ[i]_j' for all pairs, shape (n, d, m, d)."""
-        out = np.empty((X.shape[0], X.shape[1], Z.shape[0], Z.shape[1]))
-        for l, x in enumerate(X):
-            for i, z in enumerate(Z):
-                out[l, :, i, :] = self.cross_hessian(x, z)
-        return out
-
-
 @dataclass(frozen=True)
-class GaussianKernel(Kernel):
+class GaussianKernel:
     """k(x, y) = exp(-||x - y||^2 / (2 sigma^2)).
 
     Closed-form derivatives:
@@ -137,35 +106,39 @@ class GaussianKernel(Kernel):
         object.__setattr__(self, "sigma", float(s))
 
     def eval(self, x, y) -> float:
-        x, y = _check_pair(x, y)
-        return math.exp(-_sqdist(x, y) / (2.0 * self.sigma**2))
+        _, sq = _pair_diff(x, y)
+        return math.exp(-sq / (2.0 * self.sigma**2))
 
     def grad1(self, x, y) -> np.ndarray:
-        x, y = _check_pair(x, y)
-        k = math.exp(-_sqdist(x, y) / (2.0 * self.sigma**2))
-        return -(x - y) / self.sigma**2 * k
+        """Gradient of k(x, y) with respect to the coordinates of x."""
+        diff, sq = _pair_diff(x, y)
+        k = math.exp(-sq / (2.0 * self.sigma**2))
+        return -diff / self.sigma**2 * k
 
     def cross_hessian(self, x, y) -> np.ndarray:
-        x, y = _check_pair(x, y)
+        """Matrix of mixed partials d^2 k / dx_i dy_j, shape (d, d)."""
+        diff, sq = _pair_diff(x, y)
         s2 = self.sigma**2
-        k = math.exp(-_sqdist(x, y) / (2.0 * s2))
-        diff = x - y
+        k = math.exp(-sq / (2.0 * s2))
         H = -np.outer(diff, diff) / s2**2 * k
-        H[np.diag_indices_from(H)] += k / s2
+        H.flat[:: diff.size + 1] += k / s2
         return H
 
     # Vectorized batch forms ------------------------------------------------
 
     def gram(self, X: np.ndarray, Z: np.ndarray) -> np.ndarray:
+        """k(X[i], Z[j]) for all pairs, shape (n, m)."""
         return np.exp(-_sqdist_matrix(X, Z) / (2.0 * self.sigma**2))
 
     def grad1_gram(self, X: np.ndarray, Z: np.ndarray) -> np.ndarray:
+        """d/dX[l]_j k(X[l], Z[i]) for all pairs, shape (n, d, m)."""
         K = self.gram(X, Z)
         diff = X[:, None, :] - Z[None, :, :]  # (n, m, d)
         out = -diff / self.sigma**2 * K[:, :, None]
         return np.ascontiguousarray(out.transpose(0, 2, 1))  # (n, d, m)
 
     def cross_hessian_gram(self, X: np.ndarray, Z: np.ndarray) -> np.ndarray:
+        """d^2 k / dX[l]_j dZ[i]_j' for all pairs, shape (n, d, m, d)."""
         s2 = self.sigma**2
         K = self.gram(X, Z)
         diff = X[:, None, :] - Z[None, :, :]  # (n, m, d)

@@ -10,6 +10,9 @@ and p landmark points, the training pencil is built from
     B = Znp^T Znp / n + mu*Kpp   Dirichlet-energy compression + mu * landmark Gram
     b = Knp[:n_labeled]^T y / n_labeled
 
+``assemble`` never holds Znp: it accumulates Znp^T Znp over row chunks, so
+its memory stays O(n p) plus one (chunk*d x p) block.
+
 ``assemble_dense`` builds the same objects over the exact n*(d+1)-dimensional
 representer basis {k_{X_i}} + {d_j k_{X_i}} instead of a landmark subset, for
 use by the dense oracle estimator.
@@ -18,12 +21,12 @@ use by the dense oracle estimator.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidArgumentError, NumericalConsistencyError, ResourceLimitError
-from .kernel import Kernel
+from .kernel import GaussianKernel
 
 DEFAULT_DENSE_CAP = 2000
 
@@ -99,21 +102,22 @@ class LandmarkSet:
 class OperatorBundle:
     """Compressed empirical operators: pencil matrices (A, B) and moment vector b.
 
-    For landmark assembly ``knp``/``znp`` hold the kernel and derivative
-    evaluation matrices and ``kpp`` the landmark Gram block.  For dense
-    assembly the same slots hold the evaluations against the full representer
-    basis (``znp`` additionally carries the cross-derivative columns) and
-    ``kpp`` the extended basis Gram.  ``znp`` is None in low-memory mode.
+    For landmark assembly ``knp`` holds the kernel evaluation matrix, ``kpp``
+    the landmark Gram block, and ``znp`` is None: the (n*d x p) derivative
+    matrix is only ever reduced to Znp^T Znp chunk by chunk.  For dense
+    assembly the slots hold the evaluations against the full representer
+    basis, ``znp`` the gradient evaluations with the cross-derivative
+    columns, and ``kpp`` the extended basis Gram.  The ``znp`` slot stays so
+    that both kinds of bundle share one type.
     """
 
-    knp: np.ndarray | None
+    knp: np.ndarray
     znp: np.ndarray | None
     A: np.ndarray
     B: np.ndarray
     b: np.ndarray
     mu: float
     kpp: np.ndarray
-    lambda_weight: float | None = field(default=None)
 
 
 def select_landmarks(ds: SemiDataset, p: int, seed: int) -> LandmarkSet:
@@ -137,20 +141,16 @@ def _check_block_finite(block: np.ndarray, row_offset: int, what: str):
 
 def assemble(
     ds: SemiDataset,
-    kernel: Kernel,
+    kernel: GaussianKernel,
     landmarks: LandmarkSet,
     mu: float,
     sigma_over_labeled: bool = False,
-    low_memory: bool = False,
 ) -> OperatorBundle:
     """Build the landmark-compressed operator bundle.
 
     ``sigma_over_labeled`` switches the covariance compression A from the
     default average over all n points to an average over the labeled points
     only (the exact empirical-risk-minimization normalization).
-
-    ``low_memory`` accumulates Znp^T Znp chunk by chunk and drops Znp from
-    the returned bundle.
     """
     if not (np.isfinite(mu) and mu > 0):
         raise InvalidArgumentError(f"mu must be a positive finite real, got {mu!r}")
@@ -163,7 +163,6 @@ def assemble(
 
     chunk = max(1, _CHUNK_BUDGET // max(1, p * d))
     knp = np.empty((n, p))
-    znp = None if low_memory else np.empty((n * d, p))
     ztz = np.zeros((p, p))
     for start in range(0, n, chunk):
         stop = min(n, start + chunk)
@@ -172,12 +171,7 @@ def assemble(
         knp[start:stop] = kb
         zb = kernel.grad1_gram(X[start:stop], coords).reshape((stop - start) * d, p)
         _check_block_finite(zb, start, "kernel derivative")
-        if low_memory:
-            ztz += zb.T @ zb
-        else:
-            znp[start * d : stop * d] = zb
-    if not low_memory:
-        ztz = znp.T @ znp
+        ztz += zb.T @ zb
 
     n_l = ds.n_labeled
     if sigma_over_labeled:
@@ -190,12 +184,12 @@ def assemble(
     B = ztz / n + mu * kpp
     B = (B + B.T) / 2.0
     b = knp[:n_l].T @ y / n_l
-    return OperatorBundle(knp=knp, znp=znp, A=A, B=B, b=b, mu=float(mu), kpp=kpp)
+    return OperatorBundle(knp=knp, znp=None, A=A, B=B, b=b, mu=float(mu), kpp=kpp)
 
 
 def assemble_dense(
     ds: SemiDataset,
-    kernel: Kernel,
+    kernel: GaussianKernel,
     mu: float,
     dense_cap: int = DEFAULT_DENSE_CAP,
     sigma_over_labeled: bool = False,

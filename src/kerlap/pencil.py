@@ -81,29 +81,31 @@ def _check_symmetric(M: np.ndarray, name: str) -> np.ndarray:
     return (M + M.T) / 2.0
 
 
-def _cholesky_with_jitter(B: np.ndarray) -> tuple[np.ndarray, float]:
-    """Lower Cholesky factor of B, retrying once with a small diagonal shift.
+def _cholesky_with_jitter(M: np.ndarray, name: str) -> tuple[np.ndarray, float]:
+    """Lower Cholesky factor of M, retrying once with a small diagonal shift.
 
-    Returns (L, jitter).  Raises SingularPencilError naming the failing pivot
-    if B is not positive definite even after the jitter pass.
+    The shift is 1e-10 times the mean diagonal of M.  Returns (L, jitter),
+    jitter being 0.0 when no retry was needed.  Raises SingularPencilError
+    naming ``name`` and the failing pivot if M is not positive definite even
+    after the jitter pass.
     """
-    L, info = dpotrf(B, lower=1, clean=1, overwrite_a=0)
+    L, info = dpotrf(M, lower=1, clean=1, overwrite_a=0)
     if info == 0:
         return L, 0.0
     if info < 0:
         raise InvalidArgumentError(f"illegal value in Cholesky argument {-info}")
-    p = B.shape[0]
-    jitter = _JITTER_EPS * (np.trace(B) / p)
+    p = M.shape[0]
+    jitter = _JITTER_EPS * (np.trace(M) / p)
     if jitter <= 0:
         raise SingularPencilError(
-            f"B is not positive definite: Cholesky failed at pivot {info} "
+            f"{name} is not positive definite: Cholesky failed at pivot {info} "
             "and the matrix has non-positive trace",
             pivot=int(info),
         )
-    L, info2 = dpotrf(B + jitter * np.eye(p), lower=1, clean=1, overwrite_a=0)
+    L, info2 = dpotrf(M + jitter * np.eye(p), lower=1, clean=1, overwrite_a=0)
     if info2 != 0:
         raise SingularPencilError(
-            f"B is not positive definite even after jitter {jitter:.3e}: "
+            f"{name} is not positive definite even after jitter {jitter:.3e}: "
             f"Cholesky failed at pivot {info2}",
             pivot=int(info2),
         )
@@ -121,7 +123,7 @@ def gevd(A: np.ndarray, B: np.ndarray) -> PencilDecomposition:
     if A.shape != B.shape:
         raise InvalidArgumentError(f"shape mismatch: A {A.shape} vs B {B.shape}")
 
-    L, jitter = _cholesky_with_jitter(B)
+    L, jitter = _cholesky_with_jitter(B, "B")
     M = sla.solve_triangular(L, A, lower=True, check_finite=False)
     C = sla.solve_triangular(L, M.T, lower=True, check_finite=False).T
     C = (C + C.T) / 2.0

@@ -9,7 +9,6 @@ from kerlap.bench import (
     load_records_csv,
     preset,
     run_error_curve,
-    run_timing,
     splitmix64,
     trial_seed,
     write_records_csv,
@@ -142,11 +141,6 @@ class TestRunErrorCurve:
                                angles="equispaced", seed=6)
         records = run_error_curve(cfg)
         assert 0.0 <= records[0].error <= 1.0
-
-    def test_run_timing_same_schema(self):
-        cfg = ExperimentConfig(method="krr", n_grid=[30], trials=1, kernel_sigma=1.0, seed=7)
-        records = run_timing(cfg)
-        assert len(records) == 1 and records[0].fit_seconds >= 0
 
 
 class TestRecordsCsv:

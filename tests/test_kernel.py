@@ -175,31 +175,3 @@ class TestGram:
             for j in range(3):
                 sq = math.fsum((a - b) ** 2 for a, b in zip(X[i], Z[j]))
                 assert G[i, j] == pytest.approx(math.exp(-sq / 18.0), rel=1e-14)
-
-    def test_generic_batch_fallbacks(self):
-        # the base-class loop implementations back any kernel that only
-        # defines the three pointwise operations
-        from kerlap.kernel import Kernel
-
-        class Wrapped(Kernel):
-            def __init__(self, inner):
-                self.inner = inner
-
-            def eval(self, x, y):
-                return self.inner.eval(x, y)
-
-            def grad1(self, x, y):
-                return self.inner.grad1(x, y)
-
-            def cross_hessian(self, x, y):
-                return self.inner.cross_hessian(x, y)
-
-        rng = np.random.default_rng(6)
-        inner = GaussianKernel(0.6)
-        wrapped = Wrapped(inner)
-        X, Z = rng.standard_normal((3, 2)), rng.standard_normal((4, 2))
-        assert np.allclose(wrapped.gram(X, Z), inner.gram(X, Z), atol=1e-15)
-        assert np.allclose(wrapped.grad1_gram(X, Z), inner.grad1_gram(X, Z), atol=1e-15)
-        assert np.allclose(
-            wrapped.cross_hessian_gram(X, Z), inner.cross_hessian_gram(X, Z), atol=1e-15
-        )

@@ -6,7 +6,8 @@ from kerlap.errors import (
     NumericalConsistencyError,
     ResourceLimitError,
 )
-from kerlap.kernel import GaussianKernel, Kernel
+from kerlap import operators
+from kerlap.kernel import GaussianKernel
 from kerlap.operators import (
     LandmarkSet,
     SemiDataset,
@@ -74,7 +75,7 @@ class TestAssemble:
         lm = select_landmarks(ds, 1, seed=0)
         bun = assemble(ds, GaussianKernel(1.0), lm, mu=0.5)
         assert np.allclose(bun.knp, [[1.0]], atol=1e-14)
-        assert np.allclose(bun.znp, [[0.0]], atol=1e-14)
+        assert bun.znp is None  # landmark bundles never hold Znp
         assert np.allclose(bun.A, [[1.0]], atol=1e-14)
         assert np.allclose(bun.B, [[0.5]], atol=1e-14)
         assert np.allclose(bun.b, [2.0], atol=1e-14)
@@ -85,8 +86,8 @@ class TestAssemble:
         lm = LandmarkSet(indices=[0], coordinates=[[0.0, 0.0]])
         bun = assemble(ds, GaussianKernel(1.0), lm, mu=0.3)
         assert np.allclose(bun.A, [[1.0]], atol=1e-14)
-        assert np.all(bun.znp == 0.0)
-        assert np.allclose(bun.B, [[0.3]], atol=1e-14)
+        # every gradient vanishes exactly, so B is exactly mu * Kpp
+        assert np.array_equal(bun.B, [[0.3]])
 
     def test_brute_force_oracle(self):
         # entrywise re-evaluation with scalar kernel calls and explicit loops
@@ -134,17 +135,25 @@ class TestAssemble:
         bun = assemble(ds, GaussianKernel(1.0), lm, mu=0.1)
         assert np.array_equal(bun.kpp, bun.knp[lm.indices, :])
 
-    def test_low_memory_matches(self):
+    def test_streamed_b_matches_explicit_product(self, monkeypatch):
+        # B is accumulated over row chunks; compare it with the explicit
+        # Znp^T Znp product, in one chunk and in 4-row chunks (4, 4, 4, 3)
         rng = np.random.default_rng(2)
-        ds = SemiDataset(inputs=rng.standard_normal((15, 2)), labels=rng.standard_normal(5))
-        lm = select_landmarks(ds, 6, seed=3)
+        n, d, p, mu = 15, 2, 6, 0.4
+        ds = SemiDataset(inputs=rng.standard_normal((n, d)), labels=rng.standard_normal(5))
+        lm = select_landmarks(ds, p, seed=3)
         k = GaussianKernel(0.8)
-        full = assemble(ds, k, lm, mu=0.4)
-        lean = assemble(ds, k, lm, mu=0.4, low_memory=True)
-        assert lean.znp is None
-        assert np.allclose(full.B, lean.B, atol=1e-12)
-        assert np.array_equal(full.A, lean.A)
-        assert np.array_equal(full.b, lean.b)
+        znp = k.grad1_gram(ds.inputs, lm.coordinates).reshape(n * d, p)
+        kpp = k.gram(lm.coordinates, lm.coordinates)
+        expected = znp.T @ znp / n + mu * kpp
+        single = assemble(ds, k, lm, mu)
+        monkeypatch.setattr(operators, "_CHUNK_BUDGET", 4 * p * d)
+        chunked = assemble(ds, k, lm, mu)
+        for bun in (single, chunked):
+            assert bun.znp is None
+            assert np.max(np.abs(bun.B - expected)) <= 1e-12
+        assert np.allclose(chunked.A, single.A, rtol=0.0, atol=1e-15)
+        assert np.allclose(chunked.b, single.b, rtol=0.0, atol=1e-15)
 
     def test_sigma_over_labeled(self):
         rng = np.random.default_rng(3)
@@ -188,7 +197,7 @@ class TestAssemble:
         lm = select_landmarks(ds, p, seed=6)
         bun = assemble(ds, k, lm, mu=0.3)
         c = rng.standard_normal(p)
-        quad = c @ ((bun.znp.T @ bun.znp) / n) @ c
+        quad = c @ (bun.B - bun.mu * bun.kpp) @ c
         total = 0.0
         for l in range(n):
             grad = np.zeros(d)
@@ -216,20 +225,14 @@ class TestAssemble:
             assemble(ds, GaussianKernel(1.0), lm, mu=0.0)
 
     def test_non_finite_kernel_output(self):
-        class Broken(Kernel):
-            def eval(self, x, y):
-                return float("nan")
-
-            def grad1(self, x, y):
-                return np.zeros(len(x))
-
-            def cross_hessian(self, x, y):
-                return np.zeros((len(x), len(x)))
-
-        ds = SemiDataset(inputs=[[0.0], [1.0]], labels=[1.0])
-        lm = LandmarkSet(indices=[0], coordinates=[[0.0]])
-        with pytest.raises(NumericalConsistencyError, match="row 0, landmark 0"):
-            assemble(ds, Broken(), lm, mu=0.1)
+        # finite inputs whose difference overflows: k underflows to 0 and the
+        # gradient -inf * 0 is NaN at row 1
+        ds = SemiDataset(inputs=[[-1e308], [1e308]], labels=[1.0])
+        lm = LandmarkSet(indices=[0], coordinates=[[-1e308]])
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            NumericalConsistencyError, match="row 1, landmark 0"
+        ):
+            assemble(ds, GaussianKernel(1.0), lm, mu=0.1)
 
 
 class TestAssembleDense:
