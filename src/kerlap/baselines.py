@@ -16,7 +16,7 @@ import scipy.linalg as sla
 
 from .errors import InvalidArgumentError
 from .estimator import LANDMARK_KERNEL, FittedModel
-from .kernel import GaussianKernel, _sqdist_matrix
+from .kernel import GaussianKernel
 from .pencil import _cholesky_with_jitter
 
 
@@ -59,15 +59,14 @@ def harmonic_propagate(ds, config: GraphConfig) -> HarmonicResult:
     if n <= n_l:
         raise InvalidArgumentError("harmonic propagation needs at least one unlabeled point")
     X, y = ds.inputs, ds.labels
-    W = np.exp(-_sqdist_matrix(X, X) / (2.0 * config.sigma**2))
+    W = GaussianKernel(config.sigma).gram(X, X)
     np.fill_diagonal(W, 0.0)
     D = W.sum(axis=1)
     L_uu = np.diag(D[n_l:]) - W[n_l:, n_l:]
     rhs = W[n_l:, :n_l] @ y
 
     L_factor, jitter = _cholesky_with_jitter(L_uu, "the unlabeled graph block")
-    half = sla.solve_triangular(L_factor, rhs, lower=True, check_finite=False)
-    f_u = sla.solve_triangular(L_factor, half, lower=True, trans="T", check_finite=False)
+    f_u = sla.cho_solve((L_factor, True), rhs, check_finite=False)
     return HarmonicResult(values=f_u, jittered=jitter > 0)
 
 
@@ -84,8 +83,7 @@ def krr_fit(
     n_l = X.shape[0]
     M = kernel.gram(X, X) + n_l * ridge * np.eye(n_l)
     L_factor, _ = _cholesky_with_jitter(M, "the ridge system")
-    half = sla.solve_triangular(L_factor, y, lower=True, check_finite=False)
-    coef = sla.solve_triangular(L_factor, half, lower=True, trans="T", check_finite=False)
+    coef = sla.cho_solve((L_factor, True), y, check_finite=False)
     return FittedModel(
         kernel=kernel,
         basis_coordinates=X,

@@ -1,6 +1,7 @@
 """Command-line interface.
 
-Subcommands: generate, fit, predict, eigvecs, bench-error, bench-time, plot.
+Subcommands: generate, fit, predict, eigvecs, bench-error, plot.  Per-layer
+timing of the fit comes from the benchmark driver (``perfbench/run.py --trace 1``).
 Exit codes: 0 success, 2 invalid arguments, 3 numerical failure, 4 resource
 cap exceeded.
 """
@@ -89,8 +90,8 @@ _OVERRIDE_FIELDS = {
 }
 
 
-def _add_bench(sub, name: str, help_text: str):
-    p = sub.add_parser(name, help=help_text)
+def _add_bench(sub):
+    p = sub.add_parser("bench-error", help="error-vs-n sweep, records CSV output")
     p.add_argument("--config", default=None, help="ExperimentConfig JSON file")
     p.add_argument("--preset", choices=sorted(bench_mod.PRESETS), default=None)
     p.add_argument("--out", required=True, help="records CSV path")
@@ -210,9 +211,9 @@ def _cmd_eigvecs(args) -> int:
     return EXIT_OK
 
 
-def _cmd_bench(args, runner) -> int:
+def _cmd_bench(args) -> int:
     cfg = _bench_config(args)
-    records = runner(cfg)
+    records = run_error_curve(cfg)
     write_records_csv(records, args.out)
     failed = sum(1 for r in records if np.isnan(r.error))
     print(f"wrote {len(records)} records to {args.out}" +
@@ -236,8 +237,7 @@ def main(argv=None) -> int:
     _add_fit(sub)
     _add_predict(sub)
     _add_eigvecs(sub)
-    _add_bench(sub, "bench-error", "error-vs-n sweep, records CSV output")
-    _add_bench(sub, "bench-time", "fit-time sweep, records CSV output")
+    _add_bench(sub)
     _add_plot(sub)
 
     args = parser.parse_args(argv)
@@ -246,8 +246,7 @@ def main(argv=None) -> int:
         "fit": _cmd_fit,
         "predict": _cmd_predict,
         "eigvecs": _cmd_eigvecs,
-        "bench-error": lambda a: _cmd_bench(a, run_error_curve),
-        "bench-time": lambda a: _cmd_bench(a, run_error_curve),
+        "bench-error": _cmd_bench,
         "plot": _cmd_plot,
     }
     try:

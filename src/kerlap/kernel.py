@@ -6,6 +6,11 @@ model JSON format all take it.  It provides pointwise ``eval``, ``grad1``
 (gradient in the first argument) and ``cross_hessian`` (mixed second
 derivatives, one per argument), and their vectorized all-pairs forms
 ``gram``, ``grad1_gram`` and ``cross_hessian_gram``.
+
+Squared distances are plain sums of squared coordinate differences for
+every input dimension.  The terms are non-negative, so the summation is
+well-conditioned and needs no compensation (Higham, *Accuracy and Stability
+of Numerical Algorithms*, ch. 4).
 """
 
 from __future__ import annotations
@@ -16,11 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError
-
-# Above this input dimension squared distances switch to compensated (Kahan)
-# accumulation: the derivative Gram matrices feed an eigensolver that is
-# sensitive to symmetry loss from rounding.
-_KAHAN_DIM = 64
 
 
 def _as_point(x, name: str) -> np.ndarray:
@@ -33,9 +33,11 @@ def _as_point(x, name: str) -> np.ndarray:
 
 
 def _sqnorm(diff: np.ndarray) -> float:
-    if diff.size > _KAHAN_DIM:
-        return math.fsum(float(t) for t in diff * diff)
-    return float(diff @ diff)
+    # Overflow to inf is the intended limit (the kernel value is then 0.0).
+    # vdot is the same BLAS dot as ``@`` but does not check the floating-point
+    # status, so overflow stays silent; np.errstate would cost more than the
+    # rest of a pointwise call.
+    return float(np.vdot(diff, diff))
 
 
 def _pair_diff(x, y) -> tuple[np.ndarray, float]:
@@ -61,26 +63,14 @@ def _pair_diff(x, y) -> tuple[np.ndarray, float]:
 
 
 def _sqdist_matrix(X: np.ndarray, Z: np.ndarray) -> np.ndarray:
-    """All-pairs squared distances, coordinate-wise.
+    """All-pairs squared distances, coordinate-wise, shape (n, m).
 
     Computed as sums of (x_j - z_j)^2 rather than via the Gram expansion
     ||x||^2 + ||z||^2 - 2<x, z>, which cancels badly for nearby points.
-    Kahan compensation over the coordinate axis for d > _KAHAN_DIM.
+    Holds the (n, m, d) difference array, as ``grad1_gram`` does.
     """
-    n, d = X.shape
-    m = Z.shape[0]
-    if d <= _KAHAN_DIM:
-        diff = X[:, None, :] - Z[None, :, :]
-        return np.einsum("ijk,ijk->ij", diff, diff)
-    total = np.zeros((n, m))
-    comp = np.zeros((n, m))
-    for j in range(d):
-        term = (X[:, j, None] - Z[None, :, j]) ** 2
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-    return total
+    diff = X[:, None, :] - Z[None, :, :]
+    return np.einsum("ijk,ijk->ij", diff, diff)
 
 
 @dataclass(frozen=True)

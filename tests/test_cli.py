@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from kerlap.bench import load_records_csv
 from kerlap.cli import main
 from kerlap.operators import load_dataset_csv
 
@@ -113,6 +114,7 @@ class TestBench:
         assert code == 0
         lines = rec.read_text().strip().splitlines()
         assert len(lines) == 5
+        assert all(row.fit_seconds > 0 for row in load_records_csv(rec))
         svg = tmp_path / "plot.svg"
         assert run(["plot", "--records", str(rec), "--out", str(svg)]) == 0
         assert svg.read_text().startswith("<svg")
@@ -141,17 +143,6 @@ class TestBench:
                     "--out", str(rec)])
         assert code == 0
         assert "graph,40" in rec.read_text()
-
-    def test_bench_time(self, tmp_path):
-        rec = tmp_path / "rec.csv"
-        code = run(["bench-time", "--family", "gauss2", "--n-grid", "50",
-                    "--trials", "1", "--kernel-sigma", "3.0", "--seed", "3",
-                    "--out", str(rec)])
-        assert code == 0
-        from kerlap.bench import load_records_csv
-
-        rows = load_records_csv(rec)
-        assert rows[0].fit_seconds > 0
 
     def test_conflicting_sources_exit(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -166,7 +167,7 @@ class TestGram:
                 assert np.allclose(H[i, :, j, :], k.cross_hessian(X[i], Z[j]), atol=1e-15)
 
     def test_compensated_high_dimension(self):
-        # d > 64 switches to Kahan accumulation; results must agree with fsum
+        # at d = 100 the plain sum of non-negative squares must agree with fsum
         rng = np.random.default_rng(5)
         k = GaussianKernel(3.0)
         X, Z = rng.standard_normal((4, 100)), rng.standard_normal((3, 100))
@@ -175,3 +176,15 @@ class TestGram:
             for j in range(3):
                 sq = math.fsum((a - b) ** 2 for a, b in zip(X[i], Z[j]))
                 assert G[i, j] == pytest.approx(math.exp(-sq / 18.0), rel=1e-14)
+
+    def test_overflowing_distance_gives_zero_kernel(self):
+        # finite coordinates whose squared distance overflows: the kernel
+        # tends to 0, and no call may raise or warn on the way
+        k = GaussianKernel(1.0)
+        x, y = np.full(100, 1e154), np.zeros(100)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert k.eval(x, y) == 0.0
+            assert np.all(k.grad1(x, y) == 0.0)
+            assert np.all(k.cross_hessian(x, y) == 0.0)
+            assert np.array_equal(k.gram(x[None], y[None]), [[0.0]])

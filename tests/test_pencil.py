@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from kerlap.errors import InvalidArgumentError, SingularPencilError
+from kerlap.errors import InvalidArgumentError, NumericalConsistencyError, SingularPencilError
 from kerlap.filters import FilterSpec, filter_coefficients
 from kerlap.pencil import PencilDecomposition, gevd, pencil_solve, spectral_norm_estimate
 
@@ -88,6 +88,20 @@ class TestGevd:
         A = np.diag([1.0, -1e-12])
         dec = gevd(A, np.eye(2))
         assert dec.eigenvalues[-1] == 0.0
+
+    def test_indefinite_a_raises(self):
+        with pytest.raises(NumericalConsistencyError, match="negative beyond tolerance"):
+            gevd(np.diag([1.0, -1.0]), np.eye(2))
+
+    def test_clamp_tolerance_widens_with_cond_b(self):
+        # cond(B) = 1e10 scales the reduced eigenvalue of -1e-16 to -1e-6:
+        # beyond the 1e-8 floor, inside the 64 eps cond(B) band, so clamped
+        B = np.diag([1.0, 1e-10])
+        dec = gevd(np.diag([1.0, -1e-16]), B)
+        assert np.array_equal(dec.eigenvalues, [1.0, 0.0])
+        # -1e-13 scales to -1e-3, beyond the widened band as well
+        with pytest.raises(NumericalConsistencyError):
+            gevd(np.diag([1.0, -1e-13]), B)
 
 
 class TestPencilSolve:
