@@ -4,8 +4,8 @@ The estimator minimizes a least-squares data term plus a Dirichlet-energy
 penalty (the expected squared gradient norm over the data) inside an RKHS,
 computed by spectral filtering of the generalized eigendecomposition of the
 compressed covariance/penalty operator pencil.  Landmark (Nystrom-style)
-compression keeps training at O(p^2 n d); an exact dense-basis solver
-provides the reference the compressed path is checked against.
+compression keeps training at O(n p d + n p^2 + p^3); an exact dense-basis
+solver provides the reference the compressed path is checked against.
 """
 
 from .baselines import GraphConfig, HarmonicResult, graph_bandwidth, harmonic_propagate, krr_fit

@@ -131,8 +131,8 @@ def fit(
 ) -> FittedModel:
     """Landmark-compressed spectral-filtering fit.
 
-    Work is O(p^2 n d) assembly plus O(p^3) eigendecomposition; memory is
-    O(n p): the (n*d x p) derivative matrix is never held whole.
+    Work is O(n p d + n p^2) assembly plus O(p^3) eigendecomposition;
+    memory is O(n p): the (n*d x p) derivative matrix is never built.
     """
     landmarks = select_landmarks(ds, p, seed)
     bundle = assemble(ds, kernel, landmarks, mu, sigma_over_labeled=sigma_over_labeled)

@@ -5,7 +5,9 @@ the derivative feature maps.
 model JSON format all take it.  It provides pointwise ``eval``, ``grad1``
 (gradient in the first argument) and ``cross_hessian`` (mixed second
 derivatives, one per argument), and their vectorized all-pairs forms
-``gram``, ``grad1_gram`` and ``cross_hessian_gram``.
+``gram``, ``grad1_gram`` and ``cross_hessian_gram``.  ``gram_with_sqdist``
+also returns the squared distances the kernel values are made from, for the
+landmark assembly of the Dirichlet-energy matrix.
 
 Squared distances are plain sums of squared coordinate differences for
 every input dimension.  The terms are non-negative, so the summation is
@@ -69,7 +71,10 @@ def _sqdist_matrix(X: np.ndarray, Z: np.ndarray) -> np.ndarray:
     ||x||^2 + ||z||^2 - 2<x, z>, which cancels badly for nearby points.
     Holds the (n, m, d) difference array, as ``grad1_gram`` does.
     """
-    diff = X[:, None, :] - Z[None, :, :]
+    return _sqdist_from_diff(X[:, None, :] - Z[None, :, :])
+
+
+def _sqdist_from_diff(diff: np.ndarray) -> np.ndarray:
     return np.einsum("ijk,ijk->ij", diff, diff)
 
 
@@ -116,22 +121,36 @@ class GaussianKernel:
 
     # Vectorized batch forms ------------------------------------------------
 
+    def _from_sqdist(self, sq: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        out = np.divide(sq, -2.0 * self.sigma**2, out=out)
+        return np.exp(out, out=out)
+
     def gram(self, X: np.ndarray, Z: np.ndarray) -> np.ndarray:
         """k(X[i], Z[j]) for all pairs, shape (n, m)."""
-        return np.exp(-_sqdist_matrix(X, Z) / (2.0 * self.sigma**2))
+        return self._from_sqdist(_sqdist_matrix(X, Z))
+
+    def gram_with_sqdist(
+        self, X: np.ndarray, Z: np.ndarray, out: np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``gram(X, Z)`` and the squared distances ||X[i] - Z[j]||^2 behind it.
+
+        The kernel values are written into ``out`` when it is given.
+        """
+        sq = _sqdist_matrix(X, Z)
+        return self._from_sqdist(sq, out=out), sq
 
     def grad1_gram(self, X: np.ndarray, Z: np.ndarray) -> np.ndarray:
         """d/dX[l]_j k(X[l], Z[i]) for all pairs, shape (n, d, m)."""
-        K = self.gram(X, Z)
         diff = X[:, None, :] - Z[None, :, :]  # (n, m, d)
+        K = self._from_sqdist(_sqdist_from_diff(diff))
         out = -diff / self.sigma**2 * K[:, :, None]
         return np.ascontiguousarray(out.transpose(0, 2, 1))  # (n, d, m)
 
     def cross_hessian_gram(self, X: np.ndarray, Z: np.ndarray) -> np.ndarray:
         """d^2 k / dX[l]_j dZ[i]_j' for all pairs, shape (n, d, m, d)."""
         s2 = self.sigma**2
-        K = self.gram(X, Z)
         diff = X[:, None, :] - Z[None, :, :]  # (n, m, d)
+        K = self._from_sqdist(_sqdist_from_diff(diff))
         out = -np.einsum("lmi,lmj,lm->limj", diff, diff, K) / s2**2
         d = X.shape[1]
         idx = np.arange(d)

@@ -10,8 +10,22 @@ and p landmark points, the training pencil is built from
     B = Znp^T Znp / n + mu*Kpp   Dirichlet-energy compression + mu * landmark Gram
     b = Knp[:n_labeled]^T y / n_labeled
 
-``assemble`` never holds Znp: it accumulates Znp^T Znp over row chunks, so
-its memory stays O(n p) plus one (chunk*d x p) block.
+``assemble`` never builds Znp.  For the Gaussian kernel
+d/dX_l k(X_l, M_i) = -(X_l - M_i) K_li / sigma^2, so
+
+    (Znp^T Znp)[i, i'] = sigma^-4 sum_l K_li K_li' (X_l - M_i).(X_l - M_i'),
+
+and the polarization identity u.v = (|u|^2 + |v|^2 - |u - v|^2) / 2 turns
+the dot products into squared distances:
+
+    Znp^T Znp = (P^T K + K^T P - (K^T K) o Q) / (2 sigma^4),
+
+with D the (n x p) data-to-landmark squared distances that K = exp(-D /
+2 sigma^2) is made from, P = K o D, and Q the landmark-to-landmark squared
+distances (the rows of D at the landmark indices).  Every input is a
+coordinate-wise distance, so nothing cancels for data far from the origin.
+K^T K is shared with A; the work is O(n p d) for D plus O(n p^2) for the
+products, and the memory O(n p) plus one row chunk of differences.
 
 ``assemble_dense`` builds the same objects over the exact n*(d+1)-dimensional
 representer basis {k_{X_i}} + {d_j k_{X_i}} instead of a landmark subset, for
@@ -30,8 +44,9 @@ from .kernel import GaussianKernel
 
 DEFAULT_DENSE_CAP = 2000
 
-# rows per chunk are sized so a (chunk, d, p) derivative block stays small
-_CHUNK_BUDGET = 4_000_000
+# rows per chunk are sized so the (chunk, p, d) coordinate-difference array
+# behind a chunk of squared distances stays small
+_CHUNK_BUDGET = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -104,7 +119,7 @@ class OperatorBundle:
 
     For landmark assembly ``knp`` holds the kernel evaluation matrix, ``kpp``
     the landmark Gram block, and ``znp`` is None: the (n*d x p) derivative
-    matrix is only ever reduced to Znp^T Znp chunk by chunk.  For dense
+    matrix is never built (see the module docstring).  For dense
     assembly the slots hold the evaluations against the full representer
     basis, ``znp`` the gradient evaluations with the cross-derivative
     columns, and ``kpp`` the extended basis Gram.  The ``znp`` slot stays so
@@ -148,6 +163,11 @@ def assemble(
 ) -> OperatorBundle:
     """Build the landmark-compressed operator bundle.
 
+    The landmarks must be dataset rows (``select_landmarks`` draws them so):
+    Kpp and the landmark distances Q are read from the rows of K and D at
+    ``landmarks.indices``.  A non-finite squared distance raises
+    ``NumericalConsistencyError``.
+
     ``sigma_over_labeled`` switches the covariance compression A from the
     default average over all n points to an average over the labeled points
     only (the exact empirical-risk-minimization normalization).
@@ -163,25 +183,40 @@ def assemble(
 
     chunk = max(1, _CHUNK_BUDGET // max(1, p * d))
     knp = np.empty((n, p))
-    ztz = np.zeros((p, p))
+    q = np.empty((p, p))
+    pk = np.zeros((p, p))  # P^T K
+    prod = np.empty((p, p))
     for start in range(0, n, chunk):
         stop = min(n, start + chunk)
-        kb = kernel.gram(X[start:stop], coords)
+        kb, db = kernel.gram_with_sqdist(X[start:stop], coords, out=knp[start:stop])
         _check_block_finite(kb, start, "kernel")
-        knp[start:stop] = kb
-        zb = kernel.grad1_gram(X[start:stop], coords).reshape((stop - start) * d, p)
-        _check_block_finite(zb, start, "kernel derivative")
-        ztz += zb.T @ zb
+        # an infinite distance has k = 0 and would make P = inf * 0 = NaN
+        _check_block_finite(db, start, "kernel derivative")
+        here = (landmarks.indices >= start) & (landmarks.indices < stop)
+        q[here] = db[landmarks.indices[here] - start]
+        db *= kb
+        pk += np.matmul(db.T, kb, out=prod)
 
     n_l = ds.n_labeled
+    ktk = np.matmul(knp.T, knp, out=prod)
     if sigma_over_labeled:
         A = knp[:n_l].T @ knp[:n_l] / n_l
     else:
-        A = knp.T @ knp / n
+        A = ktk / n
     A = (A + A.T) / 2.0
 
     kpp = knp[landmarks.indices, :]
-    B = ztz / n + mu * kpp
+    # B = Znp^T Znp / n + mu * Kpp, Znp^T Znp by the polarization identity
+    s2 = kernel.sigma**2
+    ktk *= q
+    del q  # freeing each p x p array before the next one lowers the peak
+    B = pk
+    B += pk.T
+    B -= ktk
+    del ktk, prod
+    B /= 2.0 * n * s2
+    B /= s2
+    B += mu * kpp
     B = (B + B.T) / 2.0
     b = knp[:n_l].T @ y / n_l
     return OperatorBundle(knp=knp, znp=None, A=A, B=B, b=b, mu=float(mu), kpp=kpp)

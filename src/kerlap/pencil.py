@@ -90,7 +90,9 @@ def _cholesky_with_jitter(M: np.ndarray, name: str) -> tuple[np.ndarray, float]:
             "and the matrix has non-positive trace",
             pivot=int(info),
         )
-    L, info2 = dpotrf(M + jitter * np.eye(p), lower=1, clean=1, overwrite_a=0)
+    shifted = np.array(M, order="F")
+    shifted.flat[:: p + 1] += jitter
+    L, info2 = dpotrf(shifted, lower=1, clean=1, overwrite_a=1)
     if info2 != 0:
         raise SingularPencilError(
             f"{name} is not positive definite even after jitter {jitter:.3e}: "
@@ -112,25 +114,29 @@ def gevd(A: np.ndarray, B: np.ndarray) -> PencilDecomposition:
     if A.shape != B.shape:
         raise InvalidArgumentError(f"shape mismatch: A {A.shape} vs B {B.shape}")
 
+    norm_a = max(spectral_norm_estimate(A), np.finfo(float).tiny)
+    norm_b = np.linalg.norm(B, 1)
     L, jitter = _cholesky_with_jitter(B, "B")
-    C, info = dsygst(A, L, lower=1)
+    # A is the symmetrized copy made above, so sygst and syevd may work in
+    # place; its transpose is the same matrix in the Fortran order they use
+    C, info = dsygst(A.T, L, lower=1, overwrite_a=1)
     if info != 0:
         raise InvalidArgumentError(f"illegal value in sygst argument {-info}")
-    w, Q = sla.eigh(C, lower=True, driver="evd", check_finite=False)
+    w, Q = sla.eigh(C, lower=True, driver="evd", overwrite_a=True, check_finite=False)
 
     # eigh returns ascending order; reverse for non-increasing eigenvalues
     w = w[::-1].copy()
     V = sla.solve_triangular(L, Q[:, ::-1], lower=True, trans="T", check_finite=False)
 
     # Clamp tolerance: the Cholesky reduction perturbs eigenvalues by about
-    # eps * cond(B) * ||A||, so the PSD check must widen with B's
-    # conditioning; the 1e-8 * ||A|| floor applies for well-behaved B.
+    # eps * cond(B) * ||A|| / ||B||, so the PSD check must widen with B's
+    # conditioning; the 1e-8 * ||A|| / ||B|| floor applies for well-behaved
+    # B.  Eigenvalues carry the units of A / B, so the tolerance does too.
     # cond(B) is LAPACK's 1-norm estimate from the factor; for symmetric B
     # the 1-norm condition number is at least the 2-norm one.
-    norm_a = max(spectral_norm_estimate(A), np.finfo(float).tiny)
-    rcond, _ = dpocon(L, np.linalg.norm(B, 1), uplo="L")
+    rcond, _ = dpocon(L, norm_b, uplo="L")
     cond_b = 1.0 / rcond if rcond > 0 else np.inf
-    tol = norm_a * max(1e-8, 64.0 * np.finfo(float).eps * cond_b)
+    tol = norm_a / norm_b * max(1e-8, 64.0 * np.finfo(float).eps * cond_b)
     if w[-1] < -tol:
         raise NumericalConsistencyError(
             f"pencil eigenvalue {w[-1]:.6e} is negative beyond tolerance {tol:.3e}; "

@@ -166,6 +166,17 @@ class TestGram:
                 assert np.allclose(G1[i, :, j], k.grad1(X[i], Z[j]), atol=1e-15)
                 assert np.allclose(H[i, :, j, :], k.cross_hessian(X[i], Z[j]), atol=1e-15)
 
+    def test_gram_with_sqdist(self):
+        # the same kernel values as gram, and the distances they come from
+        rng = np.random.default_rng(6)
+        k = GaussianKernel(0.7)
+        X, Z = rng.standard_normal((6, 3)), rng.standard_normal((4, 3))
+        out = np.empty((6, 4))
+        K, D = k.gram_with_sqdist(X, Z, out=out)
+        assert K is out and np.array_equal(K, k.gram(X, Z))
+        assert np.allclose(D, ((X[:, None, :] - Z[None, :, :]) ** 2).sum(axis=2), rtol=1e-15, atol=0)
+        assert np.array_equal(K, np.exp(-D / (2.0 * 0.7**2)))
+
     def test_compensated_high_dimension(self):
         # at d = 100 the plain sum of non-negative squares must agree with fsum
         rng = np.random.default_rng(5)

@@ -155,6 +155,55 @@ class TestAssemble:
         assert np.allclose(chunked.A, single.A, rtol=0.0, atol=1e-15)
         assert np.allclose(chunked.b, single.b, rtol=0.0, atol=1e-15)
 
+    @pytest.mark.parametrize(
+        "case", ["offset 1e6", "duplicates", "d 100", "sigma 1e-3", "sigma 1e3",
+                 "sigma over labeled", "4-row chunks"])
+    def test_b_matches_explicit_product_on_hostile_inputs(self, case, monkeypatch):
+        # B is built from K and squared distances (polarization identity);
+        # compare it with Znp^T Znp / n + mu Kpp from grad1_gram, and the
+        # Dirichlet part alone (mu = 1e-300) so a dominant mu Kpp hides nothing
+        rng = np.random.default_rng(11)
+        n, d, p, sigma = 40, 3, 12, 0.9
+        X = rng.standard_normal((n, d))
+        if case == "offset 1e6":
+            X += 1e6
+        elif case == "duplicates":
+            X = np.repeat(X[:10], 4, axis=0)
+        elif case == "d 100":
+            X, sigma = rng.standard_normal((n, 100)), 8.0
+        elif case == "sigma 1e-3":
+            X, sigma = 1e-3 * X, 1e-3
+        elif case == "sigma 1e3":
+            sigma = 1e3
+        elif case == "4-row chunks":
+            monkeypatch.setattr(operators, "_CHUNK_BUDGET", 4 * p * d)
+        ds = SemiDataset(inputs=X, labels=rng.standard_normal(6))
+        lm = select_landmarks(ds, p, seed=12)
+        k = GaussianKernel(sigma)
+        znp = k.grad1_gram(ds.inputs, lm.coordinates).reshape(-1, p)
+        kpp = k.gram(lm.coordinates, lm.coordinates)
+        over_labeled = case == "sigma over labeled"
+        for mu in (0.1, 1e-300):
+            bun = assemble(ds, k, lm, mu, sigma_over_labeled=over_labeled)
+            expected = znp.T @ znp / n + mu * kpp
+            assert np.abs(expected).max() > 0
+            assert np.abs(bun.B - expected).max() <= 1e-12 * np.abs(expected).max()
+        if over_labeled:
+            K_l = bun.knp[:6]
+            assert np.allclose(bun.A, K_l.T @ K_l / 6, rtol=0.0, atol=1e-15)
+
+    def test_overflowing_distance_raises(self):
+        # d = 100 at +-1e154: the squared distance overflows, k is 0 and the
+        # identity's K o D would be inf * 0; the assembly names the row
+        X = np.full((3, 100), 1e154)
+        X[2] = -1e154
+        ds = SemiDataset(inputs=X, labels=[1.0])
+        lm = LandmarkSet(indices=[1], coordinates=X[[1]])
+        with np.errstate(over="ignore"), pytest.raises(
+            NumericalConsistencyError, match="kernel derivative value at data row 2, landmark 0"
+        ):
+            assemble(ds, GaussianKernel(1.0), lm, mu=0.1)
+
     def test_sigma_over_labeled(self):
         rng = np.random.default_rng(3)
         n_l = 4

@@ -3,7 +3,14 @@ import pytest
 
 from kerlap.errors import InvalidArgumentError, NumericalConsistencyError, SingularPencilError
 from kerlap.filters import FilterSpec, filter_coefficients
-from kerlap.pencil import PencilDecomposition, gevd, pencil_solve, spectral_norm_estimate
+from kerlap.pencil import (
+    PencilDecomposition,
+    _cholesky_with_jitter,
+    gevd,
+    pencil_solve,
+    spectral_norm_estimate,
+)
+from scipy.linalg.lapack import dpotrf
 
 
 def random_pencil(rng, p, rank=None):
@@ -102,6 +109,31 @@ class TestGevd:
         # -1e-13 scales to -1e-3, beyond the widened band as well
         with pytest.raises(NumericalConsistencyError):
             gevd(np.diag([1.0, -1e-13]), B)
+
+    @pytest.mark.parametrize("c", [1e-3, 1.0, 1e3])
+    def test_clamp_decision_independent_of_b_scale(self, c):
+        # eigenvalues carry the units of A / B, so scaling B by c must not
+        # move the decision: -1e-9 relative to ||A|| clamps, -1e-6 raises
+        dec = gevd(np.diag([1.0, -1e-9]), c * np.eye(2))
+        assert dec.eigenvalues[0] == pytest.approx(1.0 / c, rel=1e-14)
+        assert dec.eigenvalues[1] == 0.0
+        with pytest.raises(NumericalConsistencyError):
+            gevd(np.diag([1.0, -1e-6]), c * np.eye(2))
+
+
+class TestCholeskyWithJitter:
+    def test_retry_matches_shifted_factor(self):
+        # singular PSD input: the retry factors M + jitter * I and leaves M alone
+        rng = np.random.default_rng(5)
+        G = rng.standard_normal((30, 4))
+        M = G @ G.T
+        M[-1, :] = M[:, -1] = 0.0
+        before = M.copy()
+        L, jitter = _cholesky_with_jitter(M, "M")
+        assert jitter == 1e-10 * (np.trace(M) / 30)
+        expected, info = dpotrf(M + jitter * np.eye(30), lower=1, clean=1)
+        assert info == 0 and np.array_equal(L, expected)
+        assert np.array_equal(M, before)
 
 
 class TestPencilSolve:
