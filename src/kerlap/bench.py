@@ -249,14 +249,11 @@ def _run_one(cfg: ExperimentConfig, n: int, trial: int) -> BenchRecord:
     t0 = time.perf_counter()
     try:
         if cfg.method == "graph":
-            config = GraphConfig(cfg.resolve_graph_sigma(n, ds.d))
-            t0 = time.perf_counter()
-            result = harmonic_propagate(ds, config)
+            result = harmonic_propagate(ds, GraphConfig(cfg.resolve_graph_sigma(n, ds.d)))
             t1 = time.perf_counter()
             error = _score(cfg, result.values, truth[n_l:])
             return BenchRecord(cfg.method, n, n_l, trial, error, t1 - t0, 0.0, seed)
 
-        t0 = time.perf_counter()
         if cfg.method == "kernel_laplacian":
             model = fit(
                 ds, kernel, cfg.resolve_p(n), mu,

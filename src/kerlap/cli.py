@@ -23,7 +23,6 @@ from .filters import FILTER_KINDS, FilterSpec
 from .kernel import GaussianKernel
 from .operators import load_dataset_csv, save_dataset_csv
 from .svgplot import plot_svg
-from .synthdata import CirclesSpec, GaussianMixSpec, gen_circles, gen_gaussian_mix
 
 
 def _add_generate(sub):
@@ -149,19 +148,12 @@ def _bench_config(args) -> ExperimentConfig:
 
 
 def _cmd_generate(args) -> int:
-    if args.family == "circles":
-        spec = CirclesSpec(
-            n=args.n, n_labeled=args.n_labeled, num_circles=args.num_circles,
-            inner_radius=args.inner_radius, radius_step=args.radius_step,
-            angles=args.angles, allocation=args.allocation, seed=args.seed,
-        )
-        ds = gen_circles(spec)
-    else:
-        spec = GaussianMixSpec(
-            n=args.n, n_labeled=args.n_labeled, d=args.d,
-            separation=args.separation, seed=args.seed,
-        )
-        ds = gen_gaussian_mix(spec)
+    cfg = ExperimentConfig(
+        family=args.family, n_labeled=args.n_labeled, num_circles=args.num_circles,
+        inner_radius=args.inner_radius, radius_step=args.radius_step, angles=args.angles,
+        allocation=args.allocation, d=args.d, separation=args.separation,
+    )
+    ds, _ = bench_mod.generate_instance(cfg, args.n, args.seed)
     save_dataset_csv(ds, args.out)
     print(f"wrote {ds.n} points (d={ds.d}, {ds.n_labeled} labeled) to {args.out}")
     return EXIT_OK

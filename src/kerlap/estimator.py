@@ -166,7 +166,7 @@ def fit_exact(
     """
     if not (math.isfinite(lam) and lam > 0):
         raise InvalidArgumentError(f"lam must be a positive finite real, got {lam!r}")
-    bundle = assemble_dense(ds, kernel, mu, dense_cap=dense_cap, sigma_over_labeled=True)
+    bundle = assemble_dense(ds, kernel, mu, dense_cap=dense_cap)
     try:
         coef = pencil_solve(bundle.A, bundle.B, lam, bundle.b)
     except SingularPencilError:

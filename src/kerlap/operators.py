@@ -29,7 +29,8 @@ products, and the memory O(n p) plus one row chunk of differences.
 
 ``assemble_dense`` builds the same objects over the exact n*(d+1)-dimensional
 representer basis {k_{X_i}} + {d_j k_{X_i}} instead of a landmark subset, for
-use by the dense oracle estimator.
+use by the dense oracle estimator.  Neither symmetrizes its output: the
+``pencil`` solvers check and symmetrize every pencil they are given.
 """
 
 from __future__ import annotations
@@ -120,9 +121,9 @@ class OperatorBundle:
     For landmark assembly ``knp`` holds the kernel evaluation matrix, ``kpp``
     the landmark Gram block, and ``znp`` is None: the (n*d x p) derivative
     matrix is never built (see the module docstring).  For dense
-    assembly the slots hold the evaluations against the full representer
-    basis, ``znp`` the gradient evaluations with the cross-derivative
-    columns, and ``kpp`` the extended basis Gram.  The ``znp`` slot stays so
+    assembly ``kpp`` is the extended basis Gram and ``knp`` / ``znp`` are its
+    row blocks: the point evaluations of the basis and the gradient
+    evaluations with the cross-derivative columns.  The ``znp`` slot stays so
     that both kinds of bundle share one type.
     """
 
@@ -131,7 +132,6 @@ class OperatorBundle:
     A: np.ndarray
     B: np.ndarray
     b: np.ndarray
-    mu: float
     kpp: np.ndarray
 
 
@@ -203,7 +203,6 @@ def assemble(
         A = knp[:n_l].T @ knp[:n_l] / n_l
     else:
         A = ktk / n
-    A = (A + A.T) / 2.0
 
     kpp = knp[landmarks.indices, :]
     # B = Znp^T Znp / n + mu * Kpp, Znp^T Znp by the polarization identity
@@ -217,9 +216,8 @@ def assemble(
     B /= 2.0 * n * s2
     B /= s2
     B += mu * kpp
-    B = (B + B.T) / 2.0
     b = knp[:n_l].T @ y / n_l
-    return OperatorBundle(knp=knp, znp=None, A=A, B=B, b=b, mu=float(mu), kpp=kpp)
+    return OperatorBundle(knp=knp, znp=None, A=A, B=B, b=b, kpp=kpp)
 
 
 def assemble_dense(
@@ -227,14 +225,15 @@ def assemble_dense(
     kernel: GaussianKernel,
     mu: float,
     dense_cap: int = DEFAULT_DENSE_CAP,
-    sigma_over_labeled: bool = False,
 ) -> OperatorBundle:
     """Build the exact operator bundle over the full n*(d+1) representer basis.
 
     Basis layout: entries 0..n-1 are the kernel features k_{X_i}; entry
-    n + l*d + j is the derivative feature d_j k_{X_l}.  The bundle's ``knp``
-    holds the point evaluations of the basis (n x m), ``znp`` the gradient
-    evaluations (n*d x m) and ``kpp`` the extended basis Gram (m x m).
+    n + l*d + j is the derivative feature d_j k_{X_l}.  The bundle's ``kpp``
+    holds the extended basis Gram (m x m), and ``knp`` and ``znp`` are views
+    of its row blocks: the point evaluations of the basis (n x m) and the
+    gradient evaluations (n*d x m).  A averages over the labeled points (the
+    exact empirical-risk-minimization normalization).
     """
     if not (np.isfinite(mu) and mu >= 0):
         raise InvalidArgumentError(f"mu must be a non-negative finite real, got {mu!r}")
@@ -254,21 +253,15 @@ def assemble_dense(
     _check_block_finite(Z, 0, "kernel derivative")
     _check_block_finite(H, 0, "kernel cross derivative")
 
-    phi = np.hstack([K, Z.T])      # <k_{X_i}, basis_a>, rows over points
-    psi = np.hstack([Z, H])        # <d_j k_{X_l}, basis_a>, rows over (l, j)
-    gram = np.vstack([phi, psi])   # extended basis Gram
-    gram = (gram + gram.T) / 2.0
+    gram = np.block([[K, Z.T], [Z, H]])  # extended basis Gram
+    phi = gram[:n]  # <k_{X_i}, basis_a>, rows over points
+    psi = gram[n:]  # <d_j k_{X_l}, basis_a>, rows over (l, j)
 
     n_l = ds.n_labeled
-    if sigma_over_labeled:
-        A = phi[:n_l].T @ phi[:n_l] / n_l
-    else:
-        A = phi.T @ phi / n
-    A = (A + A.T) / 2.0
+    A = phi[:n_l].T @ phi[:n_l] / n_l
     B = psi.T @ psi / n + mu * gram
-    B = (B + B.T) / 2.0
     b = phi[:n_l].T @ y / n_l
-    return OperatorBundle(knp=phi, znp=psi, A=A, B=B, b=b, mu=float(mu), kpp=gram)
+    return OperatorBundle(knp=phi, znp=psi, A=A, B=B, b=b, kpp=gram)
 
 
 # Dataset CSV format (shared repo-wide): header x0,...,x{d-1},y with the y

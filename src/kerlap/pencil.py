@@ -26,12 +26,20 @@ from .errors import InvalidArgumentError, NumericalConsistencyError, SingularPen
 _JITTER_EPS = 1e-10
 
 
-def spectral_norm_estimate(M: np.ndarray, iters: int = 12) -> float:
-    """Power-iteration estimate of ||M||_2 for symmetric M, deterministic start."""
-    p = M.shape[0]
-    v = np.ones(p) / np.sqrt(p)
+def spectral_norm_estimate(M: np.ndarray) -> float:
+    """Power-iteration estimate of ||M||_2 for symmetric M.
+
+    The start is M's column of largest norm, which lies in M's range, so the
+    estimate is positive for any nonzero M (a fixed start such as the ones
+    vector gives 0 when M 1 = 0) and never exceeds ||M||_2.
+    """
+    norms = np.linalg.norm(M, axis=0)
+    if not norms.any():
+        return 0.0
+    j = int(np.argmax(norms))
+    v = M[:, j] / norms[j]
     est = 0.0
-    for _ in range(iters):
+    for _ in range(12):
         w = M @ v
         est = float(np.linalg.norm(w))
         if est == 0.0:
@@ -55,6 +63,7 @@ class PencilDecomposition:
 
 
 def _check_symmetric(M: np.ndarray, name: str) -> np.ndarray:
+    """Validate a square, finite, nearly symmetric M; return (M + M^T)/2 as a new array."""
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise InvalidArgumentError(f"{name} must be square, got shape {M.shape}")

@@ -5,7 +5,8 @@ import pytest
 
 from kerlap.bench import load_records_csv
 from kerlap.cli import main
-from kerlap.operators import load_dataset_csv
+from kerlap.operators import load_dataset_csv, save_dataset_csv
+from kerlap.synthdata import CirclesSpec, gen_circles
 
 
 def run(argv):
@@ -28,6 +29,20 @@ class TestGenerate:
         assert code == 0
         ds = load_dataset_csv(out)
         assert ds.d == 2
+
+    def test_matches_generator(self, tmp_path):
+        # the CLI writes exactly the dataset the generator spec describes
+        out, ref = tmp_path / "c.csv", tmp_path / "ref.csv"
+        code = run(["generate", "--family", "circles", "--n", "41", "--n-labeled", "5",
+                    "--num-circles", "3", "--inner-radius", "0.5", "--radius-step", "0.7",
+                    "--angles", "equispaced", "--allocation", "proportional",
+                    "--seed", "3", "--out", str(out)])
+        assert code == 0
+        save_dataset_csv(gen_circles(CirclesSpec(
+            n=41, n_labeled=5, num_circles=3, inner_radius=0.5, radius_step=0.7,
+            angles="equispaced", allocation="proportional", seed=3,
+        )), ref)
+        assert out.read_bytes() == ref.read_bytes()
 
     def test_invalid_args_exit_2(self, tmp_path):
         code = run(["generate", "--family", "circles", "--n", "2", "--n-labeled", "4",

@@ -244,9 +244,10 @@ class TestAssemble:
         ds = SemiDataset(inputs=X, labels=[1.0])
         k = GaussianKernel(0.8)
         lm = select_landmarks(ds, p, seed=6)
-        bun = assemble(ds, k, lm, mu=0.3)
+        mu = 0.3
+        bun = assemble(ds, k, lm, mu)
         c = rng.standard_normal(p)
-        quad = c @ (bun.B - bun.mu * bun.kpp) @ c
+        quad = c @ (bun.B - mu * bun.kpp) @ c
         total = 0.0
         for l in range(n):
             grad = np.zeros(d)
@@ -294,9 +295,12 @@ class TestAssembleDense:
     def test_symmetry(self):
         rng = np.random.default_rng(7)
         ds = SemiDataset(inputs=rng.standard_normal((6, 2)), labels=rng.standard_normal(2))
-        bun = assemble_dense(ds, GaussianKernel(0.9), mu=0.2)
-        for M in (bun.A, bun.B, bun.kpp):
-            assert np.linalg.norm(M - M.T) <= 1e-10
+        k = GaussianKernel(0.9)
+        dense = assemble_dense(ds, k, mu=0.2)
+        landmark = assemble(ds, k, select_landmarks(ds, 4, seed=7), mu=0.2)
+        for bun in (dense, landmark):
+            for M in (bun.A, bun.B, bun.kpp):
+                assert np.linalg.norm(M - M.T) <= 1e-10
 
     def test_brute_force_oracle(self):
         rng = np.random.default_rng(8)
@@ -317,10 +321,11 @@ class TestAssembleDense:
             return k.grad1(X[l], X[i])[j]
 
         phi = np.array([[phi_entry(i, a) for a in range(m)] for i in range(n)])
+        # the covariance averages over the labeled points only
         A = np.zeros((m, m))
-        for i in range(n):
+        for i in range(ds.n_labeled):
             A += np.outer(phi[i], phi[i])
-        A /= n
+        A /= ds.n_labeled
         assert np.max(np.abs(bun.A - A)) < 1e-12
 
         def psi_entry(l, j, a):

@@ -120,6 +120,51 @@ class TestGevd:
         with pytest.raises(NumericalConsistencyError):
             gevd(np.diag([1.0, -1e-6]), c * np.eye(2))
 
+    def test_centred_gram_is_psd(self):
+        # G has centred rows, so A = G^T G has A 1 = 0: a norm estimate that
+        # starts from the ones vector reads 0, and the clamp tolerance with
+        # it, so a rounding-level negative eigenvalue (-2.4e-16 in one of
+        # these draws) must still be clamped
+        rng = np.random.default_rng(0)
+        for _ in range(200):
+            G = rng.standard_normal((3, 6))
+            G -= G.mean(axis=1, keepdims=True)
+            dec = gevd(G.T @ G, np.eye(6))
+            assert np.all(dec.eigenvalues >= 0)
+
+    def test_asymmetric_input_symmetrized(self):
+        # an asymmetry within tolerance is averaged away before any work
+        rng = np.random.default_rng(6)
+        A, B = random_pencil(rng, 12)
+        A_asym = A + 1e-12 * np.abs(A).max() * np.triu(rng.standard_normal((12, 12)), 1)
+        B_asym = B + 1e-12 * np.abs(B).max() * np.triu(rng.standard_normal((12, 12)), 1)
+        got = gevd(A_asym, B_asym)
+        want = gevd((A_asym + A_asym.T) / 2, (B_asym + B_asym.T) / 2)
+        assert np.array_equal(got.eigenvalues, want.eigenvalues)
+        assert np.array_equal(got.eigenvectors, want.eigenvectors)
+        rhs = rng.standard_normal(12)
+        assert np.array_equal(
+            pencil_solve(A_asym, B_asym, 0.5, rhs),
+            pencil_solve((A_asym + A_asym.T) / 2, (B_asym + B_asym.T) / 2, 0.5, rhs),
+        )
+
+
+class TestSpectralNormEstimate:
+    def test_positive_when_ones_is_in_the_null_space(self):
+        # I - 11^T/4 is a projector with ||M||_2 = 1 and M 1 = 0
+        M = np.eye(4) - np.ones((4, 4)) / 4
+        assert spectral_norm_estimate(M) == pytest.approx(1.0, rel=1e-12)
+
+    def test_bounded_by_the_norm(self):
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            G = rng.standard_normal((8, 8))
+            M = G + G.T
+            est = spectral_norm_estimate(M)
+            assert 0 < est <= np.linalg.norm(M, 2) * (1 + 1e-12)
+        assert spectral_norm_estimate(np.zeros((3, 3))) == 0.0
+        assert spectral_norm_estimate(np.zeros((0, 0))) == 0.0
+
 
 class TestCholeskyWithJitter:
     def test_retry_matches_shifted_factor(self):
