@@ -2,17 +2,19 @@
 the derivative feature maps.
 
 ``GaussianKernel`` is the only kernel: the estimators, the baselines and the
-model JSON format all take it.  It provides pointwise ``eval``, ``grad1``
-(gradient in the first argument) and ``cross_hessian`` (mixed second
-derivatives, one per argument), and their vectorized all-pairs forms
-``gram``, ``grad1_gram`` and ``cross_hessian_gram``.  ``gram_with_sqdist``
-also returns the squared distances the kernel values are made from, for the
-landmark assembly of the Dirichlet-energy matrix.
+model JSON format all take it.  Every evaluation is over all pairs of rows
+of two (rows, d) arrays: ``gram`` (kernel values), ``grad1_gram`` (gradients
+in the first argument) and ``cross_hessian_gram`` (mixed second derivatives,
+one per argument).  ``gram_with_sqdist`` also returns the squared distances
+the kernel values are made from, for the landmark assembly of the
+Dirichlet-energy matrix.  A single pair is a batch of one row each.
 
 Squared distances are plain sums of squared coordinate differences for
-every input dimension.  The terms are non-negative, so the summation is
-well-conditioned and needs no compensation (Higham, *Accuracy and Stability
-of Numerical Algorithms*, ch. 4).
+every input dimension, rather than the Gram expansion ||x||^2 + ||z||^2 -
+2<x, z>, which cancels badly for nearby points.  The terms are
+non-negative, so the summation is well-conditioned and needs no
+compensation (Higham, *Accuracy and Stability of Numerical Algorithms*,
+ch. 4).  Every form holds the (n, m, d) coordinate-difference array.
 """
 
 from __future__ import annotations
@@ -25,56 +27,24 @@ import numpy as np
 from .errors import InvalidArgumentError
 
 
-def _as_point(x, name: str) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or x.size < 1:
-        raise InvalidArgumentError(f"{name} must be a 1-d vector, got shape {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise InvalidArgumentError(f"{name} contains non-finite entries")
-    return x
+def _differences(X, Z) -> np.ndarray:
+    """X[i] - Z[j] for all pairs of rows, shape (n, m, d), from validated inputs."""
+    X = np.asarray(X, dtype=float)
+    Z = np.asarray(Z, dtype=float)
+    if X.ndim != 2 or Z.ndim != 2:
+        raise InvalidArgumentError(
+            f"kernel inputs must be 2-d (rows, d), got shapes {X.shape} and {Z.shape}"
+        )
+    if X.shape[1] != Z.shape[1]:
+        raise InvalidArgumentError(
+            f"dimension mismatch: X has d={X.shape[1]}, Z has d={Z.shape[1]}"
+        )
+    if not (np.isfinite(X).all() and np.isfinite(Z).all()):
+        raise InvalidArgumentError("kernel inputs contain non-finite entries")
+    return X[:, None, :] - Z[None, :, :]
 
 
-def _sqnorm(diff: np.ndarray) -> float:
-    # Overflow to inf is the intended limit (the kernel value is then 0.0).
-    # vdot is the same BLAS dot as ``@`` but does not check the floating-point
-    # status, so overflow stays silent; np.errstate would cost more than the
-    # rest of a pointwise call.
-    return float(np.vdot(diff, diff))
-
-
-def _pair_diff(x, y) -> tuple[np.ndarray, float]:
-    """x - y and its squared norm for two points, validated.
-
-    Any non-finite input makes the squared norm non-finite, so the full
-    per-point check (which raises on bad input) runs only when the shapes
-    are not two equal-size vectors or the norm is not finite.
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.ndim == 1 and x.size and x.shape == y.shape:
-        diff = x - y
-        sq = _sqnorm(diff)
-        if math.isfinite(sq):
-            return diff, sq
-    x = _as_point(x, "x")
-    y = _as_point(y, "y")
-    if x.shape != y.shape:
-        raise InvalidArgumentError(f"dimension mismatch: x has d={x.size}, y has d={y.size}")
-    diff = x - y  # finite inputs whose squared distance overflows
-    return diff, _sqnorm(diff)
-
-
-def _sqdist_matrix(X: np.ndarray, Z: np.ndarray) -> np.ndarray:
-    """All-pairs squared distances, coordinate-wise, shape (n, m).
-
-    Computed as sums of (x_j - z_j)^2 rather than via the Gram expansion
-    ||x||^2 + ||z||^2 - 2<x, z>, which cancels badly for nearby points.
-    Holds the (n, m, d) difference array, as ``grad1_gram`` does.
-    """
-    return _sqdist_from_diff(X[:, None, :] - Z[None, :, :])
-
-
-def _sqdist_from_diff(diff: np.ndarray) -> np.ndarray:
+def _sqdist(diff: np.ndarray) -> np.ndarray:
     return np.einsum("ijk,ijk->ij", diff, diff)
 
 
@@ -89,7 +59,10 @@ class GaussianKernel:
         d^2 k / dx_i dy_i   = (1/sigma^2 - (x_i - y_i)^2 / sigma^4) * k(x, y)
 
     exp of large negative arguments underflows to 0.0 silently; this is
-    harmless for positive semi-definiteness.
+    harmless for positive semi-definiteness.  A squared distance that
+    overflows to inf likewise gives a kernel value of 0.0.  Inputs that are
+    not 2-d, disagree in d or hold a non-finite entry raise
+    ``InvalidArgumentError``.
     """
 
     sigma: float
@@ -100,34 +73,13 @@ class GaussianKernel:
             raise InvalidArgumentError(f"sigma must be a positive finite real, got {s!r}")
         object.__setattr__(self, "sigma", float(s))
 
-    def eval(self, x, y) -> float:
-        _, sq = _pair_diff(x, y)
-        return math.exp(-sq / (2.0 * self.sigma**2))
-
-    def grad1(self, x, y) -> np.ndarray:
-        """Gradient of k(x, y) with respect to the coordinates of x."""
-        diff, sq = _pair_diff(x, y)
-        k = math.exp(-sq / (2.0 * self.sigma**2))
-        return -diff / self.sigma**2 * k
-
-    def cross_hessian(self, x, y) -> np.ndarray:
-        """Matrix of mixed partials d^2 k / dx_i dy_j, shape (d, d)."""
-        diff, sq = _pair_diff(x, y)
-        s2 = self.sigma**2
-        k = math.exp(-sq / (2.0 * s2))
-        H = -np.outer(diff, diff) / s2**2 * k
-        H.flat[:: diff.size + 1] += k / s2
-        return H
-
-    # Vectorized batch forms ------------------------------------------------
-
     def _from_sqdist(self, sq: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         out = np.divide(sq, -2.0 * self.sigma**2, out=out)
         return np.exp(out, out=out)
 
     def gram(self, X: np.ndarray, Z: np.ndarray) -> np.ndarray:
         """k(X[i], Z[j]) for all pairs, shape (n, m)."""
-        return self._from_sqdist(_sqdist_matrix(X, Z))
+        return self._from_sqdist(_sqdist(_differences(X, Z)))
 
     def gram_with_sqdist(
         self, X: np.ndarray, Z: np.ndarray, out: np.ndarray | None = None
@@ -136,23 +88,23 @@ class GaussianKernel:
 
         The kernel values are written into ``out`` when it is given.
         """
-        sq = _sqdist_matrix(X, Z)
+        sq = _sqdist(_differences(X, Z))
         return self._from_sqdist(sq, out=out), sq
 
     def grad1_gram(self, X: np.ndarray, Z: np.ndarray) -> np.ndarray:
         """d/dX[l]_j k(X[l], Z[i]) for all pairs, shape (n, d, m)."""
-        diff = X[:, None, :] - Z[None, :, :]  # (n, m, d)
-        K = self._from_sqdist(_sqdist_from_diff(diff))
+        diff = _differences(X, Z)  # (n, m, d)
+        K = self._from_sqdist(_sqdist(diff))
         out = -diff / self.sigma**2 * K[:, :, None]
         return np.ascontiguousarray(out.transpose(0, 2, 1))  # (n, d, m)
 
     def cross_hessian_gram(self, X: np.ndarray, Z: np.ndarray) -> np.ndarray:
         """d^2 k / dX[l]_j dZ[i]_j' for all pairs, shape (n, d, m, d)."""
         s2 = self.sigma**2
-        diff = X[:, None, :] - Z[None, :, :]  # (n, m, d)
-        K = self._from_sqdist(_sqdist_from_diff(diff))
+        diff = _differences(X, Z)  # (n, m, d)
+        K = self._from_sqdist(_sqdist(diff))
         out = -np.einsum("lmi,lmj,lm->limj", diff, diff, K) / s2**2
-        d = X.shape[1]
+        d = diff.shape[2]
         idx = np.arange(d)
         # advanced indexing on axes 1 and 3 yields a (d, n, m) view target
         out[:, idx, :, idx] += (K / s2)[None, :, :]

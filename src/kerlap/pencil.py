@@ -63,10 +63,11 @@ class PencilDecomposition:
 
 
 def _check_symmetric(M: np.ndarray, name: str) -> np.ndarray:
-    """Validate a square, finite, nearly symmetric M; return (M + M^T)/2 as a new array."""
+    """Validate a non-empty, square, finite, nearly symmetric M; return
+    (M + M^T)/2 as a new array."""
     M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise InvalidArgumentError(f"{name} must be square, got shape {M.shape}")
+    if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] < 1:
+        raise InvalidArgumentError(f"{name} must be square and non-empty, got shape {M.shape}")
     if not np.all(np.isfinite(M)):
         raise InvalidArgumentError(f"{name} contains non-finite entries")
     scale = np.linalg.norm(M)

@@ -8,32 +8,38 @@ from kerlap.errors import InvalidArgumentError
 from kerlap.kernel import GaussianKernel
 
 
+def _row(x) -> np.ndarray:
+    return np.asarray(x, dtype=float)[None]
+
+
+def kval(k, x, y) -> float:
+    """k(x, y) for one pair, as the 1x1 batch of gram."""
+    return k.gram(_row(x), _row(y))[0, 0]
+
+
+def kgrad(k, x, y) -> np.ndarray:
+    """Gradient in x for one pair, as the 1x1 batch of grad1_gram."""
+    return k.grad1_gram(_row(x), _row(y))[0, :, 0]
+
+
+def khess(k, x, y) -> np.ndarray:
+    """Mixed partials for one pair, as the 1x1 batch of cross_hessian_gram."""
+    return k.cross_hessian_gram(_row(x), _row(y))[0, :, 0, :]
+
+
 def fd_gradient(k, x, y, h):
     """Central-difference gradient in the first argument (independent oracle)."""
-    d = x.size
-    out = np.empty(d)
-    for i in range(d):
-        e = np.zeros(d)
-        e[i] = h
-        out[i] = (k.eval(x + e, y) - k.eval(x - e, y)) / (2 * h)
-    return out
+    E = h * np.eye(x.size)
+    v = k.gram(np.vstack([x + E, x - E]), y[None])[:, 0]
+    return (v[: x.size] - v[x.size:]) / (2 * h)
 
 
 def fd_cross_hessian(k, x, y, h):
     """Four-point central difference for d^2 k / dx_i dy_j."""
     d = x.size
-    out = np.empty((d, d))
-    for i in range(d):
-        ei = np.zeros(d)
-        ei[i] = h
-        for j in range(d):
-            ej = np.zeros(d)
-            ej[j] = h
-            out[i, j] = (
-                k.eval(x + ei, y + ej) - k.eval(x + ei, y - ej)
-                - k.eval(x - ei, y + ej) + k.eval(x - ei, y - ej)
-            ) / (4 * h * h)
-    return out
+    E = h * np.eye(d)
+    v = k.gram(np.vstack([x + E, x - E]), np.vstack([y + E, y - E]))
+    return (v[:d, :d] - v[:d, d:] - v[d:, :d] + v[d:, d:]) / (4 * h * h)
 
 
 def random_pair(rng, d, sigma):
@@ -44,47 +50,65 @@ def random_pair(rng, d, sigma):
     return x, x + sigma * t * u
 
 
+BATCH_FORMS = ("gram", "gram_with_sqdist", "grad1_gram", "cross_hessian_gram")
+
+
 class TestEval:
     def test_identity_case(self):
         k = GaussianKernel(1.0)
-        assert k.eval(np.zeros(2), np.zeros(2)) == 1.0
+        assert kval(k, np.zeros(2), np.zeros(2)) == 1.0
 
     def test_unit_distance(self):
         k = GaussianKernel(1.0)
-        assert k.eval([1.0, 0.0], [0.0, 0.0]) == pytest.approx(math.exp(-0.5), abs=1e-12)
+        assert kval(k, [1.0, 0.0], [0.0, 0.0]) == pytest.approx(math.exp(-0.5), abs=1e-12)
 
     def test_scale_symmetry(self):
         k = GaussianKernel(2.0)
-        assert k.eval([2.0, 0.0], [0.0, 0.0]) == pytest.approx(math.exp(-0.5), abs=1e-12)
+        assert kval(k, [2.0, 0.0], [0.0, 0.0]) == pytest.approx(math.exp(-0.5), abs=1e-12)
 
     def test_symmetry_exact(self):
         rng = np.random.default_rng(0)
         k = GaussianKernel(0.7)
         for _ in range(20):
             x, y = rng.standard_normal(3), rng.standard_normal(3)
-            assert k.eval(x, y) == k.eval(y, x)
+            assert kval(k, x, y) == kval(k, y, x)
 
     def test_bounded(self):
         rng = np.random.default_rng(1)
         k = GaussianKernel(1.3)
         for _ in range(50):
             x, y = rng.standard_normal(4), rng.standard_normal(4)
-            v = k.eval(x, y)
+            v = kval(k, x, y)
             assert 0 < v < 1
         x = rng.standard_normal(4)
-        assert k.eval(x, x) == 1.0
+        assert kval(k, x, x) == 1.0
 
     def test_dimension_mismatch(self):
         k = GaussianKernel(1.0)
-        with pytest.raises(InvalidArgumentError):
-            k.eval([1.0, 2.0], [1.0])
+        for form in BATCH_FORMS:
+            method = getattr(k, form)
+            with pytest.raises(InvalidArgumentError, match="dimension mismatch"):
+                method([[1.0, 2.0]], [[1.0]])
+            with pytest.raises(InvalidArgumentError, match="dimension mismatch"):
+                method(np.zeros((2, 2)), np.zeros((2, 3)))
+
+    def test_non_2d_input(self):
+        k = GaussianKernel(1.0)
+        for form in BATCH_FORMS:
+            method = getattr(k, form)
+            with pytest.raises(InvalidArgumentError, match="2-d"):
+                method([1.0, 2.0], [[1.0, 2.0]])
+            with pytest.raises(InvalidArgumentError, match="2-d"):
+                method([[1.0, 2.0]], np.zeros((1, 1, 2)))
 
     def test_non_finite_input(self):
         k = GaussianKernel(1.0)
-        with pytest.raises(InvalidArgumentError):
-            k.eval([np.nan, 0.0], [0.0, 0.0])
-        with pytest.raises(InvalidArgumentError):
-            k.grad1([0.0], [np.inf])
+        for form in BATCH_FORMS:
+            method = getattr(k, form)
+            with pytest.raises(InvalidArgumentError, match="non-finite"):
+                method([[np.nan, 0.0]], [[0.0, 0.0]])
+            with pytest.raises(InvalidArgumentError, match="non-finite"):
+                method([[0.0]], [[np.inf]])
 
     @pytest.mark.parametrize("sigma", [0.0, -1.0, np.nan, np.inf])
     def test_bad_sigma(self, sigma):
@@ -95,29 +119,27 @@ class TestEval:
 class TestDerivatives:
     def test_grad_vanishes_at_coincidence(self):
         k = GaussianKernel(1.0)
-        assert np.array_equal(k.grad1(np.zeros(2), np.zeros(2)), np.zeros(2))
+        assert np.array_equal(kgrad(k, np.zeros(2), np.zeros(2)), np.zeros(2))
 
     def test_grad_hand_value(self):
         k = GaussianKernel(1.0)
-        g = k.grad1([1.0, 0.0], [0.0, 0.0])
+        g = kgrad(k, [1.0, 0.0], [0.0, 0.0])
         assert g == pytest.approx([-math.exp(-0.5), 0.0], abs=1e-12)
 
     def test_hessian_at_coincidence(self):
         k = GaussianKernel(1.0)
-        assert np.allclose(k.cross_hessian(np.zeros(2), np.zeros(2)), np.eye(2), atol=1e-15)
+        assert np.allclose(khess(k, np.zeros(2), np.zeros(2)), np.eye(2), atol=1e-15)
         k2 = GaussianKernel(2.0)
-        assert np.allclose(
-            k2.cross_hessian(np.zeros(3), np.zeros(3)), np.eye(3) / 4.0, atol=1e-15
-        )
+        assert np.allclose(khess(k2, np.zeros(3), np.zeros(3)), np.eye(3) / 4.0, atol=1e-15)
 
     def test_hessian_diag_hand_value(self):
         k = GaussianKernel(1.0)
-        h = k.cross_hessian([1.0, 0.0], [0.0, 0.0])
+        h = khess(k, [1.0, 0.0], [0.0, 0.0])
         assert h[0, 0] == pytest.approx(0.0, abs=1e-12)
 
     def test_hessian_offdiag_hand_value(self):
         k = GaussianKernel(1.0)
-        h = k.cross_hessian([1.0, 1.0], [0.0, 0.0])
+        h = khess(k, [1.0, 1.0], [0.0, 0.0])
         assert h[0, 1] == pytest.approx(-math.exp(-1.0), abs=1e-7)
 
     def test_grad_antisymmetry(self):
@@ -125,7 +147,7 @@ class TestDerivatives:
         k = GaussianKernel(0.9)
         for _ in range(30):
             x, y = rng.standard_normal(3), rng.standard_normal(3)
-            assert np.all(np.abs(k.grad1(x, y) + k.grad1(y, x)) <= 1e-12)
+            assert np.all(np.abs(kgrad(k, x, y) + kgrad(k, y, x)) <= 1e-12)
 
     @pytest.mark.parametrize("d", [1, 3, 10])
     def test_finite_difference_consistency(self, d):
@@ -135,10 +157,10 @@ class TestDerivatives:
             k = GaussianKernel(sigma)
             x, y = random_pair(rng, d, sigma)
             h = 1e-5 * sigma
-            g = k.grad1(x, y)
+            g = kgrad(k, x, y)
             g_fd = fd_gradient(k, x, y, h)
             assert np.linalg.norm(g - g_fd) <= 1e-5 * np.linalg.norm(g)
-            H = k.cross_hessian(x, y)
+            H = khess(k, x, y)
             H_fd = fd_cross_hessian(k, x, y, h)
             assert np.linalg.norm(H - H_fd) <= 1e-4 * np.linalg.norm(H)
 
@@ -153,7 +175,9 @@ class TestGram:
             w = np.linalg.eigvalsh(G)
             assert w.min() >= -1e-8 * w.max()
 
-    def test_batch_matches_scalar(self):
+    def test_batch_layout_matches_single_pairs(self):
+        # each entry of the (n, m), (n, d, m) and (n, d, m, d) batches is the
+        # 1x1 batch of its pair
         rng = np.random.default_rng(4)
         k = GaussianKernel(1.1)
         X, Z = rng.standard_normal((6, 4)), rng.standard_normal((5, 4))
@@ -162,9 +186,9 @@ class TestGram:
         H = k.cross_hessian_gram(X, Z)
         for i in range(6):
             for j in range(5):
-                assert G[i, j] == pytest.approx(k.eval(X[i], Z[j]), abs=1e-15)
-                assert np.allclose(G1[i, :, j], k.grad1(X[i], Z[j]), atol=1e-15)
-                assert np.allclose(H[i, :, j, :], k.cross_hessian(X[i], Z[j]), atol=1e-15)
+                assert G[i, j] == pytest.approx(kval(k, X[i], Z[j]), abs=1e-15)
+                assert np.allclose(G1[i, :, j], kgrad(k, X[i], Z[j]), atol=1e-15)
+                assert np.allclose(H[i, :, j, :], khess(k, X[i], Z[j]), atol=1e-15)
 
     def test_gram_with_sqdist(self):
         # the same kernel values as gram, and the distances they come from
@@ -190,12 +214,11 @@ class TestGram:
 
     def test_overflowing_distance_gives_zero_kernel(self):
         # finite coordinates whose squared distance overflows: the kernel
-        # tends to 0, and no call may raise or warn on the way
+        # tends to 0, and no batch form may raise or warn on the way
         k = GaussianKernel(1.0)
-        x, y = np.full(100, 1e154), np.zeros(100)
+        x, y = np.full((1, 100), 1e154), np.zeros((1, 100))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert k.eval(x, y) == 0.0
-            assert np.all(k.grad1(x, y) == 0.0)
-            assert np.all(k.cross_hessian(x, y) == 0.0)
-            assert np.array_equal(k.gram(x[None], y[None]), [[0.0]])
+            assert np.array_equal(k.gram(x, y), [[0.0]])
+            assert np.array_equal(k.grad1_gram(x, y), np.zeros((1, 100, 1)))
+            assert np.array_equal(k.cross_hessian_gram(x, y), np.zeros((1, 100, 1, 100)))

@@ -19,6 +19,21 @@ from kerlap.operators import (
 )
 
 
+# Single-pair kernel entries for the brute-force oracles, each the 1x1 batch
+# of its pair; the kernel values themselves are checked in test_kernel.py.
+
+def kval(k, x, y) -> float:
+    return k.gram(x[None], y[None])[0, 0]
+
+
+def kgrad(k, x, y) -> np.ndarray:
+    return k.grad1_gram(x[None], y[None])[0, :, 0]
+
+
+def khess(k, x, y) -> np.ndarray:
+    return k.cross_hessian_gram(x[None], y[None])[0, :, 0, :]
+
+
 class TestSemiDataset:
     def test_basic(self):
         ds = SemiDataset(inputs=[[0.0, 1.0], [2.0, 3.0]], labels=[1.0])
@@ -90,7 +105,7 @@ class TestAssemble:
         assert np.array_equal(bun.B, [[0.3]])
 
     def test_brute_force_oracle(self):
-        # entrywise re-evaluation with scalar kernel calls and explicit loops
+        # entrywise re-evaluation with single-pair kernel calls and explicit loops
         rng = np.random.default_rng(0)
         n, d, p = 20, 3, 5
         X = rng.standard_normal((n, d))
@@ -101,7 +116,7 @@ class TestAssemble:
         mu = 0.2
         bun = assemble(ds, k, lm, mu)
 
-        K = np.array([[k.eval(X[i], lm.coordinates[j]) for j in range(p)] for i in range(n)])
+        K = np.array([[kval(k, X[i], lm.coordinates[j]) for j in range(p)] for i in range(n)])
         A = np.zeros((p, p))
         for i in range(n):
             A += np.outer(K[i], K[i])
@@ -112,12 +127,12 @@ class TestAssemble:
         for l in range(n):
             for q in range(p):
                 for r in range(p):
-                    gq = k.grad1(X[l], lm.coordinates[q])
-                    gr = k.grad1(X[l], lm.coordinates[r])
+                    gq = kgrad(k, X[l], lm.coordinates[q])
+                    gr = kgrad(k, X[l], lm.coordinates[r])
                     B[q, r] += gq @ gr
         B /= n
         Kpp = np.array([
-            [k.eval(lm.coordinates[i], lm.coordinates[j]) for j in range(p)] for i in range(p)
+            [kval(k, lm.coordinates[i], lm.coordinates[j]) for j in range(p)] for i in range(p)
         ])
         B += mu * Kpp
         assert np.max(np.abs(bun.B - B)) < 1e-12
@@ -252,7 +267,7 @@ class TestAssemble:
         for l in range(n):
             grad = np.zeros(d)
             for i in range(p):
-                grad += c[i] * k.grad1(X[l], lm.coordinates[i])
+                grad += c[i] * kgrad(k, X[l], lm.coordinates[i])
             total += grad @ grad
         total /= n
         assert abs(quad - total) <= 1e-8 * abs(total)
@@ -316,9 +331,9 @@ class TestAssembleDense:
         # basis functionals evaluated pairwise against k_{X_i}: phi[i, a]
         def phi_entry(i, a):
             if a < n:
-                return k.eval(X[i], X[a])
+                return kval(k, X[i], X[a])
             l, j = divmod(a - n, d)
-            return k.grad1(X[l], X[i])[j]
+            return kgrad(k, X[l], X[i])[j]
 
         phi = np.array([[phi_entry(i, a) for a in range(m)] for i in range(n)])
         # the covariance averages over the labeled points only
@@ -330,9 +345,9 @@ class TestAssembleDense:
 
         def psi_entry(l, j, a):
             if a < n:
-                return k.grad1(X[l], X[a])[j]
+                return kgrad(k, X[l], X[a])[j]
             q, r = divmod(a - n, d)
-            return k.cross_hessian(X[l], X[q])[j, r]
+            return khess(k, X[l], X[q])[j, r]
 
         L = np.zeros((m, m))
         for l in range(n):
@@ -344,17 +359,17 @@ class TestAssembleDense:
         for a in range(m):
             for c in range(m):
                 if a < n and c < n:
-                    gram[a, c] = k.eval(X[a], X[c])
+                    gram[a, c] = kval(k, X[a], X[c])
                 elif a < n <= c:
                     l, j = divmod(c - n, d)
-                    gram[a, c] = k.grad1(X[l], X[a])[j]
+                    gram[a, c] = kgrad(k, X[l], X[a])[j]
                 elif c < n <= a:
                     l, j = divmod(a - n, d)
-                    gram[a, c] = k.grad1(X[l], X[c])[j]
+                    gram[a, c] = kgrad(k, X[l], X[c])[j]
                 else:
                     l1, j1 = divmod(a - n, d)
                     l2, j2 = divmod(c - n, d)
-                    gram[a, c] = k.cross_hessian(X[l1], X[l2])[j1, j2]
+                    gram[a, c] = khess(k, X[l1], X[l2])[j1, j2]
         assert np.max(np.abs(bun.kpp - gram)) < 1e-12
         assert np.max(np.abs(bun.B - (L + mu * gram))) < 1e-12
 

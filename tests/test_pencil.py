@@ -75,6 +75,14 @@ class TestGevd:
         with pytest.raises(InvalidArgumentError):
             gevd(np.array([[np.nan, 0], [0, 1.0]]), np.eye(2))
 
+    def test_empty_pencil_rejected(self):
+        # a 0x0 pencil is invalid input to both solvers (exit code 2)
+        empty = np.zeros((0, 0))
+        with pytest.raises(InvalidArgumentError, match="non-empty"):
+            gevd(empty, empty)
+        with pytest.raises(InvalidArgumentError, match="non-empty"):
+            pencil_solve(empty, empty, 1.0, np.zeros(0))
+
     def test_jitter_handles_singular_b(self):
         # rank-deficient B (as caused by duplicated landmark points)
         rng = np.random.default_rng(2)
