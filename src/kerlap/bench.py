@@ -14,15 +14,17 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
 from .baselines import GraphConfig, graph_bandwidth, harmonic_propagate, krr_fit
 from .errors import InvalidArgumentError, KerlapError
-from .estimator import decode_sign, fit, fit_exact, predict
-from .filters import FILTER_KINDS, FilterSpec
+from .estimator import FittedModel, decode_sign, fit, fit_exact, predict, schedule
+from .filters import FilterSpec
 from .kernel import GaussianKernel
 from .operators import SemiDataset, assemble, select_landmarks
 from .pencil import gevd
@@ -69,13 +71,31 @@ class BenchRecord:
     seed: int
 
 
+def _conforms(value, hint) -> bool:
+    """Whether ``value`` has the type that a config field's annotation names."""
+    if get_origin(hint) is list:
+        return isinstance(value, list) and all(_conforms(v, int) for v in value)
+    if get_args(hint):
+        return any(_conforms(value, h) for h in get_args(hint))
+    kind = {int: numbers.Integral, float: numbers.Real}.get(hint, hint)
+    return isinstance(value, kind) and isinstance(value, bool) == (hint is bool)
+
+
+# the words a str field accepts; mu, p and graph_sigma take them in place of a number
+_WORDS = {
+    "family": FAMILIES, "method": METHODS, "metric": ("classification", "rmse"),
+    "mu": ("1/n",), "p": ("n", "sqrt-log"), "graph_sigma": ("auto",),
+}
+
+
 @dataclass
 class ExperimentConfig:
     """One benchmark run: dataset family and method plus hyperparameters.
 
     ``mu`` is a float or the string "1/n"; ``p`` is an int, "n", or
     "sqrt-log" (ceil(sqrt(n) * ln n)); ``graph_sigma`` is a float or "auto"
-    (the n^(-1/(d+4)) * ln n rule).
+    (the n^(-1/(d+4)) * ln n rule).  Construction checks every value the fit
+    reads, so a bad one raises ``InvalidArgumentError`` before any trial.
     """
 
     family: str = "gauss2"
@@ -106,25 +126,33 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise InvalidArgumentError(f"unknown family {self.family!r}")
-        if self.method not in METHODS:
-            raise InvalidArgumentError(f"unknown method {self.method!r}")
-        if not self.n_grid or any(m <= 0 for m in self.n_grid) or (
-            sorted(self.n_grid) != list(self.n_grid)
-        ):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not _conforms(value, FIELD_TYPES[f.name]):
+                raise InvalidArgumentError(f"{f.name} must be {f.type}, got {value!r}")
+            if isinstance(value, str) and f.name in _WORDS and value not in _WORDS[f.name]:
+                raise InvalidArgumentError(f"{f.name} {value!r} is not one of {_WORDS[f.name]}")
+        if not self.n_grid or self.n_grid[0] <= 0 or sorted(self.n_grid) != self.n_grid:
             raise InvalidArgumentError("n_grid must be a non-empty ascending list of counts")
         if self.trials < 1:
             raise InvalidArgumentError("trials must be >= 1")
-        if self.n_labeled is None:
-            if self.label_ratio is None or not 0 < self.label_ratio <= 1:
-                raise InvalidArgumentError("label_ratio must lie in (0, 1]")
-        if self.filter_kind not in FILTER_KINDS:
-            raise InvalidArgumentError(f"unknown filter kind {self.filter_kind!r}")
-        if self.metric not in ("classification", "rmse"):
-            raise InvalidArgumentError(f"unknown metric {self.metric!r}")
-        if self.method == "graph" and self.inductive_test:
-            raise InvalidArgumentError("the graph baseline has no out-of-sample extension")
+        if self.n_labeled is None and (self.label_ratio is None or not 0 < self.label_ratio <= 1):
+            raise InvalidArgumentError("label_ratio must lie in (0, 1]")
+        if self.inductive_test < 0 or (self.method == "graph" and self.inductive_test):
+            raise InvalidArgumentError("inductive_test must be >= 0, and 0 for the graph "
+                                       "baseline, which has no out-of-sample extension")
+        # the fit's values, each by the rule of the library call that reads it
+        GaussianKernel(self.kernel_sigma)
+        FilterSpec(self.filter_kind, self.lam)
+        if self.method == "graph":
+            GraphConfig(self.resolve_graph_sigma(self.n_grid[0], self.d))
+        mu = self.resolve_mu(self.n_grid[0])
+        if not (math.isfinite(mu) and (mu > 0 or mu == 0 and self.method == "exact")):
+            raise InvalidArgumentError(f"mu must be finite and > 0 (>= 0 for exact), got {mu!r}")
+        if self.resolve_p(self.n_grid[0]) < 1:
+            raise InvalidArgumentError(f"p must be at least 1, got {self.p!r}")
+        if not (math.isfinite(self.ridge) and self.ridge > 0):
+            raise InvalidArgumentError(f"ridge must be finite and > 0, got {self.ridge!r}")
 
     def resolve_n_labeled(self, n: int) -> int:
         if self.n_labeled is not None:
@@ -132,29 +160,17 @@ class ExperimentConfig:
         return max(1, round(self.label_ratio * n))
 
     def resolve_mu(self, n: int) -> float:
-        if isinstance(self.mu, str):
-            if self.mu != "1/n":
-                raise InvalidArgumentError(f"mu must be a float or '1/n', got {self.mu!r}")
-            return 1.0 / n
-        return float(self.mu)
+        return 1.0 / n if self.mu == "1/n" else float(self.mu)
 
     def resolve_p(self, n: int) -> int:
-        if isinstance(self.p, str):
-            if self.p == "n":
-                return n
-            if self.p == "sqrt-log":
-                return min(n, math.ceil(math.sqrt(n) * math.log(n)))
-            raise InvalidArgumentError(f"p must be an int, 'n' or 'sqrt-log', got {self.p!r}")
-        return min(int(self.p), n)
+        if self.p == "n":
+            return n
+        if self.p == "sqrt-log":
+            return schedule(n)[2]
+        return min(self.p, n)
 
     def resolve_graph_sigma(self, n: int, d: int) -> float:
-        if isinstance(self.graph_sigma, str):
-            if self.graph_sigma != "auto":
-                raise InvalidArgumentError(
-                    f"graph_sigma must be a float or 'auto', got {self.graph_sigma!r}"
-                )
-            return graph_bandwidth(n, d)
-        return float(self.graph_sigma)
+        return graph_bandwidth(n, d) if self.graph_sigma == "auto" else float(self.graph_sigma)
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2)
@@ -165,12 +181,15 @@ class ExperimentConfig:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
             raise InvalidArgumentError(f"malformed config JSON: {exc}") from None
-        known = set(cls.__dataclass_fields__)
-        extra = set(doc) - known
+        if not isinstance(doc, dict):
+            raise InvalidArgumentError("config JSON must be an object")
+        extra = set(doc) - set(cls.__dataclass_fields__)
         if extra:
             raise InvalidArgumentError(f"unknown config fields: {sorted(extra)}")
         return cls(**doc)
 
+
+FIELD_TYPES = get_type_hints(ExperimentConfig)  # each field's annotation, evaluated
 
 # Named presets for the benchmark figures.  The circle geometry, the
 # equispaced angular grid and the gauss2 kernel bandwidth are documented
@@ -239,54 +258,55 @@ def _score(cfg, predictions: np.ndarray, truth: np.ndarray) -> float:
     return float((decode_sign(predictions) != truth).mean())
 
 
+def fit_model(cfg: ExperimentConfig, ds: SemiDataset, seed: int) -> FittedModel:
+    """The one map from a method to its estimator; ``seed`` draws the landmarks."""
+    kernel = GaussianKernel(cfg.kernel_sigma)
+    if cfg.method == "kernel_laplacian":
+        return fit(
+            ds, kernel, cfg.resolve_p(ds.n), cfg.resolve_mu(ds.n),
+            FilterSpec(cfg.filter_kind, cfg.lam), seed,
+            sigma_over_labeled=cfg.sigma_over_labeled, clip=cfg.clip,
+        )
+    if cfg.method == "krr":
+        return krr_fit(ds.inputs[: ds.n_labeled], ds.labels, kernel, cfg.ridge)
+    if cfg.method == "exact":
+        return fit_exact(ds, kernel, cfg.lam, cfg.resolve_mu(ds.n),
+                         dense_cap=cfg.dense_cap, clip=cfg.clip)
+    raise InvalidArgumentError(f"the {cfg.method} baseline is transductive and fits no model")
+
+
 def _run_one(cfg: ExperimentConfig, n: int, trial: int) -> BenchRecord:
     seed = trial_seed(cfg.seed, n, trial)
     ds, truth = generate_instance(cfg, n, seed)
     n_l = ds.n_labeled
-    kernel = GaussianKernel(cfg.kernel_sigma)
-    mu = cfg.resolve_mu(n)
+    queries, target = ds.inputs[n_l:], truth[n_l:]
+    if cfg.inductive_test:
+        test_ds, target = generate_instance(cfg, cfg.inductive_test, splitmix64(seed ^ 0xDEADBEEF))
+        queries = test_ds.inputs
 
     t0 = time.perf_counter()
     try:
         if cfg.method == "graph":
-            result = harmonic_propagate(ds, GraphConfig(cfg.resolve_graph_sigma(n, ds.d)))
+            scores = harmonic_propagate(ds, GraphConfig(cfg.resolve_graph_sigma(n, ds.d))).values
+            t1 = t2 = time.perf_counter()
+        else:
+            model = fit_model(cfg, ds, seed)
             t1 = time.perf_counter()
-            error = _score(cfg, result.values, truth[n_l:])
-            return BenchRecord(cfg.method, n, n_l, trial, error, t1 - t0, 0.0, seed)
-
-        if cfg.method == "kernel_laplacian":
-            model = fit(
-                ds, kernel, cfg.resolve_p(n), mu,
-                FilterSpec(cfg.filter_kind, cfg.lam), seed,
-                sigma_over_labeled=cfg.sigma_over_labeled,
-                clip=cfg.clip,
-            )
-        elif cfg.method == "krr":
-            model = krr_fit(ds.inputs[:n_l], ds.labels, kernel, cfg.ridge)
-        else:
-            model = fit_exact(ds, kernel, cfg.lam, mu, dense_cap=cfg.dense_cap, clip=cfg.clip)
-        t1 = time.perf_counter()
-
-        if cfg.inductive_test:
-            test_ds, test_truth = generate_instance(
-                cfg, cfg.inductive_test, splitmix64(seed ^ 0xDEADBEEF)
-            )
-            queries, target = test_ds.inputs, test_truth
-        else:
-            queries, target = ds.inputs[n_l:], truth[n_l:]
-        predictions = predict(model, queries)
-        t2 = time.perf_counter()
-        error = _score(cfg, predictions, target)
-        return BenchRecord(cfg.method, n, n_l, trial, error, t1 - t0, t2 - t1, seed)
+            scores = predict(model, queries)
+            t2 = time.perf_counter()
+        error = _score(cfg, scores, target)
     except KerlapError:
-        return BenchRecord(cfg.method, n, n_l, trial, float("nan"),
-                           time.perf_counter() - t0, 0.0, seed)
+        t1 = t2 = time.perf_counter()
+        error = float("nan")
+    return BenchRecord(cfg.method, n, n_l, trial, error, t1 - t0, t2 - t1, seed)
 
 
 def run_error_curve(cfg: ExperimentConfig) -> list[BenchRecord]:
     """Fit and score the configured method for each (n, trial) pair.
 
-    Failures surface as records with a NaN error; the sweep continues.
+    A fit or prediction that raises ``KerlapError`` becomes a record with a
+    NaN error and the sweep continues.  Bad config values raise earlier: at
+    construction, or for dataset values when the first trial draws its data.
     Records are sorted by (method, n, trial) regardless of execution order.
     """
     records = [

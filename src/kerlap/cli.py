@@ -10,16 +10,16 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
+from typing import get_args, get_origin
 
 import numpy as np
 
 from . import bench as bench_mod
-from .baselines import krr_fit
-from .bench import ExperimentConfig, preset, run_error_curve, write_records_csv
+from .bench import FIELD_TYPES, ExperimentConfig, preset, run_error_curve, write_records_csv
 from .errors import EXIT_INVALID_ARGUMENT, EXIT_OK, InvalidArgumentError, KerlapError
-from .estimator import decode_sign, fit, fit_exact, model_from_json, model_to_json, predict
-from .filters import FILTER_KINDS, FilterSpec
+from .estimator import decode_sign, model_from_json, model_to_json, predict
+from .filters import FILTER_KINDS
 from .kernel import GaussianKernel
 from .operators import load_dataset_csv, save_dataset_csv
 from .svgplot import plot_svg
@@ -27,6 +27,7 @@ from .svgplot import plot_svg
 
 def _add_generate(sub):
     p = sub.add_parser("generate", help="write a synthetic dataset CSV")
+    p.set_defaults(run=_cmd_generate)
     p.add_argument("--family", choices=["circles", "gauss2"], required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--n-labeled", type=int, required=True)
@@ -43,6 +44,7 @@ def _add_generate(sub):
 
 def _add_fit(sub):
     p = sub.add_parser("fit", help="fit a model on a dataset CSV and write model JSON")
+    p.set_defaults(run=_cmd_fit)
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--method", choices=["kernel_laplacian", "krr", "exact"],
@@ -62,6 +64,7 @@ def _add_fit(sub):
 
 def _add_predict(sub):
     p = sub.add_parser("predict", help="evaluate a model JSON on query points")
+    p.set_defaults(run=_cmd_predict)
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True, help="dataset CSV; all rows are queried")
     p.add_argument("--out", required=True, help="output CSV with score and sign columns")
@@ -69,6 +72,7 @@ def _add_predict(sub):
 
 def _add_eigvecs(sub):
     p = sub.add_parser("eigvecs", help="export top generalized eigenvectors on a grid")
+    p.set_defaults(run=_cmd_eigvecs)
     p.add_argument("--data", required=True)
     p.add_argument("--sigma", type=float, required=True)
     p.add_argument("--p", type=int, required=True)
@@ -80,37 +84,46 @@ def _add_eigvecs(sub):
     p.add_argument("--out", required=True)
 
 
-_OVERRIDE_FIELDS = {
-    "family": str, "method": str, "trials": int, "label_ratio": float,
-    "n_labeled": int, "d": int, "separation": float, "num_circles": int,
-    "inner_radius": float, "radius_step": float, "angles": str, "allocation": str,
-    "kernel_sigma": float, "lam": float, "ridge": float, "dense_cap": int,
-    "metric": str, "inductive_test": int, "seed": int, "filter_kind": str,
-}
+_ALIASES = {"filter_kind": ("--filter",), "lam": ("--lambda",), "method": ("--baseline",)}
+
+
+def _int_list(text: str) -> list[int]:
+    return [int(v) for v in text.split(",")]
+
+
+def _flag_type(hint):
+    """argparse type for a config field: a union with str keeps text that is no number."""
+    if get_origin(hint) is list:
+        return _int_list
+    number, *rest = [t for t in get_args(hint) if t is not type(None)] or [hint]
+    if str not in rest:
+        return number
+
+    def number_or_text(text: str):
+        try:
+            return number(text)
+        except ValueError:
+            return text
+    return number_or_text
 
 
 def _add_bench(sub):
     p = sub.add_parser("bench-error", help="error-vs-n sweep, records CSV output")
+    p.set_defaults(run=_cmd_bench)
     p.add_argument("--config", default=None, help="ExperimentConfig JSON file")
     p.add_argument("--preset", choices=sorted(bench_mod.PRESETS), default=None)
     p.add_argument("--out", required=True, help="records CSV path")
-    p.add_argument("--n-grid", default=None, help="comma-separated sample sizes")
-    p.add_argument("--mu", default=None, help="float or '1/n'")
-    p.add_argument("--p", default=None, help="int, 'n' or 'sqrt-log'")
-    p.add_argument("--filter", dest="filter_kind", choices=list(FILTER_KINDS), default=None)
-    p.add_argument("--baseline", choices=["graph", "krr"], default=None,
-                   help="shorthand for --method graph|krr")
-    p.add_argument("--graph-sigma", default=None, help="float or 'auto'")
-    p.add_argument("--sigma-over-labeled", action="store_true", default=None)
-    p.add_argument("--lambda", dest="lam", type=float, default=None)
-    for field_name, typ in _OVERRIDE_FIELDS.items():
-        if field_name in ("filter_kind", "lam"):
-            continue
-        p.add_argument(f"--{field_name.replace('_', '-')}", type=typ, default=None)
+    for f in fields(ExperimentConfig):
+        flags = (f"--{f.name.replace('_', '-')}", *_ALIASES.get(f.name, ()))
+        if FIELD_TYPES[f.name] is bool:
+            p.add_argument(*flags, action=argparse.BooleanOptionalAction, help=f.type)
+        else:
+            p.add_argument(*flags, type=_flag_type(FIELD_TYPES[f.name]), help=f.type)
 
 
 def _add_plot(sub):
     p = sub.add_parser("plot", help="render a records CSV as a deterministic SVG")
+    p.set_defaults(run=_cmd_plot)
     p.add_argument("--records", required=True)
     p.add_argument("--out", required=True)
 
@@ -121,30 +134,10 @@ def _bench_config(args) -> ExperimentConfig:
     if args.config:
         with open(args.config) as fh:
             cfg = ExperimentConfig.from_json(fh.read())
-    elif args.preset:
-        cfg = preset(args.preset)
     else:
-        cfg = ExperimentConfig()
-    updates = {}
-    if args.baseline is not None:
-        updates["method"] = args.baseline
-    if args.n_grid is not None:
-        updates["n_grid"] = [int(v) for v in args.n_grid.split(",")]
-    if args.mu is not None:
-        updates["mu"] = args.mu if args.mu == "1/n" else float(args.mu)
-    if args.p is not None:
-        updates["p"] = args.p if args.p in ("n", "sqrt-log") else int(args.p)
-    if args.graph_sigma is not None:
-        updates["graph_sigma"] = (
-            args.graph_sigma if args.graph_sigma == "auto" else float(args.graph_sigma)
-        )
-    for field_name in list(_OVERRIDE_FIELDS) + ["lam", "sigma_over_labeled"]:
-        val = getattr(args, field_name, None)
-        if val is not None:
-            updates[field_name] = val
-    doc = {f.name: getattr(cfg, f.name) for f in fields(cfg)}
-    doc.update(updates)
-    return ExperimentConfig(**doc)
+        cfg = preset(args.preset) if args.preset else ExperimentConfig()
+    flags = {f.name: getattr(args, f.name) for f in fields(cfg)}
+    return replace(cfg, **{name: v for name, v in flags.items() if v is not None})
 
 
 def _cmd_generate(args) -> int:
@@ -161,17 +154,14 @@ def _cmd_generate(args) -> int:
 
 def _cmd_fit(args) -> int:
     ds = load_dataset_csv(args.data)
-    kernel = GaussianKernel(args.sigma)
-    if args.method == "kernel_laplacian":
-        model = fit(
-            ds, kernel, args.p, args.mu, FilterSpec(args.filter, args.lam), args.seed,
-            sigma_over_labeled=args.sigma_over_labeled, clip=args.clip,
-        )
-    elif args.method == "krr":
-        model = krr_fit(ds.inputs[: ds.n_labeled], ds.labels, kernel, args.ridge)
-    else:
-        model = fit_exact(ds, kernel, args.lam, args.mu,
-                          dense_cap=args.dense_cap, clip=args.clip)
+    if args.method == "kernel_laplacian" and args.p > ds.n:  # only sweeps cap p at n
+        raise InvalidArgumentError(f"p must satisfy 1 <= p <= n={ds.n}, got {args.p}")
+    cfg = ExperimentConfig(
+        method=args.method, n_grid=[ds.n], kernel_sigma=args.sigma, p=args.p, mu=args.mu,
+        filter_kind=args.filter, lam=args.lam, ridge=args.ridge, dense_cap=args.dense_cap,
+        sigma_over_labeled=args.sigma_over_labeled, clip=args.clip, seed=args.seed,
+    )
+    model = bench_mod.fit_model(cfg, ds, args.seed)
     with open(args.out, "w") as fh:
         fh.write(model_to_json(model))
     print(f"wrote {args.method} model ({model.coefficients.size} coefficients) to {args.out}")
@@ -219,30 +209,21 @@ def _cmd_plot(args) -> int:
     return EXIT_OK
 
 
-def main(argv=None) -> int:
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kerlap",
         description="Laplacian-regularized kernel regression benchmarks",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    _add_generate(sub)
-    _add_fit(sub)
-    _add_predict(sub)
-    _add_eigvecs(sub)
-    _add_bench(sub)
-    _add_plot(sub)
+    for add in (_add_generate, _add_fit, _add_predict, _add_eigvecs, _add_bench, _add_plot):
+        add(sub)
+    return parser
 
-    args = parser.parse_args(argv)
-    handlers = {
-        "generate": _cmd_generate,
-        "fit": _cmd_fit,
-        "predict": _cmd_predict,
-        "eigvecs": _cmd_eigvecs,
-        "bench-error": _cmd_bench,
-        "plot": _cmd_plot,
-    }
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
-        return handlers[args.command](args)
+        return args.run(args)
     except KerlapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

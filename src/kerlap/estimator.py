@@ -243,9 +243,6 @@ def model_to_json(model: FittedModel) -> str:
 def model_from_json(text: str) -> FittedModel:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InvalidArgumentError(f"malformed model JSON: {exc}") from None
-    try:
         return FittedModel(
             kernel=GaussianKernel(sigma=doc["kernel_sigma"]),
             basis_coordinates=np.array(doc["coordinates"], dtype=float),
@@ -255,3 +252,5 @@ def model_from_json(text: str) -> FittedModel:
         )
     except KeyError as exc:
         raise InvalidArgumentError(f"model JSON missing field {exc}") from None
+    except (TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
+        raise InvalidArgumentError(f"malformed model JSON: {exc}") from None

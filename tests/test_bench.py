@@ -1,11 +1,15 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from kerlap.bench import (
+    METHODS,
+    PRESETS,
     ExperimentConfig,
     export_eigenvectors,
+    fit_model,
     load_records_csv,
     preset,
     run_error_curve,
@@ -70,6 +74,34 @@ class TestConfig:
             ExperimentConfig(method="graph", inductive_test=500)
         with pytest.raises(InvalidArgumentError):
             ExperimentConfig(label_ratio=0.0)
+
+    def test_wrong_types_rejected(self):
+        for doc in ('{"trials": "3"}', '{"n_grid": [25.0]}', '{"clip": 1}', '{"seed": true}',
+                    '{"kernel_sigma": "3"}', '5', '[]'):
+            with pytest.raises(InvalidArgumentError):
+                ExperimentConfig.from_json(doc)
+
+    def test_fit_values_checked_by_their_readers(self):
+        for kwargs in ({"lam": -1.0}, {"kernel_sigma": 0.0}, {"filter_kind": "box"},
+                       {"mu": -0.5}, {"mu": 0.0}, {"mu": "1/n2"}, {"p": 0}, {"p": "all"},
+                       {"ridge": 0.0}, {"inductive_test": -5},
+                       {"method": "graph", "graph_sigma": -2.0},
+                       {"method": "graph", "graph_sigma": "wide"}):
+            with pytest.raises(InvalidArgumentError):
+                ExperimentConfig(**kwargs)
+        # the dense oracle's assembly allows mu = 0
+        assert ExperimentConfig(method="exact", mu=0.0).mu == 0.0
+
+    def test_presets_accept_every_method(self):
+        for name in sorted(PRESETS):
+            for method in METHODS:
+                assert replace(preset(name), method=method).method == method
+
+    def test_fit_model_refuses_the_graph_baseline(self):
+        cfg = ExperimentConfig(method="graph")
+        ds = gen_gaussian_mix(GaussianMixSpec(n=20, n_labeled=2, d=2, seed=0))
+        with pytest.raises(InvalidArgumentError, match="fits no model"):
+            fit_model(cfg, ds, seed=0)
 
     def test_presets_have_documented_hyperparameters(self):
         fig1 = preset("fig1")

@@ -1,10 +1,13 @@
 import json
+import shlex
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from kerlap.bench import load_records_csv
-from kerlap.cli import main
+from kerlap.bench import ExperimentConfig, load_records_csv, preset
+from kerlap.cli import _bench_config, _parser, main
 from kerlap.operators import load_dataset_csv, save_dataset_csv
 from kerlap.synthdata import CirclesSpec, gen_circles
 
@@ -176,3 +179,103 @@ class TestReproducibility:
         run(args + ["--out", str(b)])
         col = lambda p: [line.split(",")[4] for line in p.read_text().splitlines()[1:]]
         assert col(a) == col(b)
+
+
+class TestFitLimits:
+    def test_p_above_n_exit_2(self, tmp_path):
+        # a single fit asks for exactly p landmarks; only sweeps cap p at n
+        data = tmp_path / "data.csv"
+        run(["generate", "--family", "gauss2", "--n", "60", "--n-labeled", "10",
+             "--d", "3", "--seed", "4", "--out", str(data)])
+        model = tmp_path / "m.json"
+        code = run(["fit", "--data", str(data), "--sigma", "2.0", "--p", "100",
+                    "--out", str(model)])
+        assert code == 2
+        assert not model.exists()
+
+
+# one non-default value per ExperimentConfig field, as flag text and as parsed
+FIELD_VALUES = {
+    "family": ("circles", "circles"), "method": ("krr", "krr"),
+    "n_grid": ("30,60", [30, 60]), "trials": ("2", 2), "label_ratio": ("0.2", 0.2),
+    "n_labeled": ("5", 5), "d": ("3", 3), "separation": ("2.5", 2.5),
+    "num_circles": ("3", 3), "inner_radius": ("0.5", 0.5), "radius_step": ("0.7", 0.7),
+    "angles": ("equispaced", "equispaced"), "allocation": ("proportional", "proportional"),
+    "kernel_sigma": ("2.0", 2.0), "lam": ("0.5", 0.5), "mu": ("0.01", 0.01),
+    "p": ("sqrt-log", "sqrt-log"), "filter_kind": ("cutoff", "cutoff"),
+    "sigma_over_labeled": (None, True), "graph_sigma": ("0.8", 0.8),
+    "ridge": ("0.01", 0.01), "dense_cap": ("500", 500), "metric": ("rmse", "rmse"),
+    "inductive_test": ("100", 100), "clip": (None, True), "seed": ("7", 7),
+}
+
+
+def bench_config(*flags):
+    return _bench_config(_parser().parse_args(["bench-error", "--out", "r.csv", *flags]))
+
+
+def exit_code(argv):
+    try:
+        return main(argv)
+    except SystemExit as exc:  # argparse rejects unparsable flag text
+        return exc.code
+
+
+class TestBenchFlags:
+    def test_every_config_field_has_a_flag(self):
+        assert list(FIELD_VALUES) == [f.name for f in fields(ExperimentConfig)]
+        default = ExperimentConfig()
+        for name, (text, value) in FIELD_VALUES.items():
+            flag = "--" + name.replace("_", "-")
+            cfg = bench_config(flag) if text is None else bench_config(flag, text)
+            assert getattr(cfg, name) == value != getattr(default, name), name
+
+    def test_aliases(self):
+        cfg = bench_config("--filter", "cutoff", "--lambda", "0.25", "--baseline", "graph")
+        assert (cfg.filter_kind, cfg.lam, cfg.method) == ("cutoff", 0.25, "graph")
+
+    def test_number_or_word_fields_keep_words(self):
+        cfg = bench_config("--mu", "1/n", "--p", "n", "--graph-sigma", "auto")
+        assert (cfg.mu, cfg.p, cfg.graph_sigma) == ("1/n", "n", "auto")
+        cfg = bench_config("--mu", "0.5", "--p", "12", "--graph-sigma", "2")
+        assert (cfg.mu, cfg.p, cfg.graph_sigma) == (0.5, 12, 2.0)
+
+    def test_boolean_switched_off_after_preset(self):
+        assert preset("fig2").sigma_over_labeled
+        cfg = bench_config("--preset", "fig2", "--no-sigma-over-labeled")
+        assert cfg.sigma_over_labeled is False
+
+    @pytest.mark.parametrize("flags", [
+        ["--lambda", "-1"],
+        ["--ridge", "-1", "--method", "krr"],
+        ["--mu", "-0.5"],
+        ["--inductive-test", "-5"],
+        ["--graph-sigma", "-2", "--method", "graph"],
+        ["--p", "5.5"],
+        ["--mu", "abc"],
+        ["--n-grid", "10,x"],
+    ])
+    def test_bad_value_exits_2_without_records(self, tmp_path, flags):
+        rec = tmp_path / "rec.csv"
+        assert exit_code(["bench-error", "--n-grid", "20", *flags, "--out", str(rec)]) == 2
+        assert not rec.exists()
+
+    @pytest.mark.parametrize("text", ['{"p": "bogus"}', '{"trials": "3"}', "5"])
+    def test_bad_config_file_exits_2_without_records(self, tmp_path, text):
+        cfg, rec = tmp_path / "cfg.json", tmp_path / "rec.csv"
+        cfg.write_text(text)
+        assert exit_code(["bench-error", "--config", str(cfg), "--out", str(rec)]) == 2
+        assert not rec.exists()
+
+
+def readme_cli_commands():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("kerlap ")]
+
+
+def test_readme_cli_examples_parse():
+    commands = readme_cli_commands()
+    assert len(commands) >= 6
+    for argv in commands:
+        _parser().parse_args(argv)

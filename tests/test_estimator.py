@@ -269,3 +269,14 @@ class TestSerialization:
             model_from_json("{not json")
         with pytest.raises(InvalidArgumentError):
             model_from_json("{}")
+
+    def test_non_numeric_coordinates(self):
+        m = FittedModel(GaussianKernel(1.0), [[0.0]], [1.0], LANDMARK_KERNEL)
+        doc = json.loads(model_to_json(m))
+        doc["coordinates"] = "abc"
+        with pytest.raises(InvalidArgumentError, match="malformed model JSON"):
+            model_from_json(json.dumps(doc))
+
+    def test_document_not_an_object(self):
+        with pytest.raises(InvalidArgumentError, match="malformed model JSON"):
+            model_from_json("[]")
