@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, integer, real
 from .estimator import LANDMARK_KERNEL, FittedModel
 from .kernel import GaussianKernel
 from .pencil import _cholesky_with_jitter
@@ -27,8 +27,7 @@ class GraphConfig:
     sigma: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.sigma) and self.sigma > 0):
-            raise InvalidArgumentError(f"sigma must be a positive finite real, got {self.sigma!r}")
+        object.__setattr__(self, "sigma", real("sigma", self.sigma))
 
 
 @dataclass(frozen=True)
@@ -42,10 +41,7 @@ class HarmonicResult:
 
 def graph_bandwidth(n: int, d: int) -> float:
     """Theoretically suggested graph bandwidth n^(-1/(d+4)) * ln(n)."""
-    if not (isinstance(n, (int, np.integer)) and n >= 2):
-        raise InvalidArgumentError(f"n must be an integer >= 2, got {n!r}")
-    if not (isinstance(d, (int, np.integer)) and d >= 1):
-        raise InvalidArgumentError(f"d must be an integer >= 1, got {d!r}")
+    n, d = integer("n", n, low=2), integer("d", d)
     return float(n) ** (-1.0 / (d + 4)) * math.log(n)
 
 
@@ -78,8 +74,7 @@ def krr_fit(
     y = np.asarray(labels, dtype=float)
     if X.ndim != 2 or y.shape != (X.shape[0],):
         raise InvalidArgumentError("inputs must be (n_l, d) with matching label vector")
-    if not (math.isfinite(ridge) and ridge > 0):
-        raise InvalidArgumentError(f"ridge must be a positive finite real, got {ridge!r}")
+    ridge = real("ridge", ridge)
     n_l = X.shape[0]
     M = kernel.gram(X, X) + n_l * ridge * np.eye(n_l)
     L_factor, _ = _cholesky_with_jitter(M, "the ridge system")

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 import numbers
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -22,9 +21,9 @@ from typing import get_args, get_origin, get_type_hints
 import numpy as np
 
 from .baselines import GraphConfig, graph_bandwidth, harmonic_propagate, krr_fit
-from .errors import InvalidArgumentError, KerlapError
-from .estimator import FittedModel, decode_sign, fit, fit_exact, predict, schedule
-from .filters import FilterSpec
+from .errors import InvalidArgumentError, KerlapError, integer, real
+from .estimator import FittedModel, clip_bound, decode_sign, fit, fit_exact, predict, schedule
+from .filters import FILTER_KINDS, FilterSpec
 from .kernel import GaussianKernel
 from .operators import SemiDataset, assemble, select_landmarks
 from .pencil import gevd
@@ -84,7 +83,7 @@ def _conforms(value, hint) -> bool:
 # the words a str field accepts; mu, p and graph_sigma take them in place of a number
 _WORDS = {
     "family": FAMILIES, "method": METHODS, "metric": ("classification", "rmse"),
-    "mu": ("1/n",), "p": ("n", "sqrt-log"), "graph_sigma": ("auto",),
+    "filter_kind": FILTER_KINDS, "mu": ("1/n",), "p": ("n", "sqrt-log"), "graph_sigma": ("auto",),
 }
 
 
@@ -134,25 +133,21 @@ class ExperimentConfig:
                 raise InvalidArgumentError(f"{f.name} {value!r} is not one of {_WORDS[f.name]}")
         if not self.n_grid or self.n_grid[0] <= 0 or sorted(self.n_grid) != self.n_grid:
             raise InvalidArgumentError("n_grid must be a non-empty ascending list of counts")
-        if self.trials < 1:
-            raise InvalidArgumentError("trials must be >= 1")
-        if self.n_labeled is None and (self.label_ratio is None or not 0 < self.label_ratio <= 1):
-            raise InvalidArgumentError("label_ratio must lie in (0, 1]")
-        if self.inductive_test < 0 or (self.method == "graph" and self.inductive_test):
-            raise InvalidArgumentError("inductive_test must be >= 0, and 0 for the graph "
-                                       "baseline, which has no out-of-sample extension")
-        # the fit's values, each by the rule of the library call that reads it
-        GaussianKernel(self.kernel_sigma)
-        FilterSpec(self.filter_kind, self.lam)
+        integer("trials", self.trials)
+        if self.n_labeled is None:
+            real("label_ratio", self.label_ratio, high=1.0)
+        if integer("inductive_test", self.inductive_test, low=0) and self.method == "graph":
+            raise InvalidArgumentError("inductive_test must be 0 for the graph baseline, "
+                                       "which has no out-of-sample extension")
+        # the fit's values, by the library's rule under the config's names
+        n = self.n_grid[0]
+        real("kernel_sigma", self.kernel_sigma)
+        real("lam", self.lam)
+        real("mu", self.resolve_mu(n), closed=self.method == "exact")
+        integer("p", self.resolve_p(n))
+        real("ridge", self.ridge)
         if self.method == "graph":
-            GraphConfig(self.resolve_graph_sigma(self.n_grid[0], self.d))
-        mu = self.resolve_mu(self.n_grid[0])
-        if not (math.isfinite(mu) and (mu > 0 or mu == 0 and self.method == "exact")):
-            raise InvalidArgumentError(f"mu must be finite and > 0 (>= 0 for exact), got {mu!r}")
-        if self.resolve_p(self.n_grid[0]) < 1:
-            raise InvalidArgumentError(f"p must be at least 1, got {self.p!r}")
-        if not (math.isfinite(self.ridge) and self.ridge > 0):
-            raise InvalidArgumentError(f"ridge must be finite and > 0, got {self.ridge!r}")
+            real("graph_sigma", self.resolve_graph_sigma(n, self.d))
 
     def resolve_n_labeled(self, n: int) -> int:
         if self.n_labeled is not None:
@@ -268,7 +263,8 @@ def fit_model(cfg: ExperimentConfig, ds: SemiDataset, seed: int) -> FittedModel:
             sigma_over_labeled=cfg.sigma_over_labeled, clip=cfg.clip,
         )
     if cfg.method == "krr":
-        return krr_fit(ds.inputs[: ds.n_labeled], ds.labels, kernel, cfg.ridge)
+        model = krr_fit(ds.inputs[: ds.n_labeled], ds.labels, kernel, cfg.ridge)
+        return replace(model, clip_bound=clip_bound(ds.labels, cfg.clip))
     if cfg.method == "exact":
         return fit_exact(ds, kernel, cfg.lam, cfg.resolve_mu(ds.n),
                          dense_cap=cfg.dense_cap, clip=cfg.clip)
@@ -381,7 +377,7 @@ def export_eigenvectors(
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 2 or grid.shape[1] != ds.d:
         raise InvalidArgumentError(f"grid must be (q, {ds.d}), got {grid.shape}")
-    if not 0 <= count <= p:
+    if integer("count", count, low=0) > p:
         raise InvalidArgumentError(f"count must satisfy 0 <= count <= p, got {count}")
 
     if count == 0:

@@ -1,4 +1,11 @@
-"""Exception types shared across the library, mapped to CLI exit codes."""
+"""Exception types shared across the library, mapped to CLI exit codes, and
+``real`` / ``integer``, the one check of every scalar parameter: a value of
+the wrong type (a bool is no number), non-finite or out of range raises
+``InvalidArgumentError`` naming the parameter, which exits with code 2."""
+
+import math
+import numbers
+import sys
 
 EXIT_OK = 0
 EXIT_INVALID_ARGUMENT = 2
@@ -38,3 +45,20 @@ class ResourceLimitError(KerlapError):
     """A configured resource cap (e.g. the dense basis cap) was exceeded."""
 
     exit_code = EXIT_RESOURCE
+
+
+def real(name: str, value, low=0.0, high=math.inf, closed=False) -> float:
+    """``value`` as a float: a finite real above ``low`` (or at it when ``closed``), <= ``high``."""
+    if (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max
+            and (value >= low if closed else value > low) and value <= high):
+        return float(value)
+    bound = f"{'>=' if closed else '>'} {low:g}" + (f" and <= {high:g}" if high < math.inf else "")
+    raise InvalidArgumentError(f"{name} must be a finite real {bound}, got {value!r}")
+
+
+def integer(name: str, value, low=1) -> int:
+    """``value`` as an int: an integer (not a bool) of at least ``low``."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= low:
+        return int(value)
+    raise InvalidArgumentError(f"{name} must be an integer >= {low}, got {value!r}")

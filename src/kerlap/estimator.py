@@ -19,17 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgumentError, SingularPencilError
+from .errors import InvalidArgumentError, SingularPencilError, integer, real
 from .filters import FilterSpec, filter_coefficients
 from .kernel import GaussianKernel
-from .operators import (
-    OperatorBundle,
-    SemiDataset,
-    assemble,
-    assemble_dense,
-    select_landmarks,
-    DEFAULT_DENSE_CAP,
-)
+from .operators import DEFAULT_DENSE_CAP, SemiDataset, assemble, assemble_dense, select_landmarks
 from .pencil import gevd, pencil_solve
 
 LANDMARK_KERNEL = "landmark_kernel"
@@ -74,10 +67,8 @@ class FittedModel:
             )
         if not (np.all(np.isfinite(coords)) and np.all(np.isfinite(coef))):
             raise InvalidArgumentError("model parameters contain non-finite entries")
-        if self.clip_bound is not None and not (
-            math.isfinite(self.clip_bound) and self.clip_bound >= 0
-        ):
-            raise InvalidArgumentError("clip_bound must be a non-negative finite real")
+        if self.clip_bound is not None:
+            object.__setattr__(self, "clip_bound", real("clip_bound", self.clip_bound, closed=True))
         coords.setflags(write=False)
         coef.setflags(write=False)
         object.__setattr__(self, "basis_coordinates", coords)
@@ -99,24 +90,25 @@ class ScheduleParams:
 
     def __post_init__(self):
         for name in ("lambda0", "mu0", "p0"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v > 0):
-                raise InvalidArgumentError(f"{name} must be a positive finite real, got {v!r}")
-        if not (math.isfinite(self.decay) and 0 < self.decay <= 1):
-            raise InvalidArgumentError(f"decay must lie in (0, 1], got {self.decay!r}")
+            object.__setattr__(self, name, real(name, getattr(self, name)))
+        object.__setattr__(self, "decay", real("decay", self.decay, high=1.0))
 
 
 def schedule(n: int, sp: ScheduleParams = ScheduleParams()) -> tuple[float, float, int]:
     """(lam, mu, p) for sample size n: lam = lambda0 * n^(-1/4),
     mu = mu0 * n^(-1/4), p = min(n, ceil(p0 * n^s * ln n)) with
     s = max(1/2, 1/(4*decay)).  Natural logarithm throughout."""
-    if not (isinstance(n, (int, np.integer)) and n >= 2):
-        raise InvalidArgumentError(f"n must be an integer >= 2, got {n!r}")
+    n = integer("n", n, low=2)
     lam = sp.lambda0 * n ** (-0.25)
     mu = sp.mu0 * n ** (-0.25)
     s = max(0.5, 1.0 / (4.0 * sp.decay))
-    p = min(int(n), math.ceil(sp.p0 * n**s * math.log(n)))
+    p = min(n, math.ceil(sp.p0 * n**s * math.log(n)))
     return lam, mu, p
+
+
+def clip_bound(labels: np.ndarray, clip: bool) -> float | None:
+    """The prediction bound ``clip`` asks for: the largest label magnitude."""
+    return float(np.abs(labels).max()) if clip else None
 
 
 def fit(
@@ -143,7 +135,7 @@ def fit(
         basis_coordinates=landmarks.coordinates,
         coefficients=coef,
         basis_kind=LANDMARK_KERNEL,
-        clip_bound=float(np.abs(ds.labels).max()) if clip else None,
+        clip_bound=clip_bound(ds.labels, clip),
     )
 
 
@@ -164,8 +156,7 @@ def fit_exact(
     machine precision, in which case the equivalent eigendecomposition-plus-
     filtering route (which tolerates a semi-definite B) is used.
     """
-    if not (math.isfinite(lam) and lam > 0):
-        raise InvalidArgumentError(f"lam must be a positive finite real, got {lam!r}")
+    lam = real("lam", lam)
     bundle = assemble_dense(ds, kernel, mu, dense_cap=dense_cap)
     try:
         coef = pencil_solve(bundle.A, bundle.B, lam, bundle.b)
@@ -177,7 +168,7 @@ def fit_exact(
         basis_coordinates=ds.inputs,
         coefficients=coef,
         basis_kind=DENSE_REPRESENTER,
-        clip_bound=float(np.abs(ds.labels).max()) if clip else None,
+        clip_bound=clip_bound(ds.labels, clip),
     )
 
 

@@ -8,12 +8,11 @@ exactly x = lam is 0).  The enum is closed; adding a filter means extending
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, real
 from .pencil import PencilDecomposition
 
 TIKHONOV = "tikhonov"
@@ -31,9 +30,7 @@ class FilterSpec:
             raise InvalidArgumentError(
                 f"unknown filter kind {self.kind!r}; expected one of {FILTER_KINDS}"
             )
-        if not (isinstance(self.lam, (int, float)) and math.isfinite(self.lam) and self.lam > 0):
-            raise InvalidArgumentError(f"lam must be a positive finite real, got {self.lam!r}")
-        object.__setattr__(self, "lam", float(self.lam))
+        object.__setattr__(self, "lam", real("lam", self.lam))
 
 
 def apply(f: FilterSpec, x) -> np.ndarray | float:

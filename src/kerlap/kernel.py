@@ -19,12 +19,11 @@ ch. 4).  Every form holds the (n, m, d) coordinate-difference array.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, real
 
 
 def _differences(X, Z) -> np.ndarray:
@@ -68,10 +67,7 @@ class GaussianKernel:
     sigma: float
 
     def __post_init__(self):
-        s = self.sigma
-        if not (isinstance(s, (int, float)) and math.isfinite(s) and s > 0):
-            raise InvalidArgumentError(f"sigma must be a positive finite real, got {s!r}")
-        object.__setattr__(self, "sigma", float(s))
+        object.__setattr__(self, "sigma", real("sigma", self.sigma))
 
     def _from_sqdist(self, sq: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         out = np.divide(sq, -2.0 * self.sigma**2, out=out)

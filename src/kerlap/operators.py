@@ -40,7 +40,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgumentError, NumericalConsistencyError, ResourceLimitError
+from .errors import (
+    InvalidArgumentError, NumericalConsistencyError, ResourceLimitError, integer, real,
+)
 from .kernel import GaussianKernel
 
 DEFAULT_DENSE_CAP = 2000
@@ -137,9 +139,9 @@ class OperatorBundle:
 
 def select_landmarks(ds: SemiDataset, p: int, seed: int) -> LandmarkSet:
     """Draw p distinct row indices uniformly without replacement (seeded)."""
-    if not 1 <= p <= ds.n:
+    if integer("p", p) > ds.n:
         raise InvalidArgumentError(f"p must satisfy 1 <= p <= n={ds.n}, got {p}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(integer("seed", seed, low=0))
     idx = rng.choice(ds.n, size=p, replace=False)
     return LandmarkSet(indices=idx, coordinates=ds.inputs[idx])
 
@@ -165,18 +167,20 @@ def assemble(
 
     The landmarks must be dataset rows (``select_landmarks`` draws them so):
     Kpp and the landmark distances Q are read from the rows of K and D at
-    ``landmarks.indices``.  A non-finite squared distance raises
+    ``landmarks.indices``, so coordinates that are not those rows raise
+    ``InvalidArgumentError``.  A non-finite squared distance raises
     ``NumericalConsistencyError``.
 
     ``sigma_over_labeled`` switches the covariance compression A from the
     default average over all n points to an average over the labeled points
     only (the exact empirical-risk-minimization normalization).
     """
-    if not (np.isfinite(mu) and mu > 0):
-        raise InvalidArgumentError(f"mu must be a positive finite real, got {mu!r}")
+    mu = real("mu", mu)
+    X, y = ds.inputs, ds.labels
     if landmarks.indices.max() >= ds.n or landmarks.indices.min() < 0:
         raise InvalidArgumentError("landmark indices out of range for the dataset")
-    X, y = ds.inputs, ds.labels
+    if not np.array_equal(landmarks.coordinates, X[landmarks.indices]):
+        raise InvalidArgumentError("landmark coordinates differ from the dataset rows they index")
     n, d = X.shape
     p = landmarks.p
     coords = landmarks.coordinates
@@ -235,12 +239,11 @@ def assemble_dense(
     gradient evaluations (n*d x m).  A averages over the labeled points (the
     exact empirical-risk-minimization normalization).
     """
-    if not (np.isfinite(mu) and mu >= 0):
-        raise InvalidArgumentError(f"mu must be a non-negative finite real, got {mu!r}")
+    mu = real("mu", mu, closed=True)
     X, y = ds.inputs, ds.labels
     n, d = X.shape
     m = n * (d + 1)
-    if m > dense_cap:
+    if m > integer("dense_cap", dense_cap):
         raise ResourceLimitError(
             f"dense basis size n*(d+1) = {m} exceeds the cap {dense_cap}; "
             "use the landmark assembly instead"

@@ -21,7 +21,7 @@ import numpy as np
 import scipy.linalg as sla
 from scipy.linalg.lapack import dpocon, dpotrf, dsygst
 
-from .errors import InvalidArgumentError, NumericalConsistencyError, SingularPencilError
+from .errors import InvalidArgumentError, NumericalConsistencyError, SingularPencilError, real
 
 _JITTER_EPS = 1e-10
 
@@ -163,10 +163,9 @@ def pencil_solve(A: np.ndarray, B: np.ndarray, lam: float, rhs: np.ndarray) -> n
     used as the independent oracle for spectral filtering with the
     1/(x + lam) filter.
     """
+    lam = real("lam", lam)
     A = _check_symmetric(A, "A")
     B = _check_symmetric(B, "B")
-    if not (np.isfinite(lam) and lam > 0):
-        raise InvalidArgumentError(f"lam must be a positive finite real, got {lam!r}")
     rhs = np.asarray(rhs, dtype=float)
     if rhs.shape != (A.shape[0],):
         raise InvalidArgumentError(

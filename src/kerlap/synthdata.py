@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, integer, real
 from .operators import SemiDataset
 
 _BALANCE_RETRIES = 100
@@ -54,8 +54,8 @@ class CirclesSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.num_circles < 1:
-            raise InvalidArgumentError("num_circles must be >= 1")
+        for name, low in (("n", 1), ("n_labeled", 1), ("num_circles", 1), ("seed", 0)):
+            object.__setattr__(self, name, integer(name, getattr(self, name), low))
         if self.n < self.num_circles:
             raise InvalidArgumentError("need at least one point per circle")
         if not self.num_circles <= self.n_labeled <= self.n:
@@ -63,16 +63,14 @@ class CirclesSpec:
                 "n_labeled must satisfy num_circles <= n_labeled <= n "
                 f"(got {self.n_labeled} with num_circles={self.num_circles}, n={self.n})"
             )
-        if not (math.isfinite(self.inner_radius) and self.inner_radius > 0):
-            raise InvalidArgumentError("inner_radius must be a positive finite real")
-        step = self.inner_radius if self.radius_step is None else self.radius_step
-        if not (math.isfinite(step) and step > 0):
-            raise InvalidArgumentError("radius_step must be a positive finite real")
+        radius = real("inner_radius", self.inner_radius)
+        step = radius if self.radius_step is None else real("radius_step", self.radius_step)
         if self.angles not in (ANGLES_UNIFORM, ANGLES_EQUISPACED):
             raise InvalidArgumentError(f"unknown angles mode {self.angles!r}")
         if self.allocation not in (ALLOC_EQUAL, ALLOC_PROPORTIONAL):
             raise InvalidArgumentError(f"unknown allocation mode {self.allocation!r}")
-        object.__setattr__(self, "radius_step", float(step))
+        object.__setattr__(self, "inner_radius", radius)
+        object.__setattr__(self, "radius_step", step)
 
 
 @dataclass(frozen=True)
@@ -92,12 +90,11 @@ class GaussianMixSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n < 1 or self.d < 1:
-            raise InvalidArgumentError("n and d must be >= 1")
-        if not 1 <= self.n_labeled <= self.n:
+        for name, low in (("n", 1), ("n_labeled", 1), ("d", 1), ("seed", 0)):
+            object.__setattr__(self, name, integer(name, getattr(self, name), low))
+        object.__setattr__(self, "separation", real("separation", self.separation, closed=True))
+        if self.n_labeled > self.n:
             raise InvalidArgumentError("n_labeled must satisfy 1 <= n_labeled <= n")
-        if not (math.isfinite(self.separation) and self.separation >= 0):
-            raise InvalidArgumentError("separation must be a non-negative finite real")
 
 
 def bayes_error(separation: float) -> float:
@@ -107,6 +104,7 @@ def bayes_error(separation: float) -> float:
     Gaussians at distance ``separation``: the optimal rule errs with
     probability Phi(-separation/2).
     """
+    separation = real("separation", separation, closed=True)
     return 0.5 * (1.0 + math.erf(-separation / (2.0 * math.sqrt(2.0))))
 
 

@@ -89,6 +89,14 @@ class TestFitPredict:
         assert code == 0
         assert len(json.loads(model.read_text())["coefficients"]) == 10
 
+    def test_krr_clip(self, dataset, tmp_path):
+        model = tmp_path / "krr.json"
+        code = run(["fit", "--data", str(dataset), "--method", "krr",
+                    "--sigma", "2.0", "--ridge", "0.01", "--clip", "--out", str(model)])
+        assert code == 0
+        bound = np.abs(load_dataset_csv(dataset).labels).max()
+        assert json.loads(model.read_text())["clip_bound"] == bound
+
     def test_exact_cap_exit_4(self, dataset, tmp_path):
         code = run(["fit", "--data", str(dataset), "--method", "exact",
                     "--sigma", "2.0", "--mu", "0.01", "--lambda", "0.5",
@@ -181,6 +189,21 @@ class TestReproducibility:
         assert col(a) == col(b)
 
 
+@pytest.mark.parametrize("command", ["generate", "fit", "eigvecs"])
+def test_negative_seed_exits_2(tmp_path, command):
+    data, out = tmp_path / "data.csv", tmp_path / "out"
+    run(["generate", "--family", "circles", "--n", "40", "--n-labeled", "4",
+         "--out", str(data)])
+    argv = {
+        "generate": ["--family", "circles", "--n", "40", "--n-labeled", "4"],
+        "fit": ["--data", str(data), "--sigma", "0.3", "--p", "10"],
+        "eigvecs": ["--data", str(data), "--sigma", "0.3", "--p", "10", "--mu", "0.02",
+                    "--count", "2"],
+    }[command]
+    assert run([command, *argv, "--seed", "-1", "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 class TestFitLimits:
     def test_p_above_n_exit_2(self, tmp_path):
         # a single fit asks for exactly p landmarks; only sweeps cap p at n
@@ -258,6 +281,14 @@ class TestBenchFlags:
         rec = tmp_path / "rec.csv"
         assert exit_code(["bench-error", "--n-grid", "20", *flags, "--out", str(rec)]) == 2
         assert not rec.exists()
+
+    @pytest.mark.parametrize("flags, field", [
+        (["--kernel-sigma", "0"], "kernel_sigma"),
+        (["--method", "graph", "--graph-sigma", "-2"], "graph_sigma"),
+    ])
+    def test_bad_value_message_names_the_field(self, tmp_path, capsys, flags, field):
+        assert exit_code(["bench-error", *flags, "--out", str(tmp_path / "rec.csv")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {field} must be")
 
     @pytest.mark.parametrize("text", ['{"p": "bogus"}', '{"trials": "3"}', "5"])
     def test_bad_config_file_exits_2_without_records(self, tmp_path, text):

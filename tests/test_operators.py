@@ -289,6 +289,15 @@ class TestAssemble:
         with pytest.raises(InvalidArgumentError):
             assemble(ds, GaussianKernel(1.0), lm, mu=0.0)
 
+    def test_coordinates_must_be_the_indexed_rows(self):
+        # Kpp and Q are read from the rows at the indices, so coordinates
+        # elsewhere would silently mix two landmark sets
+        ds = SemiDataset(inputs=[[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], labels=[1.0])
+        k = GaussianKernel(1.0)
+        with pytest.raises(InvalidArgumentError, match="landmark coordinates"):
+            assemble(ds, k, LandmarkSet([0], [[5.0, 5.0]]), mu=0.1)
+        assert assemble(ds, k, LandmarkSet([0], [[0.0, 0.0]]), mu=0.1).kpp[0, 0] == 1.0
+
     def test_non_finite_kernel_output(self):
         # finite inputs whose difference overflows: k underflows to 0 and the
         # gradient -inf * 0 is NaN at row 1
