@@ -33,7 +33,6 @@ from .filters import CUTOFF, TIKHONOV, FilterSpec, filter_coefficients
 from .filters import apply as apply_filter
 from .kernel import GaussianKernel
 from .operators import (
-    LandmarkSet,
     OperatorBundle,
     SemiDataset,
     assemble,
@@ -68,7 +67,6 @@ __all__ = [
     "InvalidArgumentError",
     "KerlapError",
     "LANDMARK_KERNEL",
-    "LandmarkSet",
     "NumericalConsistencyError",
     "OperatorBundle",
     "PencilDecomposition",

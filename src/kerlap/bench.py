@@ -146,6 +146,7 @@ class ExperimentConfig:
         real("mu", self.resolve_mu(n), closed=self.method == "exact")
         integer("p", self.resolve_p(n))
         real("ridge", self.ridge)
+        integer("dense_cap", self.dense_cap)
         if self.method == "graph":
             real("graph_sigma", self.resolve_graph_sigma(n, self.d))
 
@@ -377,21 +378,18 @@ def export_eigenvectors(
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 2 or grid.shape[1] != ds.d:
         raise InvalidArgumentError(f"grid must be (q, {ds.d}), got {grid.shape}")
-    if integer("count", count, low=0) > p:
+    if integer("count", count, low=0) > integer("p", p):
         raise InvalidArgumentError(f"count must satisfy 0 <= count <= p, got {count}")
 
-    if count == 0:
-        values = np.zeros((grid.shape[0], 0))
-    else:
-        landmarks = select_landmarks(ds, p, seed)
-        bundle = assemble(ds, kernel, landmarks, mu)
-        dec = gevd(bundle.A, bundle.B)
-        values = kernel.gram(grid, landmarks.coordinates) @ dec.eigenvectors[:, :count]
-        for j in range(count):
-            col = values[:, j]
-            nz = np.flatnonzero(np.abs(col) > 1e-12 * max(np.abs(col).max(), 1e-300))
-            if nz.size and col[nz[0]] < 0:
-                values[:, j] = -col
+    landmarks = select_landmarks(ds, p, seed)
+    bundle = assemble(ds, kernel, landmarks, mu)
+    dec = gevd(bundle.A, bundle.B)
+    values = kernel.gram(grid, ds.inputs[landmarks]) @ dec.eigenvectors[:, :count]
+    for j in range(count):
+        col = values[:, j]
+        nz = np.flatnonzero(np.abs(col) > 1e-12 * max(np.abs(col).max(), 1e-300))
+        if nz.size and col[nz[0]] < 0:
+            values[:, j] = -col
 
     if path is not None:
         with open(path, "w", newline="") as fh:

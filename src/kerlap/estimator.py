@@ -132,7 +132,7 @@ def fit(
     coef = filter_coefficients(dec, filter_spec, bundle.b)
     return FittedModel(
         kernel=kernel,
-        basis_coordinates=landmarks.coordinates,
+        basis_coordinates=ds.inputs[landmarks],
         coefficients=coef,
         basis_kind=LANDMARK_KERNEL,
         clip_bound=clip_bound(ds.labels, clip),

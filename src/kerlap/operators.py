@@ -1,7 +1,8 @@
 """Assembly of the landmark-compressed empirical operator matrices.
 
 Given n data points (the first n_labeled of which carry labels), a kernel k
-and p landmark points, the training pencil is built from
+and p landmarks M_i = X_{m_i}, the data rows at p distinct row indices m_i,
+the training pencil is built from
 
     Knp[l, i] = k(X_l, M_i)                       (n x p)
     Znp[l*d + j, i] = d/dX_l_j k(X_l, M_i)        (n*d x p)
@@ -91,32 +92,6 @@ class SemiDataset:
 
 
 @dataclass(frozen=True)
-class LandmarkSet:
-    """Distinct dataset row indices plus copies of the selected coordinates."""
-
-    indices: np.ndarray
-    coordinates: np.ndarray
-
-    def __post_init__(self):
-        idx = np.array(self.indices, dtype=np.int64, copy=True)
-        coords = np.array(self.coordinates, dtype=float, copy=True)
-        if idx.ndim != 1 or idx.size < 1:
-            raise InvalidArgumentError("landmark indices must be a non-empty vector")
-        if np.unique(idx).size != idx.size:
-            raise InvalidArgumentError("landmark indices must be distinct")
-        if coords.shape[0] != idx.size:
-            raise InvalidArgumentError("coordinates rows must match the number of indices")
-        idx.setflags(write=False)
-        coords.setflags(write=False)
-        object.__setattr__(self, "indices", idx)
-        object.__setattr__(self, "coordinates", coords)
-
-    @property
-    def p(self) -> int:
-        return self.indices.size
-
-
-@dataclass(frozen=True)
 class OperatorBundle:
     """Compressed empirical operators: pencil matrices (A, B) and moment vector b.
 
@@ -137,13 +112,12 @@ class OperatorBundle:
     kpp: np.ndarray
 
 
-def select_landmarks(ds: SemiDataset, p: int, seed: int) -> LandmarkSet:
-    """Draw p distinct row indices uniformly without replacement (seeded)."""
+def select_landmarks(ds: SemiDataset, p: int, seed: int) -> np.ndarray:
+    """Draw p distinct row indices of ``ds`` uniformly without replacement (seeded)."""
     if integer("p", p) > ds.n:
         raise InvalidArgumentError(f"p must satisfy 1 <= p <= n={ds.n}, got {p}")
     rng = np.random.default_rng(integer("seed", seed, low=0))
-    idx = rng.choice(ds.n, size=p, replace=False)
-    return LandmarkSet(indices=idx, coordinates=ds.inputs[idx])
+    return rng.choice(ds.n, size=p, replace=False)
 
 
 def _check_block_finite(block: np.ndarray, row_offset: int, what: str):
@@ -159,17 +133,18 @@ def _check_block_finite(block: np.ndarray, row_offset: int, what: str):
 def assemble(
     ds: SemiDataset,
     kernel: GaussianKernel,
-    landmarks: LandmarkSet,
+    landmarks: np.ndarray,
     mu: float,
     sigma_over_labeled: bool = False,
 ) -> OperatorBundle:
     """Build the landmark-compressed operator bundle.
 
-    The landmarks must be dataset rows (``select_landmarks`` draws them so):
-    Kpp and the landmark distances Q are read from the rows of K and D at
-    ``landmarks.indices``, so coordinates that are not those rows raise
-    ``InvalidArgumentError``.  A non-finite squared distance raises
-    ``NumericalConsistencyError``.
+    ``landmarks`` holds distinct row indices of ``ds`` (``select_landmarks``
+    draws them so): the landmark coordinates are ``ds.inputs[landmarks]``,
+    and Kpp and the landmark distances Q are the rows of K and D at those
+    indices.  Any other vector (not 1-d integers, empty, repeated or outside
+    [0, n)) raises ``InvalidArgumentError``; a non-finite squared distance
+    raises ``NumericalConsistencyError``.
 
     ``sigma_over_labeled`` switches the covariance compression A from the
     default average over all n points to an average over the labeled points
@@ -177,13 +152,21 @@ def assemble(
     """
     mu = real("mu", mu)
     X, y = ds.inputs, ds.labels
-    if landmarks.indices.max() >= ds.n or landmarks.indices.min() < 0:
-        raise InvalidArgumentError("landmark indices out of range for the dataset")
-    if not np.array_equal(landmarks.coordinates, X[landmarks.indices]):
-        raise InvalidArgumentError("landmark coordinates differ from the dataset rows they index")
     n, d = X.shape
-    p = landmarks.p
-    coords = landmarks.coordinates
+    idx = np.asarray(landmarks)
+    if idx.ndim != 1 or idx.size < 1 or idx.dtype.kind not in "iu":
+        raise InvalidArgumentError(
+            f"landmarks must be a non-empty vector of row indices, got {idx.dtype} {idx.shape}"
+        )
+    distinct = np.unique(idx)
+    if distinct.size != idx.size:
+        raise InvalidArgumentError("landmark indices must be distinct")
+    if distinct[0] < 0 or distinct[-1] >= n:
+        raise InvalidArgumentError(
+            f"landmark indices must lie in [0, {n}), got {distinct[0]} .. {distinct[-1]}"
+        )
+    p = idx.size
+    coords = X[idx]
 
     chunk = max(1, _CHUNK_BUDGET // max(1, p * d))
     knp = np.empty((n, p))
@@ -196,8 +179,8 @@ def assemble(
         _check_block_finite(kb, start, "kernel")
         # an infinite distance has k = 0 and would make P = inf * 0 = NaN
         _check_block_finite(db, start, "kernel derivative")
-        here = (landmarks.indices >= start) & (landmarks.indices < stop)
-        q[here] = db[landmarks.indices[here] - start]
+        here = (idx >= start) & (idx < stop)
+        q[here] = db[idx[here] - start]
         db *= kb
         pk += np.matmul(db.T, kb, out=prod)
 
@@ -208,7 +191,7 @@ def assemble(
     else:
         A = ktk / n
 
-    kpp = knp[landmarks.indices, :]
+    kpp = knp[idx, :]
     # B = Znp^T Znp / n + mu * Kpp, Znp^T Znp by the polarization identity
     s2 = kernel.sigma**2
     ktk *= q

@@ -27,7 +27,7 @@ from kerlap.estimator import (
 )
 from kerlap.filters import FilterSpec, filter_coefficients
 from kerlap.kernel import GaussianKernel
-from kerlap.operators import LandmarkSet, SemiDataset, assemble, select_landmarks
+from kerlap.operators import SemiDataset, assemble
 from kerlap.pencil import gevd, pencil_solve, spectral_norm_estimate
 from kerlap.synthdata import CirclesSpec, GaussianMixSpec, gen_circles_with_truth, \
     gen_gaussian_mix_with_truth
@@ -268,9 +268,8 @@ def test_10_invariant_suite():
     perm = np.concatenate([np.arange(n_l), n_l + rng.permutation(n - n_l)])
     inv = np.argsort(perm)
     idx = np.array([0, 5, 11])
-    b1 = assemble(SemiDataset(Xp, yp), k, LandmarkSet(idx, Xp[idx]), mu=0.2)
-    b2 = assemble(SemiDataset(Xp[perm], yp), k,
-                  LandmarkSet(inv[idx], Xp[perm][inv[idx]]), mu=0.2)
+    b1 = assemble(SemiDataset(Xp, yp), k, idx, mu=0.2)
+    b2 = assemble(SemiDataset(Xp[perm], yp), k, inv[idx], mu=0.2)
     checks.append(("permutation invariance",
                    max(np.linalg.norm(b1.A - b2.A), np.linalg.norm(b1.B - b2.B),
                        np.linalg.norm(b1.b - b2.b)) <= 1e-10))

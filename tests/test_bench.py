@@ -243,3 +243,18 @@ class TestExportEigenvectors:
         with pytest.raises(InvalidArgumentError):
             export_eigenvectors(ds, GaussianKernel(1.0), p=5, mu=0.1, count=6,
                                 grid=ds.inputs)
+
+    @pytest.mark.parametrize("p, mu, count, seed, name", [
+        ("x", 0.1, 1, 0, "p"),
+        (-5, 0.1, 2, 0, "p"),
+        (0, -1.0, 0, 0, "p"),
+        (5, -1.0, 0, 0, "mu"),
+        (5, 0.1, 0, -1, "seed"),
+    ])
+    def test_fit_parameters_checked_for_every_count(self, p, mu, count, seed, name):
+        # count = 0 still draws the landmarks and assembles, so every fit
+        # parameter is checked and the error names the bad one
+        ds = gen_gaussian_mix(GaussianMixSpec(n=20, n_labeled=2, d=2, seed=3))
+        with pytest.raises(InvalidArgumentError, match=f"^{name} must be"):
+            export_eigenvectors(ds, GaussianKernel(1.0), p=p, mu=mu, count=count,
+                                grid=ds.inputs, seed=seed)

@@ -65,7 +65,7 @@ class TestFit:
                 c = pencil_solve(bun.A, bun.B, lam, bun.b)
             except SingularPencilError:
                 continue
-            ref = FittedModel(k, lm.coordinates, c, LANDMARK_KERNEL)
+            ref = FittedModel(k, X[lm], c, LANDMARK_KERNEL)
             a = predict(model, X)
             b = predict(ref, X)
             assert np.linalg.norm(a - b) <= 1e-6 * np.linalg.norm(b)

@@ -9,7 +9,6 @@ from kerlap.errors import (
 from kerlap import operators
 from kerlap.kernel import GaussianKernel
 from kerlap.operators import (
-    LandmarkSet,
     SemiDataset,
     assemble,
     assemble_dense,
@@ -57,18 +56,17 @@ class TestSelectLandmarks:
     def test_full_draw_is_permutation(self):
         ds = SemiDataset(inputs=np.arange(10.0).reshape(10, 1), labels=[1.0])
         lm = select_landmarks(ds, 10, seed=0)
-        assert sorted(lm.indices) == list(range(10))
+        assert sorted(lm) == list(range(10))
 
     def test_single_point(self):
         ds = SemiDataset(inputs=[[0.0]], labels=[1.0])
-        assert select_landmarks(ds, 1, seed=5).indices.tolist() == [0]
+        assert select_landmarks(ds, 1, seed=5).tolist() == [0]
 
     def test_deterministic(self):
         ds = SemiDataset(inputs=np.arange(10.0).reshape(10, 1), labels=[1.0])
         a = select_landmarks(ds, 3, seed=42)
         b = select_landmarks(ds, 3, seed=42)
-        assert np.array_equal(a.indices, b.indices)
-        assert np.array_equal(a.coordinates, b.coordinates)
+        assert np.array_equal(a, b)
 
     def test_p_out_of_range(self):
         ds = SemiDataset(inputs=[[0.0]], labels=[1.0])
@@ -76,10 +74,6 @@ class TestSelectLandmarks:
             select_landmarks(ds, 2, seed=0)
         with pytest.raises(InvalidArgumentError):
             select_landmarks(ds, 0, seed=0)
-
-    def test_duplicate_indices_rejected(self):
-        with pytest.raises(InvalidArgumentError):
-            LandmarkSet(indices=[0, 0], coordinates=[[0.0], [0.0]])
 
 
 class TestAssemble:
@@ -98,8 +92,7 @@ class TestAssemble:
     def test_duplicated_point(self):
         n = 7
         ds = SemiDataset(inputs=np.zeros((n, 2)), labels=[1.0])
-        lm = LandmarkSet(indices=[0], coordinates=[[0.0, 0.0]])
-        bun = assemble(ds, GaussianKernel(1.0), lm, mu=0.3)
+        bun = assemble(ds, GaussianKernel(1.0), [0], mu=0.3)
         assert np.allclose(bun.A, [[1.0]], atol=1e-14)
         # every gradient vanishes exactly, so B is exactly mu * Kpp
         assert np.array_equal(bun.B, [[0.3]])
@@ -116,7 +109,8 @@ class TestAssemble:
         mu = 0.2
         bun = assemble(ds, k, lm, mu)
 
-        K = np.array([[kval(k, X[i], lm.coordinates[j]) for j in range(p)] for i in range(n)])
+        M = X[lm]
+        K = np.array([[kval(k, X[i], M[j]) for j in range(p)] for i in range(n)])
         A = np.zeros((p, p))
         for i in range(n):
             A += np.outer(K[i], K[i])
@@ -127,13 +121,11 @@ class TestAssemble:
         for l in range(n):
             for q in range(p):
                 for r in range(p):
-                    gq = kgrad(k, X[l], lm.coordinates[q])
-                    gr = kgrad(k, X[l], lm.coordinates[r])
+                    gq = kgrad(k, X[l], M[q])
+                    gr = kgrad(k, X[l], M[r])
                     B[q, r] += gq @ gr
         B /= n
-        Kpp = np.array([
-            [kval(k, lm.coordinates[i], lm.coordinates[j]) for j in range(p)] for i in range(p)
-        ])
+        Kpp = np.array([[kval(k, M[i], M[j]) for j in range(p)] for i in range(p)])
         B += mu * Kpp
         assert np.max(np.abs(bun.B - B)) < 1e-12
 
@@ -148,7 +140,7 @@ class TestAssemble:
         ds = SemiDataset(inputs=rng.standard_normal((12, 2)), labels=[1.0, -1.0])
         lm = select_landmarks(ds, 4, seed=2)
         bun = assemble(ds, GaussianKernel(1.0), lm, mu=0.1)
-        assert np.array_equal(bun.kpp, bun.knp[lm.indices, :])
+        assert np.array_equal(bun.kpp, bun.knp[lm, :])
 
     def test_streamed_b_matches_explicit_product(self, monkeypatch):
         # B is accumulated over row chunks; compare it with the explicit
@@ -158,8 +150,8 @@ class TestAssemble:
         ds = SemiDataset(inputs=rng.standard_normal((n, d)), labels=rng.standard_normal(5))
         lm = select_landmarks(ds, p, seed=3)
         k = GaussianKernel(0.8)
-        znp = k.grad1_gram(ds.inputs, lm.coordinates).reshape(n * d, p)
-        kpp = k.gram(lm.coordinates, lm.coordinates)
+        znp = k.grad1_gram(ds.inputs, ds.inputs[lm]).reshape(n * d, p)
+        kpp = k.gram(ds.inputs[lm], ds.inputs[lm])
         expected = znp.T @ znp / n + mu * kpp
         single = assemble(ds, k, lm, mu)
         monkeypatch.setattr(operators, "_CHUNK_BUDGET", 4 * p * d)
@@ -195,8 +187,8 @@ class TestAssemble:
         ds = SemiDataset(inputs=X, labels=rng.standard_normal(6))
         lm = select_landmarks(ds, p, seed=12)
         k = GaussianKernel(sigma)
-        znp = k.grad1_gram(ds.inputs, lm.coordinates).reshape(-1, p)
-        kpp = k.gram(lm.coordinates, lm.coordinates)
+        znp = k.grad1_gram(ds.inputs, ds.inputs[lm]).reshape(-1, p)
+        kpp = k.gram(ds.inputs[lm], ds.inputs[lm])
         over_labeled = case == "sigma over labeled"
         for mu in (0.1, 1e-300):
             bun = assemble(ds, k, lm, mu, sigma_over_labeled=over_labeled)
@@ -213,11 +205,10 @@ class TestAssemble:
         X = np.full((3, 100), 1e154)
         X[2] = -1e154
         ds = SemiDataset(inputs=X, labels=[1.0])
-        lm = LandmarkSet(indices=[1], coordinates=X[[1]])
         with np.errstate(over="ignore"), pytest.raises(
             NumericalConsistencyError, match="kernel derivative value at data row 2, landmark 0"
         ):
-            assemble(ds, GaussianKernel(1.0), lm, mu=0.1)
+            assemble(ds, GaussianKernel(1.0), [1], mu=0.1)
 
     def test_sigma_over_labeled(self):
         rng = np.random.default_rng(3)
@@ -241,11 +232,9 @@ class TestAssemble:
         ds2 = SemiDataset(inputs=X[perm], labels=y)
         idx = np.array([0, 4, 9, 13])
         inv = np.argsort(perm)
-        lm1 = LandmarkSet(indices=idx, coordinates=X[idx])
-        lm2 = LandmarkSet(indices=inv[idx], coordinates=X[perm][inv[idx]])
         k = GaussianKernel(0.7)
-        b1 = assemble(ds1, k, lm1, mu=0.2)
-        b2 = assemble(ds2, k, lm2, mu=0.2)
+        b1 = assemble(ds1, k, idx, mu=0.2)
+        b2 = assemble(ds2, k, inv[idx], mu=0.2)
         assert np.linalg.norm(b1.A - b2.A) <= 1e-10
         assert np.linalg.norm(b1.B - b2.B) <= 1e-10
         assert np.linalg.norm(b1.b - b2.b) <= 1e-10
@@ -267,7 +256,7 @@ class TestAssemble:
         for l in range(n):
             grad = np.zeros(d)
             for i in range(p):
-                grad += c[i] * kgrad(k, X[l], lm.coordinates[i])
+                grad += c[i] * kgrad(k, X[l], X[lm[i]])
             total += grad @ grad
         total /= n
         assert abs(quad - total) <= 1e-8 * abs(total)
@@ -277,8 +266,7 @@ class TestAssemble:
         X = rng.standard_normal((8, 2))
         y = rng.standard_normal(3)
         k = GaussianKernel(1.0)
-        lm_idx = np.array([1, 5])
-        lm = LandmarkSet(indices=lm_idx, coordinates=X[lm_idx])
+        lm = np.array([1, 5])
         b1 = assemble(SemiDataset(X, y), k, lm, mu=0.1).b
         b2 = assemble(SemiDataset(X, 2.0 * y), k, lm, mu=0.1).b
         assert np.array_equal(b2, 2.0 * b1)
@@ -289,24 +277,23 @@ class TestAssemble:
         with pytest.raises(InvalidArgumentError):
             assemble(ds, GaussianKernel(1.0), lm, mu=0.0)
 
-    def test_coordinates_must_be_the_indexed_rows(self):
-        # Kpp and Q are read from the rows at the indices, so coordinates
-        # elsewhere would silently mix two landmark sets
+    @pytest.mark.parametrize("landmarks", [
+        [0.0, 1.0], [True, False], [[0], [1]], [], [-1, 0], [0, 3], [1, 1]],
+        ids=["float", "bool", "2-d", "empty", "negative", "beyond n", "duplicate"])
+    def test_bad_indices_rejected(self, landmarks):
+        # a landmark set is a vector of distinct row indices in [0, n)
         ds = SemiDataset(inputs=[[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], labels=[1.0])
-        k = GaussianKernel(1.0)
-        with pytest.raises(InvalidArgumentError, match="landmark coordinates"):
-            assemble(ds, k, LandmarkSet([0], [[5.0, 5.0]]), mu=0.1)
-        assert assemble(ds, k, LandmarkSet([0], [[0.0, 0.0]]), mu=0.1).kpp[0, 0] == 1.0
+        with pytest.raises(InvalidArgumentError, match="landmark"):
+            assemble(ds, GaussianKernel(1.0), landmarks, mu=0.1)
 
     def test_non_finite_kernel_output(self):
         # finite inputs whose difference overflows: k underflows to 0 and the
         # gradient -inf * 0 is NaN at row 1
         ds = SemiDataset(inputs=[[-1e308], [1e308]], labels=[1.0])
-        lm = LandmarkSet(indices=[0], coordinates=[[-1e308]])
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
             NumericalConsistencyError, match="row 1, landmark 0"
         ):
-            assemble(ds, GaussianKernel(1.0), lm, mu=0.1)
+            assemble(ds, GaussianKernel(1.0), [0], mu=0.1)
 
 
 class TestAssembleDense:

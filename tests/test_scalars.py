@@ -1,7 +1,7 @@
 """Every scalar parameter of the public API refuses a bad number with
 ``InvalidArgumentError``, and every ``float``- or ``int``-annotated parameter
-or field of a callable in ``kerlap.__all__`` is in the table below, so a new
-parameter without the check fails here."""
+or field of a callable in ``kerlap.__all__`` or ``SCANNED`` is in the table
+below, so a new parameter without the check fails here."""
 
 import inspect
 import math
@@ -32,6 +32,7 @@ from kerlap import (
     schedule,
     select_landmarks,
 )
+from kerlap.bench import export_eigenvectors
 
 DS = SemiDataset(np.random.default_rng(0).standard_normal((6, 2)), [1.0, -1.0])
 K = GaussianKernel(1.0)
@@ -76,7 +77,15 @@ CALLS = {
     ("schedule", "n"): lambda v: schedule(v),
     ("select_landmarks", "p"): lambda v: select_landmarks(DS, v, 0),
     ("select_landmarks", "seed"): lambda v: select_landmarks(DS, 2, v),
+    ("export_eigenvectors", "p"): lambda v: export_eigenvectors(DS, K, v, 0.1, 1, DS.inputs),
+    ("export_eigenvectors", "mu"): lambda v: export_eigenvectors(DS, K, 2, v, 1, DS.inputs),
+    ("export_eigenvectors", "count"): lambda v: export_eigenvectors(DS, K, 2, 0.1, v, DS.inputs),
+    ("export_eigenvectors", "seed"):
+        lambda v: export_eigenvectors(DS, K, 2, 0.1, 1, DS.inputs, seed=v),
 }
+
+# public callables outside ``kerlap.__all__``
+SCANNED = {"export_eigenvectors": export_eigenvectors}
 
 # numbers the library reports rather than takes from a caller
 RESULTS = {("PencilDecomposition", "jitter")}
@@ -86,10 +95,11 @@ BAD = ["1", None, True, math.nan, math.inf, -1, np.array([1.0, 2.0])]
 
 def scalar_parameters() -> dict[tuple[str, str], bool]:
     """(callable, parameter) -> whether None is allowed, for every parameter of a
-    callable in ``kerlap.__all__`` annotated as an int or a float (bools excluded)."""
+    callable in ``kerlap.__all__`` or ``SCANNED`` annotated as an int or a float
+    (bools excluded)."""
     found = {}
-    for name in kerlap.__all__:
-        obj = getattr(kerlap, name)
+    public = {name: getattr(kerlap, name) for name in kerlap.__all__} | SCANNED
+    for name, obj in public.items():
         if not callable(obj) or inspect.isclass(obj) and issubclass(obj, BaseException):
             continue
         hints = typing.get_type_hints(obj)
