@@ -4,8 +4,11 @@ The estimator minimizes a least-squares data term plus a Dirichlet-energy
 penalty (the expected squared gradient norm over the data) inside an RKHS,
 computed by spectral filtering of the generalized eigendecomposition of the
 compressed covariance/penalty operator pencil.  Landmark (Nystrom-style)
-compression keeps training at O(n p d + n p^2 + p^3); an exact dense-basis
-solver provides the reference the compressed path is checked against.
+compression with p drawn landmarks, pruned by a pivoted Cholesky of their
+Gram to the r <= p numerically independent ones, keeps training at
+O(p^2 d + p^2 r) for the pruning, O(n r d + n r^2) for the assembly and
+O(r^3) for the eigensolve; an exact dense-basis solver provides the
+reference the compressed path is checked against.
 """
 
 from .baselines import GraphConfig, HarmonicResult, graph_bandwidth, harmonic_propagate, krr_fit

@@ -22,11 +22,13 @@ import numpy as np
 
 from .baselines import GraphConfig, graph_bandwidth, harmonic_propagate, krr_fit
 from .errors import InvalidArgumentError, KerlapError, integer, real
-from .estimator import FittedModel, clip_bound, decode_sign, fit, fit_exact, predict, schedule
+from .estimator import (
+    FittedModel, _landmark_decomposition, clip_bound, decode_sign, fit, fit_exact, predict,
+    schedule,
+)
 from .filters import FILTER_KINDS, FilterSpec
 from .kernel import GaussianKernel
-from .operators import SemiDataset, assemble, select_landmarks
-from .pencil import gevd
+from .operators import SemiDataset
 from .synthdata import (
     CirclesSpec,
     GaussianMixSpec,
@@ -370,8 +372,10 @@ def export_eigenvectors(
     """Evaluate the top generalized eigenvectors at grid points.
 
     Returns a (q, count) array; column j is the j-th eigenfunction
-    x -> sum_i v_ji k(x, M_i), sign-normalized so its first entry larger
-    than 1e-12 * max|column| is positive.  When ``path`` is given the grid
+    x -> sum_i v_ji k(x, M_i) over the landmarks M_i that ``fit`` keeps of
+    the p it draws, sign-normalized so its first entry larger than 1e-12 *
+    max|column| is positive.  A count above the number kept raises
+    ``InvalidArgumentError``.  When ``path`` is given the grid
     coordinates and eigenvector columns are written as CSV (header only if
     count == 0).
     """
@@ -381,10 +385,12 @@ def export_eigenvectors(
     if integer("count", count, low=0) > integer("p", p):
         raise InvalidArgumentError(f"count must satisfy 0 <= count <= p, got {count}")
 
-    landmarks = select_landmarks(ds, p, seed)
-    bundle = assemble(ds, kernel, landmarks, mu)
-    dec = gevd(bundle.A, bundle.B)
-    values = kernel.gram(grid, ds.inputs[landmarks]) @ dec.eigenvectors[:, :count]
+    kept, dec, _ = _landmark_decomposition(ds, kernel, p, mu, seed)
+    if count > kept.size:
+        raise InvalidArgumentError(
+            f"count {count} exceeds the {kept.size} landmarks kept from the {p} drawn"
+        )
+    values = kernel.gram(grid, ds.inputs[kept]) @ dec.eigenvectors[:, :count]
     for j in range(count):
         col = values[:, j]
         nz = np.flatnonzero(np.abs(col) > 1e-12 * max(np.abs(col).max(), 1e-300))

@@ -2,9 +2,13 @@
 exact dense-basis oracle, prediction, binary sign decoding, and the
 theoretical hyperparameter schedule.
 
-The landmark fit runs:  select landmarks -> assemble (A, B, b) ->
+The landmark fit runs:  select landmarks -> prune them by a pivoted
+Cholesky of their Gram Kpp -> assemble (A, B, b) over the kept ones ->
 generalized eigendecomposition of (A, B) -> spectral filtering of b,
-producing coefficients c that define g(x) = sum_i c_i k(x, M_i).
+producing coefficients c that define g(x) = sum_i c_i k(x, M_i).  When the
+pruning drops landmarks, the pencil is whitened by the Cholesky factor of
+the kept Kpp before the eigendecomposition, which keeps it well-conditioned
+however redundant the draw was.
 
 The dense oracle minimizes the regularized empirical risk over the full
 n*(d+1) representer basis by a direct solve of (A + lam*B) c = b and is the
@@ -18,12 +22,16 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
 from .errors import InvalidArgumentError, SingularPencilError, integer, real
 from .filters import FilterSpec, filter_coefficients
 from .kernel import GaussianKernel
-from .operators import DEFAULT_DENSE_CAP, SemiDataset, assemble, assemble_dense, select_landmarks
-from .pencil import gevd, pencil_solve
+from .operators import (
+    DEFAULT_DENSE_CAP, SemiDataset, assemble, assemble_dense, prune_landmarks, select_landmarks,
+    whitened_pencil,
+)
+from .pencil import PencilDecomposition, gevd, pencil_solve
 
 LANDMARK_KERNEL = "landmark_kernel"
 DENSE_REPRESENTER = "dense_representer"
@@ -123,20 +131,48 @@ def fit(
 ) -> FittedModel:
     """Landmark-compressed spectral-filtering fit.
 
-    Work is O(n p d + n p^2) assembly plus O(p^3) eigendecomposition;
-    memory is O(n p): the (n*d x p) derivative matrix is never built.
+    Work is O(p^2 d) for the landmark Gram, O(p^2 r) for its pivoted
+    Cholesky, O(n r d + n r^2) for the assembly over the r <= p landmarks it
+    keeps and O(r^3) for the eigensolve; memory is O(n r + p^2).  The model
+    stores one coefficient per kept landmark.
     """
-    landmarks = select_landmarks(ds, p, seed)
-    bundle = assemble(ds, kernel, landmarks, mu, sigma_over_labeled=sigma_over_labeled)
-    dec = gevd(bundle.A, bundle.B)
-    coef = filter_coefficients(dec, filter_spec, bundle.b)
+    kept, dec, b = _landmark_decomposition(ds, kernel, p, mu, seed, sigma_over_labeled)
+    coef = filter_coefficients(dec, filter_spec, b)
     return FittedModel(
         kernel=kernel,
-        basis_coordinates=ds.inputs[landmarks],
+        basis_coordinates=ds.inputs[kept],
         coefficients=coef,
         basis_kind=LANDMARK_KERNEL,
         clip_bound=clip_bound(ds.labels, clip),
     )
+
+
+def _landmark_decomposition(
+    ds: SemiDataset,
+    kernel: GaussianKernel,
+    p: int,
+    mu: float,
+    seed: int,
+    sigma_over_labeled: bool = False,
+) -> tuple[np.ndarray, PencilDecomposition, np.ndarray]:
+    """The kept landmark indices, the generalized eigenpairs of their pencil
+    and its moment vector b.
+
+    When the drawn landmarks' Gram has full numerical rank, this is
+    ``assemble`` and ``gevd`` on the draw as it stands.  Otherwise the pencil
+    over the kept landmarks is whitened by the Gram's Cholesky factor L
+    before ``gevd``, and the eigenvectors are mapped back by L^-T, so they are
+    generalized eigenvectors of the kept landmarks' pencil either way.
+    """
+    landmarks = select_landmarks(ds, p, seed)
+    kept, factor = prune_landmarks(ds, kernel, landmarks)
+    if factor is None:
+        bundle = assemble(ds, kernel, kept, mu, sigma_over_labeled=sigma_over_labeled)
+        return kept, gevd(bundle.A, bundle.B), bundle.b
+    A, B, b = whitened_pencil(ds, kernel, kept, factor, mu, sigma_over_labeled)
+    dec = gevd(A, B)
+    V = solve_triangular(factor, dec.eigenvectors, lower=True, trans="T", check_finite=False)
+    return kept, PencilDecomposition(dec.eigenvalues, V, dec.jitter), b
 
 
 def fit_exact(

@@ -28,6 +28,12 @@ coordinate-wise distance, so nothing cancels for data far from the origin.
 K^T K is shared with A; the work is O(n p d) for D plus O(n p^2) for the
 products, and the memory O(n p) plus one row chunk of differences.
 
+Before assembly, ``prune_landmarks`` drops the drawn landmarks whose kernel
+functions are numerically dependent on the others (a pivoted Cholesky of
+Kpp), and when it drops any, ``whitened_pencil`` assembles the pencil over
+the kept ones in the coordinates whitened by the Cholesky factor of their
+Kpp, so that B is well-conditioned however redundant the draw was.
+
 ``assemble_dense`` builds the same objects over the exact n*(d+1)-dimensional
 representer basis {k_{X_i}} + {d_j k_{X_i}} instead of a landmark subset, for
 use by the dense oracle estimator.  Neither symmetrizes its output: the
@@ -40,6 +46,9 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import solve_triangular
+from scipy.linalg.blas import dgemm, dsyrk
+from scipy.linalg.lapack import dpstrf, dsygst
 
 from .errors import (
     InvalidArgumentError, NumericalConsistencyError, ResourceLimitError, integer, real,
@@ -51,6 +60,10 @@ DEFAULT_DENSE_CAP = 2000
 # rows per chunk are sized so the (chunk, p, d) coordinate-difference array
 # behind a chunk of squared distances stays small
 _CHUNK_BUDGET = 2_000_000
+
+# pivoted Cholesky stopping tolerance on the landmark Gram; the Gaussian Gram
+# has a unit diagonal, so this is relative to its largest pivot
+PRUNE_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -151,8 +164,7 @@ def assemble(
     only (the exact empirical-risk-minimization normalization).
     """
     mu = real("mu", mu)
-    X, y = ds.inputs, ds.labels
-    n, d = X.shape
+    n = ds.n
     idx = np.asarray(landmarks)
     if idx.ndim != 1 or idx.size < 1 or idx.dtype.kind not in "iu":
         raise InvalidArgumentError(
@@ -165,14 +177,48 @@ def assemble(
         raise InvalidArgumentError(
             f"landmark indices must lie in [0, {n}), got {distinct[0]} .. {distinct[-1]}"
         )
+    knp, ktk, dirichlet = _landmark_terms(ds, kernel, idx)
+    n_l = ds.n_labeled
+    if sigma_over_labeled:
+        A = _gram_of_rows(knp[:n_l].T) / n_l
+    else:
+        A = ktk / n
+    del ktk
+    kpp = knp[idx, :]
+    B = dirichlet
+    B += mu * kpp
+    b = knp[:n_l].T @ ds.labels / n_l
+    return OperatorBundle(knp=knp, znp=None, A=A, B=B, b=b, kpp=kpp)
+
+
+def _gram_of_rows(a: np.ndarray) -> np.ndarray:
+    """a a^T by BLAS ``syrk``.
+
+    numpy and scipy each load their own OpenBLAS, and a pool's threads spin
+    for a while after each call; a numpy product right after scipy's
+    ``pstrf`` (or before ``gevd``) competes with them for the cores.  So the
+    fit's level-3 products use scipy's BLAS, as its LAPACK calls do.
+    """
+    m = a.shape[0]
+    c = dsyrk(1.0, a, c=np.zeros((m, m), order="F"), overwrite_c=1)  # upper triangle
+    c += c.T  # the lower triangle is 0, so only the diagonal is doubled
+    c.flat[:: m + 1] /= 2.0
+    return c
+
+
+def _landmark_terms(
+    ds: SemiDataset, kernel: GaussianKernel, idx: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """K (n x p), K^T K and Znp^T Znp / n for validated landmark indices."""
+    X = ds.inputs
+    n, d = X.shape
     p = idx.size
     coords = X[idx]
 
     chunk = max(1, _CHUNK_BUDGET // max(1, p * d))
     knp = np.empty((n, p))
     q = np.empty((p, p))
-    pk = np.zeros((p, p))  # P^T K
-    prod = np.empty((p, p))
+    pk = np.zeros((p, p), order="F")  # P^T K
     for start in range(0, n, chunk):
         stop = min(n, start + chunk)
         kb, db = kernel.gram_with_sqdist(X[start:stop], coords, out=knp[start:stop])
@@ -182,29 +228,86 @@ def assemble(
         here = (idx >= start) & (idx < stop)
         q[here] = db[idx[here] - start]
         db *= kb
-        pk += np.matmul(db.T, kb, out=prod)
+        dgemm(1.0, db.T, kb.T, beta=1.0, c=pk, trans_b=1, overwrite_c=1)
 
-    n_l = ds.n_labeled
-    ktk = np.matmul(knp.T, knp, out=prod)
-    if sigma_over_labeled:
-        A = knp[:n_l].T @ knp[:n_l] / n_l
-    else:
-        A = ktk / n
-
-    kpp = knp[idx, :]
-    # B = Znp^T Znp / n + mu * Kpp, Znp^T Znp by the polarization identity
+    ktk = _gram_of_rows(knp.T)
+    # Znp^T Znp by the polarization identity; K^T K o Q overwrites Q
     s2 = kernel.sigma**2
-    ktk *= q
+    dirichlet = pk
+    dirichlet += pk.T
+    dirichlet -= np.multiply(ktk, q, out=q)
     del q  # freeing each p x p array before the next one lowers the peak
-    B = pk
-    B += pk.T
-    B -= ktk
-    del ktk, prod
-    B /= 2.0 * n * s2
-    B /= s2
-    B += mu * kpp
-    b = knp[:n_l].T @ y / n_l
-    return OperatorBundle(knp=knp, znp=None, A=A, B=B, b=b, kpp=kpp)
+    dirichlet /= 2.0 * n * s2
+    dirichlet /= s2
+    return knp, ktk, dirichlet
+
+
+def prune_landmarks(
+    ds: SemiDataset, kernel: GaussianKernel, landmarks: np.ndarray
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """The landmarks a pivoted Cholesky of their Gram keeps, and its factor.
+
+    LAPACK ``pstrf`` factors Kpp with complete pivoting and stops at the
+    first pivot at or below ``PRUNE_TOL``, after r steps.  When r = p this
+    returns ``(landmarks, None)``: the draw, unchanged and in its order.
+    Otherwise it returns the r pivot rows ``landmarks[piv[:r]]`` and the
+    lower factor L (r x r) with L L^T = their Gram.  The remaining pivots
+    are the squared RKHS distances of the dropped landmarks' kernel functions
+    from the span of the kept ones, all at most ``PRUNE_TOL`` (Harbrecht,
+    Peters & Schneider, Appl. Numer. Math. 2012), so what is dropped is the
+    pencil's numerical null space.  Work is O(p^2 d) for the Gram plus O(p^2 r).
+    """
+    coords = ds.inputs[landmarks]
+    p, d = coords.shape
+    kpp = np.empty((p, p))
+    chunk = max(1, _CHUNK_BUDGET // max(1, p * d))
+    for start in range(0, p, chunk):
+        stop = min(p, start + chunk)
+        kernel.gram_with_sqdist(coords[start:stop], coords, out=kpp[start:stop])
+    # Kpp is symmetric, so its transpose is the Fortran-order array pstrf
+    # overwrites without a copy
+    c, piv, r, info = dpstrf(kpp.T, tol=PRUNE_TOL, lower=1, overwrite_a=1)
+    if info < 0:
+        raise InvalidArgumentError(f"illegal value in pstrf argument {-info}")
+    if r == p:
+        return landmarks, None
+    return landmarks[piv[:r] - 1], np.tril(c[:r, :r])
+
+
+def whitened_pencil(
+    ds: SemiDataset,
+    kernel: GaussianKernel,
+    landmarks: np.ndarray,
+    factor: np.ndarray,
+    mu: float,
+    sigma_over_labeled: bool = False,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The landmark pencil whitened by the factor L of its Gram: (A~, B~, b).
+
+    With Phi = L^-1 K^T, A~ = Phi Phi^T / n (PSD by construction), B~ =
+    L^-1 (Znp^T Znp / n) L^-T + mu I and b the unwhitened moment vector.  If
+    V~ are generalized eigenvectors of (A~, B~), V = L^-T V~ are those of
+    (A, Znp^T Znp / n + mu L L^T) with the same eigenvalues, and V^T b =
+    V~^T L^-1 b, so ``filter_coefficients`` applies to (V, b) unchanged.
+    B~ >= mu I, so cond(B~) <= 1 + ||L^-1 Znp^T Znp L^-T|| / (n mu), however
+    close Kpp is to singular (the whitening of FALKON: Rudi, Carratino &
+    Rosasco, NeurIPS 2017).  Work is O(n r d) for K plus O(n r^2).
+    """
+    mu = real("mu", mu)
+    knp, _, dirichlet = _landmark_terms(ds, kernel, landmarks)
+    n_l = ds.n_labeled
+    b = knp[:n_l].T @ ds.labels / n_l
+    rows = knp[:n_l] if sigma_over_labeled else knp
+    phi = solve_triangular(factor, rows.T, lower=True, check_finite=False)
+    A = _gram_of_rows(phi) / rows.shape[0]
+    # sygst overwrites the lower triangle of D = Znp^T Znp / n with L^-1 D L^-T
+    C, info = dsygst(dirichlet, factor, itype=1, lower=1, overwrite_a=1)
+    if info != 0:
+        raise InvalidArgumentError(f"illegal value in sygst argument {-info}")
+    B = np.tril(C)
+    B += np.tril(C, -1).T
+    B.flat[:: B.shape[0] + 1] += mu
+    return A, B, b
 
 
 def assemble_dense(

@@ -19,6 +19,7 @@ from kerlap.bench import (
 )
 from kerlap.errors import InvalidArgumentError
 from kerlap.kernel import GaussianKernel
+from kerlap.operators import SemiDataset
 from kerlap.synthdata import CirclesSpec, GaussianMixSpec, gen_circles, gen_gaussian_mix
 
 
@@ -243,6 +244,15 @@ class TestExportEigenvectors:
         with pytest.raises(InvalidArgumentError):
             export_eigenvectors(ds, GaussianKernel(1.0), p=5, mu=0.1, count=6,
                                 grid=ds.inputs)
+
+    def test_count_beyond_kept_landmarks(self):
+        # ten distinct points drawn twice each: 10 landmarks are kept of 20
+        X = np.repeat(np.arange(10.0)[:, None] * np.ones((1, 2)), 2, axis=0)
+        ds = SemiDataset(inputs=X, labels=[1.0, -1.0])
+        vals = export_eigenvectors(ds, GaussianKernel(0.5), p=20, mu=0.1, count=10, grid=X)
+        assert vals.shape == (20, 10) and np.all(np.isfinite(vals))
+        with pytest.raises(InvalidArgumentError, match="10 landmarks kept"):
+            export_eigenvectors(ds, GaussianKernel(0.5), p=20, mu=0.1, count=11, grid=X)
 
     @pytest.mark.parametrize("p, mu, count, seed, name", [
         ("x", 0.1, 1, 0, "p"),

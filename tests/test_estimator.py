@@ -4,12 +4,14 @@ import math
 import numpy as np
 import pytest
 
+from kerlap.bench import generate_instance, preset
 from kerlap.errors import InvalidArgumentError
 from kerlap.estimator import (
     DENSE_REPRESENTER,
     LANDMARK_KERNEL,
     FittedModel,
     ScheduleParams,
+    _landmark_decomposition,
     decode_sign,
     fit,
     fit_exact,
@@ -22,6 +24,7 @@ from kerlap.filters import FilterSpec, filter_coefficients
 from kerlap.kernel import GaussianKernel
 from kerlap.operators import SemiDataset, assemble, select_landmarks
 from kerlap.pencil import gevd, pencil_solve
+from kerlap.synthdata import CirclesSpec, gen_circles
 
 TIK = FilterSpec("tikhonov", 1.0)
 
@@ -71,6 +74,47 @@ class TestFit:
             assert np.linalg.norm(a - b) <= 1e-6 * np.linalg.norm(b)
             compared += 1
         assert compared >= 4
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_full_rank_draw_is_the_unpruned_pipeline(self, seed):
+        # fig2 geometry: Kpp of the p = 50 drawn landmarks has full numerical
+        # rank, so fit keeps the draw and its steps are exactly these
+        cfg, n = preset("fig2"), 100
+        ds, _ = generate_instance(cfg, n, seed)
+        k, spec = GaussianKernel(cfg.kernel_sigma), FilterSpec(cfg.filter_kind, cfg.lam)
+        p, mu = cfg.resolve_p(n), cfg.resolve_mu(n)
+        landmarks = select_landmarks(ds, p, seed)
+        bundle = assemble(ds, k, landmarks, mu)
+        coef = filter_coefficients(gevd(bundle.A, bundle.B), spec, bundle.b)
+        model = fit(ds, k, p, mu, spec, seed)
+        assert np.array_equal(model.coefficients, coef)
+        assert np.array_equal(model.basis_coordinates, ds.inputs[landmarks])
+
+    def test_pruned_fit_matches_unpruned_pencil(self):
+        # p = n = 400 on four circles at sigma = 0.2: Kpp has numerical rank
+        # below p, and the pruned, whitened fit predicts what the full
+        # (jittered) pencil does
+        n, seed = 400, 0
+        ds = gen_circles(CirclesSpec(n=n, n_labeled=4, angles="equispaced", seed=seed))
+        k, mu = GaussianKernel(0.2), 1.0 / n
+        model = fit(ds, k, n, mu, TIK, seed)
+        assert model.coefficients.size < n
+        landmarks = select_landmarks(ds, n, seed)
+        bundle = assemble(ds, k, landmarks, mu)
+        coef = filter_coefficients(gevd(bundle.A, bundle.B), TIK, bundle.b)
+        ref = predict(FittedModel(k, ds.inputs[landmarks], coef, LANDMARK_KERNEL), ds.inputs)
+        assert np.linalg.norm(predict(model, ds.inputs) - ref) <= 1e-6 * np.linalg.norm(ref)
+
+    def test_duplicate_rows_keep_one_landmark_each(self):
+        # 12 points 1.5 apart, each repeated three times: p = n keeps one
+        # landmark per distinct point, and the whitened pencil needs no jitter
+        grid = np.array([[i, j] for i in range(4) for j in range(3)], dtype=float) * 1.5
+        X = np.repeat(grid, 3, axis=0)
+        ds = SemiDataset(X, np.linspace(-1.0, 1.0, 6))
+        kept, dec, _ = _landmark_decomposition(ds, GaussianKernel(0.7), X.shape[0], 0.1, 0)
+        assert kept.size == len(grid) == np.unique(X[kept], axis=0).shape[0]
+        assert dec.jitter == 0.0
+        assert dec.eigenvectors.shape == (len(grid), len(grid))
 
     def test_label_linearity(self):
         rng = np.random.default_rng(2)

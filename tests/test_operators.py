@@ -13,8 +13,10 @@ from kerlap.operators import (
     assemble,
     assemble_dense,
     load_dataset_csv,
+    prune_landmarks,
     save_dataset_csv,
     select_landmarks,
+    whitened_pencil,
 )
 
 
@@ -294,6 +296,58 @@ class TestAssemble:
             NumericalConsistencyError, match="row 1, landmark 0"
         ):
             assemble(ds, GaussianKernel(1.0), [0], mu=0.1)
+
+
+class TestPruneAndWhiten:
+    def test_full_rank_draw_kept_as_drawn(self):
+        rng = np.random.default_rng(20)
+        ds = SemiDataset(inputs=rng.standard_normal((30, 3)), labels=[1.0, -1.0])
+        lm = select_landmarks(ds, 10, seed=21)
+        kept, factor = prune_landmarks(ds, GaussianKernel(1.0), lm)
+        assert kept is lm and factor is None
+
+    @pytest.mark.parametrize("budget", [None, 7 * 60])
+    def test_factor_of_kept_gram(self, budget, monkeypatch):
+        # 60 points on a 1-d interval at sigma = 0.5: Kpp of all of them has
+        # numerical rank below 60; the kept rows' Gram is L L^T, in one chunk
+        # and in 7-row chunks
+        if budget:
+            monkeypatch.setattr(operators, "_CHUNK_BUDGET", budget)
+        rng = np.random.default_rng(22)
+        ds = SemiDataset(inputs=rng.uniform(-2, 2, (60, 1)), labels=[1.0])
+        k = GaussianKernel(0.5)
+        lm = select_landmarks(ds, 60, seed=23)
+        kept, L = prune_landmarks(ds, k, lm)
+        r = kept.size
+        assert r < 60 and np.isin(kept, lm).all() and np.unique(kept).size == r
+        assert L.shape == (r, r) and np.array_equal(L, np.tril(L))
+        M = ds.inputs[kept]
+        assert np.abs(L @ L.T - k.gram(M, M)).max() <= 1e-12
+
+    @pytest.mark.parametrize("over_labeled", [False, True])
+    def test_whitened_pencil_is_congruent_to_assembled(self, over_labeled):
+        # duplicated rows make the drawn Gram singular, while the kept one is
+        # well-conditioned: then L A~ L^T = A, L B~ L^T = B and b is unchanged
+        grid = np.array([[i, j] for i in range(3) for j in range(3)], dtype=float)
+        rng = np.random.default_rng(24)
+        X = np.vstack([np.repeat(grid, 2, axis=0), rng.uniform(0, 2, (10, 2))])
+        ds = SemiDataset(inputs=X, labels=rng.standard_normal(5))
+        k, mu = GaussianKernel(0.6), 0.3
+        kept, L = prune_landmarks(ds, k, np.arange(18))
+        assert kept.size == 9
+        A, B, b = whitened_pencil(ds, k, kept, L, mu, sigma_over_labeled=over_labeled)
+        bun = assemble(ds, k, kept, mu, sigma_over_labeled=over_labeled)
+        assert np.abs(L @ A @ L.T - bun.A).max() <= 1e-12 * np.abs(bun.A).max()
+        assert np.abs(L @ B @ L.T - bun.B).max() <= 1e-12 * np.abs(bun.B).max()
+        assert np.array_equal(B, B.T) and np.array_equal(b, bun.b)
+        assert np.linalg.eigvalsh(B).min() >= mu * (1 - 1e-12)
+
+    def test_whitened_mu_validation(self):
+        ds = SemiDataset(inputs=np.zeros((3, 1)), labels=[1.0])
+        kept, L = prune_landmarks(ds, GaussianKernel(1.0), np.arange(3))
+        assert kept.size == 1
+        with pytest.raises(InvalidArgumentError, match="mu"):
+            whitened_pencil(ds, GaussianKernel(1.0), kept, L, -1.0)
 
 
 class TestAssembleDense:
