@@ -23,8 +23,8 @@ import numpy as np
 from .baselines import GraphConfig, graph_bandwidth, harmonic_propagate, krr_fit
 from .errors import InvalidArgumentError, KerlapError, integer, real
 from .estimator import (
-    FittedModel, _landmark_decomposition, clip_bound, decode_sign, fit, fit_exact, predict,
-    schedule,
+    FittedModel, _kernel_expansion, _landmark_decomposition, clip_bound, decode_sign, fit,
+    fit_exact, predict, schedule,
 )
 from .filters import FILTER_KINDS, FilterSpec
 from .kernel import GaussianKernel
@@ -145,7 +145,7 @@ class ExperimentConfig:
         n = self.n_grid[0]
         real("kernel_sigma", self.kernel_sigma)
         real("lam", self.lam)
-        real("mu", self.resolve_mu(n), closed=self.method == "exact")
+        real("mu", self.resolve_mu(n))
         integer("p", self.resolve_p(n))
         real("ridge", self.ridge)
         integer("dense_cap", self.dense_cap)
@@ -390,7 +390,7 @@ def export_eigenvectors(
         raise InvalidArgumentError(
             f"count {count} exceeds the {kept.size} landmarks kept from the {p} drawn"
         )
-    values = kernel.gram(grid, ds.inputs[kept]) @ dec.eigenvectors[:, :count]
+    values = _kernel_expansion(kernel, grid, ds.inputs[kept], dec.eigenvectors[:, :count])
     for j in range(count):
         col = values[:, j]
         nz = np.flatnonzero(np.abs(col) > 1e-12 * max(np.abs(col).max(), 1e-300))

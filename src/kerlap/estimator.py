@@ -6,9 +6,9 @@ The landmark fit runs:  select landmarks -> prune them by a pivoted
 Cholesky of their Gram Kpp -> assemble (A, B, b) over the kept ones ->
 generalized eigendecomposition of (A, B) -> spectral filtering of b,
 producing coefficients c that define g(x) = sum_i c_i k(x, M_i).  When the
-pruning drops landmarks, the pencil is whitened by the Cholesky factor of
-the kept Kpp before the eigendecomposition, which keeps it well-conditioned
-however redundant the draw was.
+pruning drops landmarks, the assembled pencil is whitened by the Cholesky
+factor of the kept Kpp before the eigendecomposition, which keeps it
+well-conditioned however redundant the draw was.
 
 The dense oracle minimizes the regularized empirical risk over the full
 n*(d+1) representer basis by a direct solve of (A + lam*B) c = b and is the
@@ -29,7 +29,7 @@ from .filters import FilterSpec, filter_coefficients
 from .kernel import GaussianKernel
 from .operators import (
     DEFAULT_DENSE_CAP, SemiDataset, assemble, assemble_dense, prune_landmarks, select_landmarks,
-    whitened_pencil,
+    whiten,
 )
 from .pencil import PencilDecomposition, gevd, pencil_solve
 
@@ -158,18 +158,22 @@ def _landmark_decomposition(
     """The kept landmark indices, the generalized eigenpairs of their pencil
     and its moment vector b.
 
-    When the drawn landmarks' Gram has full numerical rank, this is
-    ``assemble`` and ``gevd`` on the draw as it stands.  Otherwise the pencil
-    over the kept landmarks is whitened by the Gram's Cholesky factor L
-    before ``gevd``, and the eigenvectors are mapped back by L^-T, so they are
-    generalized eigenvectors of the kept landmarks' pencil either way.
+    ``assemble`` builds the pencil over the kept landmarks.  When the drawn
+    landmarks' Gram has full numerical rank, the kept ones are the draw as it
+    stands and ``gevd`` runs on that pencil.  Otherwise ``whiten`` reduces it
+    by the kept Gram's Cholesky factor L before ``gevd``, and the eigenvectors
+    are mapped back by L^-T, so they are generalized eigenvectors of the kept
+    landmarks' pencil either way.
     """
     landmarks = select_landmarks(ds, p, seed)
     kept, factor = prune_landmarks(ds, kernel, landmarks)
+    bundle = assemble(ds, kernel, kept, mu, sigma_over_labeled=sigma_over_labeled)
     if factor is None:
-        bundle = assemble(ds, kernel, kept, mu, sigma_over_labeled=sigma_over_labeled)
         return kept, gevd(bundle.A, bundle.B), bundle.b
-    A, B, b = whitened_pencil(ds, kernel, kept, factor, mu, sigma_over_labeled)
+    knp, B, b = bundle.knp, bundle.B, bundle.b
+    del bundle  # A and Kpp are freed before whiten forms Phi
+    A, B = whiten(knp[: ds.n_labeled if sigma_over_labeled else ds.n], B, factor)
+    del knp
     dec = gevd(A, B)
     V = solve_triangular(factor, dec.eigenvectors, lower=True, trans="T", check_finite=False)
     return kept, PencilDecomposition(dec.eigenvalues, V, dec.jitter), b
@@ -222,12 +226,10 @@ def predict(model: FittedModel, queries: np.ndarray) -> np.ndarray:
             f"query dimension {Q.shape[1]} does not match model dimension {d}"
         )
     k = model.kernel
-    out = np.empty(Q.shape[0])
     if model.basis_kind == LANDMARK_KERNEL:
-        for start in range(0, Q.shape[0], _QUERY_CHUNK):
-            stop = min(Q.shape[0], start + _QUERY_CHUNK)
-            out[start:stop] = k.gram(Q[start:stop], coords) @ model.coefficients
+        out = _kernel_expansion(k, Q, coords, model.coefficients)
     else:
+        out = np.empty(Q.shape[0])
         c0 = model.coefficients[:m]
         c1 = model.coefficients[m:]
         for start in range(0, Q.shape[0], _QUERY_CHUNK):
@@ -240,6 +242,18 @@ def predict(model: FittedModel, queries: np.ndarray) -> np.ndarray:
             out[start:stop] = vals + Zq.T @ c1
     if model.clip_bound is not None:
         np.clip(out, -model.clip_bound, model.clip_bound, out=out)
+    return out
+
+
+def _kernel_expansion(
+    kernel: GaussianKernel, queries: np.ndarray, coords: np.ndarray, coef: np.ndarray
+) -> np.ndarray:
+    """k(queries, coords) @ coef, in row chunks of ``_QUERY_CHUNK`` queries so
+    that the kernel's (chunk, m, d) difference array stays small."""
+    out = np.empty((queries.shape[0],) + coef.shape[1:])
+    for start in range(0, queries.shape[0], _QUERY_CHUNK):
+        stop = min(queries.shape[0], start + _QUERY_CHUNK)
+        out[start:stop] = kernel.gram(queries[start:stop], coords) @ coef
     return out
 
 

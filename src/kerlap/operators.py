@@ -30,9 +30,9 @@ products, and the memory O(n p) plus one row chunk of differences.
 
 Before assembly, ``prune_landmarks`` drops the drawn landmarks whose kernel
 functions are numerically dependent on the others (a pivoted Cholesky of
-Kpp), and when it drops any, ``whitened_pencil`` assembles the pencil over
-the kept ones in the coordinates whitened by the Cholesky factor of their
-Kpp, so that B is well-conditioned however redundant the draw was.
+Kpp).  When it drops any, the pencil assembled over the kept ones is
+whitened by the Cholesky factor of their Kpp (``whiten``), so that B is
+well-conditioned however redundant the draw was.
 
 ``assemble_dense`` builds the same objects over the exact n*(d+1)-dimensional
 representer basis {k_{X_i}} + {d_j k_{X_i}} instead of a landmark subset, for
@@ -164,7 +164,8 @@ def assemble(
     only (the exact empirical-risk-minimization normalization).
     """
     mu = real("mu", mu)
-    n = ds.n
+    X = ds.inputs
+    n, d = X.shape
     idx = np.asarray(landmarks)
     if idx.ndim != 1 or idx.size < 1 or idx.dtype.kind not in "iu":
         raise InvalidArgumentError(
@@ -177,41 +178,6 @@ def assemble(
         raise InvalidArgumentError(
             f"landmark indices must lie in [0, {n}), got {distinct[0]} .. {distinct[-1]}"
         )
-    knp, ktk, dirichlet = _landmark_terms(ds, kernel, idx)
-    n_l = ds.n_labeled
-    if sigma_over_labeled:
-        A = _gram_of_rows(knp[:n_l].T) / n_l
-    else:
-        A = ktk / n
-    del ktk
-    kpp = knp[idx, :]
-    B = dirichlet
-    B += mu * kpp
-    b = knp[:n_l].T @ ds.labels / n_l
-    return OperatorBundle(knp=knp, znp=None, A=A, B=B, b=b, kpp=kpp)
-
-
-def _gram_of_rows(a: np.ndarray) -> np.ndarray:
-    """a a^T by BLAS ``syrk``.
-
-    numpy and scipy each load their own OpenBLAS, and a pool's threads spin
-    for a while after each call; a numpy product right after scipy's
-    ``pstrf`` (or before ``gevd``) competes with them for the cores.  So the
-    fit's level-3 products use scipy's BLAS, as its LAPACK calls do.
-    """
-    m = a.shape[0]
-    c = dsyrk(1.0, a, c=np.zeros((m, m), order="F"), overwrite_c=1)  # upper triangle
-    c += c.T  # the lower triangle is 0, so only the diagonal is doubled
-    c.flat[:: m + 1] /= 2.0
-    return c
-
-
-def _landmark_terms(
-    ds: SemiDataset, kernel: GaussianKernel, idx: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """K (n x p), K^T K and Znp^T Znp / n for validated landmark indices."""
-    X = ds.inputs
-    n, d = X.shape
     p = idx.size
     coords = X[idx]
 
@@ -231,15 +197,39 @@ def _landmark_terms(
         dgemm(1.0, db.T, kb.T, beta=1.0, c=pk, trans_b=1, overwrite_c=1)
 
     ktk = _gram_of_rows(knp.T)
-    # Znp^T Znp by the polarization identity; K^T K o Q overwrites Q
+    # Znp^T Znp / n by the polarization identity; K^T K o Q overwrites Q
     s2 = kernel.sigma**2
-    dirichlet = pk
-    dirichlet += pk.T
-    dirichlet -= np.multiply(ktk, q, out=q)
+    B = pk
+    B += pk.T
+    B -= np.multiply(ktk, q, out=q)
     del q  # freeing each p x p array before the next one lowers the peak
-    dirichlet /= 2.0 * n * s2
-    dirichlet /= s2
-    return knp, ktk, dirichlet
+    B /= 2.0 * n * s2
+    B /= s2
+    n_l = ds.n_labeled
+    if sigma_over_labeled:
+        A = _gram_of_rows(knp[:n_l].T) / n_l
+    else:
+        A = ktk / n
+    del ktk
+    kpp = knp[idx, :]
+    B += mu * kpp
+    b = knp[:n_l].T @ ds.labels / n_l
+    return OperatorBundle(knp=knp, znp=None, A=A, B=B, b=b, kpp=kpp)
+
+
+def _gram_of_rows(a: np.ndarray) -> np.ndarray:
+    """a a^T by BLAS ``syrk``.
+
+    numpy and scipy each load their own OpenBLAS, and a pool's threads spin
+    for a while after each call; a numpy product right after scipy's
+    ``pstrf`` (or before ``gevd``) competes with them for the cores.  So the
+    fit's level-3 products use scipy's BLAS, as its LAPACK calls do.
+    """
+    m = a.shape[0]
+    c = dsyrk(1.0, a, c=np.zeros((m, m), order="F"), overwrite_c=1)  # upper triangle
+    c += c.T  # the lower triangle is 0, so only the diagonal is doubled
+    c.flat[:: m + 1] /= 2.0
+    return c
 
 
 def prune_landmarks(
@@ -274,40 +264,32 @@ def prune_landmarks(
     return landmarks[piv[:r] - 1], np.tril(c[:r, :r])
 
 
-def whitened_pencil(
-    ds: SemiDataset,
-    kernel: GaussianKernel,
-    landmarks: np.ndarray,
-    factor: np.ndarray,
-    mu: float,
-    sigma_over_labeled: bool = False,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The landmark pencil whitened by the factor L of its Gram: (A~, B~, b).
+def whiten(rows: np.ndarray, B: np.ndarray, factor: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """An assembled landmark pencil whitened by the factor L of its Gram: (A~, B~).
 
-    With Phi = L^-1 K^T, A~ = Phi Phi^T / n (PSD by construction), B~ =
-    L^-1 (Znp^T Znp / n) L^-T + mu I and b the unwhitened moment vector.  If
-    V~ are generalized eigenvectors of (A~, B~), V = L^-T V~ are those of
-    (A, Znp^T Znp / n + mu L L^T) with the same eigenvalues, and V^T b =
-    V~^T L^-1 b, so ``filter_coefficients`` applies to (V, b) unchanged.
-    B~ >= mu I, so cond(B~) <= 1 + ||L^-1 Znp^T Znp L^-T|| / (n mu), however
-    close Kpp is to singular (the whitening of FALKON: Rudi, Carratino &
-    Rosasco, NeurIPS 2017).  Work is O(n r d) for K plus O(n r^2).
+    ``rows`` are the rows of K that A averages (the labeled ones under
+    ``sigma_over_labeled``) and B is the bundle's Znp^T Znp / n + mu Kpp,
+    which is overwritten.  A~ = Phi Phi^T / m with Phi = L^-1 rows^T is PSD
+    by construction; A itself is never reduced, as rounding would leave
+    L^-1 A L^-T indefinite.  B~ = L^-1 B L^-T by LAPACK ``sygst``, and since
+    L L^T = Kpp it is L^-1 (Znp^T Znp / n) L^-T + mu I, so B~ >= mu I up to
+    rounding (its smallest eigenvalue is 0.993-0.998 mu on the fig1 preset)
+    and cond(B~) stays near 1 + ||L^-1 Znp^T Znp L^-T|| / (n mu) however close
+    Kpp is to singular (the whitening of FALKON: Rudi, Carratino & Rosasco,
+    NeurIPS 2017).  If V~ are generalized eigenvectors of (A~, B~), V = L^-T V~
+    are those of (A, B) with the same eigenvalues, so ``filter_coefficients``
+    applies to V and the bundle's b unchanged.  Work is O(m r^2 + r^3).
     """
-    mu = real("mu", mu)
-    knp, _, dirichlet = _landmark_terms(ds, kernel, landmarks)
-    n_l = ds.n_labeled
-    b = knp[:n_l].T @ ds.labels / n_l
-    rows = knp[:n_l] if sigma_over_labeled else knp
     phi = solve_triangular(factor, rows.T, lower=True, check_finite=False)
     A = _gram_of_rows(phi) / rows.shape[0]
-    # sygst overwrites the lower triangle of D = Znp^T Znp / n with L^-1 D L^-T
-    C, info = dsygst(dirichlet, factor, itype=1, lower=1, overwrite_a=1)
+    del phi
+    # sygst overwrites the lower triangle of B with that of L^-1 B L^-T
+    C, info = dsygst(B, factor, itype=1, lower=1, overwrite_a=1)
     if info != 0:
         raise InvalidArgumentError(f"illegal value in sygst argument {-info}")
     B = np.tril(C)
     B += np.tril(C, -1).T
-    B.flat[:: B.shape[0] + 1] += mu
-    return A, B, b
+    return A, B
 
 
 def assemble_dense(
@@ -323,9 +305,10 @@ def assemble_dense(
     holds the extended basis Gram (m x m), and ``knp`` and ``znp`` are views
     of its row blocks: the point evaluations of the basis (n x m) and the
     gradient evaluations (n*d x m).  A averages over the labeled points (the
-    exact empirical-risk-minimization normalization).
+    exact empirical-risk-minimization normalization).  mu must be > 0, as for
+    ``assemble``: psi^T psi / n has rank at most n*d < m, so B needs mu * Kpp.
     """
-    mu = real("mu", mu, closed=True)
+    mu = real("mu", mu)
     X, y = ds.inputs, ds.labels
     n, d = X.shape
     m = n * (d + 1)

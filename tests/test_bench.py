@@ -90,8 +90,9 @@ class TestConfig:
                        {"method": "graph", "graph_sigma": "wide"}):
             with pytest.raises(InvalidArgumentError):
                 ExperimentConfig(**kwargs)
-        # the dense oracle's assembly allows mu = 0
-        assert ExperimentConfig(method="exact", mu=0.0).mu == 0.0
+        # the dense oracle's assembly needs mu > 0 too: at mu = 0 its B is singular
+        with pytest.raises(InvalidArgumentError, match="mu"):
+            ExperimentConfig(method="exact", mu=0.0)
 
     def test_presets_accept_every_method(self):
         for name in sorted(PRESETS):
@@ -225,6 +226,11 @@ class TestExportEigenvectors:
         ds = gen_gaussian_mix(GaussianMixSpec(n=40, n_labeled=4, d=2, seed=1))
         vals = export_eigenvectors(ds, GaussianKernel(1.0), p=15, mu=0.1, count=5,
                                    grid=ds.inputs)
+        # 30 copies of the data span three query chunks, and each copy gets
+        # the values of the one-chunk grid
+        tiled = export_eigenvectors(ds, GaussianKernel(1.0), p=15, mu=0.1, count=5,
+                                    grid=np.tile(ds.inputs, (30, 1)))
+        assert np.abs(tiled.reshape(30, 40, 5) - vals).max() <= 1e-12 * np.abs(vals).max()
         for j in range(5):
             col = vals[:, j]
             nz = np.flatnonzero(np.abs(col) > 1e-12 * np.abs(col).max())

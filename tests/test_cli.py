@@ -277,6 +277,7 @@ class TestBenchFlags:
         ["--mu", "abc"],
         ["--n-grid", "10,x"],
         ["--dense-cap", "0", "--method", "exact"],
+        ["--mu", "0", "--method", "exact"],
     ])
     def test_bad_value_exits_2_without_records(self, tmp_path, flags):
         rec = tmp_path / "rec.csv"

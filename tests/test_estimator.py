@@ -1,9 +1,13 @@
+import importlib.util
 import json
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from kerlap import estimator
 from kerlap.bench import generate_instance, preset
 from kerlap.errors import InvalidArgumentError
 from kerlap.estimator import (
@@ -115,6 +119,26 @@ class TestFit:
         assert kept.size == len(grid) == np.unique(X[kept], axis=0).shape[0]
         assert dec.jitter == 0.0
         assert dec.eigenvectors.shape == (len(grid), len(grid))
+
+    def test_traced_pruned_fit_assembles_inside_the_fit(self, monkeypatch):
+        # the benchmark's tracer (perfbench/spans.py, loaded read-only) sees
+        # one operators.assemble span, with its bundle size, inside a fit
+        # whose draw is pruned
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+        module_spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+        spans = importlib.util.module_from_spec(module_spec)
+        monkeypatch.setitem(sys.modules, "perfbench_spans", spans)
+        module_spec.loader.exec_module(spans)
+        grid = np.array([[i, j] for i in range(4) for j in range(3)], dtype=float) * 1.5
+        X = np.repeat(grid, 3, axis=0)
+        ds = SemiDataset(X, np.linspace(-1.0, 1.0, 6))
+        with spans.Tracer() as tracer:
+            model = estimator.fit(ds, GaussianKernel(0.7), X.shape[0], 0.1, TIK, 0)
+        assert model.coefficients.size == len(grid)
+        assembled = [s for s in tracer.spans if s.name == "operators.assemble"]
+        assert len(assembled) == 1
+        assert tracer.spans[assembled[0].parent].name == "estimator.fit"
+        assert assembled[0].attrs["bundle_mb"] > 0
 
     def test_label_linearity(self):
         rng = np.random.default_rng(2)

@@ -16,7 +16,7 @@ from kerlap.operators import (
     prune_landmarks,
     save_dataset_csv,
     select_landmarks,
-    whitened_pencil,
+    whiten,
 )
 
 
@@ -327,7 +327,7 @@ class TestPruneAndWhiten:
     @pytest.mark.parametrize("over_labeled", [False, True])
     def test_whitened_pencil_is_congruent_to_assembled(self, over_labeled):
         # duplicated rows make the drawn Gram singular, while the kept one is
-        # well-conditioned: then L A~ L^T = A, L B~ L^T = B and b is unchanged
+        # well-conditioned: then L A~ L^T = A and L B~ L^T = B
         grid = np.array([[i, j] for i in range(3) for j in range(3)], dtype=float)
         rng = np.random.default_rng(24)
         X = np.vstack([np.repeat(grid, 2, axis=0), rng.uniform(0, 2, (10, 2))])
@@ -335,19 +335,13 @@ class TestPruneAndWhiten:
         k, mu = GaussianKernel(0.6), 0.3
         kept, L = prune_landmarks(ds, k, np.arange(18))
         assert kept.size == 9
-        A, B, b = whitened_pencil(ds, k, kept, L, mu, sigma_over_labeled=over_labeled)
         bun = assemble(ds, k, kept, mu, sigma_over_labeled=over_labeled)
+        rows = bun.knp[: ds.n_labeled] if over_labeled else bun.knp
+        A, B = whiten(rows, bun.B.copy(), L)
         assert np.abs(L @ A @ L.T - bun.A).max() <= 1e-12 * np.abs(bun.A).max()
         assert np.abs(L @ B @ L.T - bun.B).max() <= 1e-12 * np.abs(bun.B).max()
-        assert np.array_equal(B, B.T) and np.array_equal(b, bun.b)
+        assert np.array_equal(B, B.T)
         assert np.linalg.eigvalsh(B).min() >= mu * (1 - 1e-12)
-
-    def test_whitened_mu_validation(self):
-        ds = SemiDataset(inputs=np.zeros((3, 1)), labels=[1.0])
-        kept, L = prune_landmarks(ds, GaussianKernel(1.0), np.arange(3))
-        assert kept.size == 1
-        with pytest.raises(InvalidArgumentError, match="mu"):
-            whitened_pencil(ds, GaussianKernel(1.0), kept, L, -1.0)
 
 
 class TestAssembleDense:
@@ -428,10 +422,12 @@ class TestAssembleDense:
         with pytest.raises(ResourceLimitError, match="landmark"):
             assemble_dense(ds, GaussianKernel(1.0), mu=0.1, dense_cap=10)
 
-    def test_mu_zero_allowed(self):
+    def test_mu_zero_refused(self):
+        # at mu = 0 the dense B = psi^T psi / n has rank <= n d < n (d + 1),
+        # so no pencil it gives is definite
         ds = SemiDataset(inputs=[[0.0], [1.0]], labels=[1.0])
-        bun = assemble_dense(ds, GaussianKernel(1.0), mu=0.0)
-        assert np.allclose(bun.B, bun.znp.T @ bun.znp / 2, atol=1e-14)
+        with pytest.raises(InvalidArgumentError, match="mu"):
+            assemble_dense(ds, GaussianKernel(1.0), mu=0.0)
 
 
 class TestCsv:
