@@ -393,7 +393,7 @@ def export_eigenvectors(
     values = _kernel_expansion(kernel, grid, ds.inputs[kept], dec.eigenvectors[:, :count])
     for j in range(count):
         col = values[:, j]
-        nz = np.flatnonzero(np.abs(col) > 1e-12 * max(np.abs(col).max(), 1e-300))
+        nz = np.flatnonzero(np.abs(col) > 1e-12 * np.abs(col).max(initial=1e-300))
         if nz.size and col[nz[0]] < 0:
             values[:, j] = -col
 

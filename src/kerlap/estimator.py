@@ -28,14 +28,16 @@ from .errors import InvalidArgumentError, SingularPencilError, integer, real
 from .filters import FilterSpec, filter_coefficients
 from .kernel import GaussianKernel
 from .operators import (
-    DEFAULT_DENSE_CAP, SemiDataset, assemble, assemble_dense, prune_landmarks, select_landmarks,
-    whiten,
+    _CHUNK_BUDGET, DEFAULT_DENSE_CAP, SemiDataset, assemble, assemble_dense, prune_landmarks,
+    select_landmarks, whiten,
 )
 from .pencil import PencilDecomposition, gevd, pencil_solve
 
 LANDMARK_KERNEL = "landmark_kernel"
 DENSE_REPRESENTER = "dense_representer"
 
+# queries per chunk of a dense model's prediction, whose derivative features
+# go through the kernel's (m, chunk, d) coordinate-difference array
 _QUERY_CHUNK = 512
 
 
@@ -248,11 +250,12 @@ def predict(model: FittedModel, queries: np.ndarray) -> np.ndarray:
 def _kernel_expansion(
     kernel: GaussianKernel, queries: np.ndarray, coords: np.ndarray, coef: np.ndarray
 ) -> np.ndarray:
-    """k(queries, coords) @ coef, in row chunks of ``_QUERY_CHUNK`` queries so
-    that the kernel's (chunk, m, d) difference array stays small."""
+    """k(queries, coords) @ coef, in row chunks sized like the assembly's, so
+    that each (chunk, m) block of kernel values stays small."""
     out = np.empty((queries.shape[0],) + coef.shape[1:])
-    for start in range(0, queries.shape[0], _QUERY_CHUNK):
-        stop = min(queries.shape[0], start + _QUERY_CHUNK)
+    chunk = max(1, _CHUNK_BUDGET // coords.shape[0])
+    for start in range(0, queries.shape[0], chunk):
+        stop = min(queries.shape[0], start + chunk)
         out[start:stop] = kernel.gram(queries[start:stop], coords) @ coef
     return out
 

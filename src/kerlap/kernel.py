@@ -9,12 +9,18 @@ one per argument).  ``gram_with_sqdist`` also returns the squared distances
 the kernel values are made from, for the landmark assembly of the
 Dirichlet-energy matrix.  A single pair is a batch of one row each.
 
-Squared distances are plain sums of squared coordinate differences for
-every input dimension, rather than the Gram expansion ||x||^2 + ||z||^2 -
-2<x, z>, which cancels badly for nearby points.  The terms are
-non-negative, so the summation is well-conditioned and needs no
-compensation (Higham, *Accuracy and Stability of Numerical Algorithms*,
-ch. 4).  Every form holds the (n, m, d) coordinate-difference array.
+Squared distances come from the expansion ||x||^2 + ||z||^2 - 2<x, z>, with
+X Z^T as one BLAS matrix product, so no (n, m, d) array is formed.  The
+expansion cancels where two points are close to each other but far from
+the origin: its rounding error is a few eps (||x||^2 + ||z||^2), not eps
+||x - z||^2 (Higham, *Accuracy and Stability of Numerical Algorithms*,
+ch. 3-4).  Two things keep it accurate.  Both sides are centred on the
+mean of the second argument, which removes a common offset.  And a guard
+sums the squared coordinate differences (non-negative terms, so a
+well-conditioned sum) for every entry that is small against that rounding
+bound, as within two clusters far apart; coincident points then get
+exactly 0.  Only the derivative forms, which need the differences
+themselves, hold the (n, m, d) coordinate-difference array.
 """
 
 from __future__ import annotations
@@ -22,12 +28,24 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.blas import dgemm
 
 from .errors import InvalidArgumentError, real
 
+# Rounding leaves an expanded squared distance off by c eps (|x|^2 + |z|^2),
+# c a small multiple (at most about 2d + 3; below 6 on d = 2..10 data).  An
+# entry at or below _GUARD (|x|^2 + |z|^2) is summed coordinate-wise
+# instead, so every entry kept from the expansion is within 2^8 c eps
+# (about 3e-13 for c = 5) of its coordinate-wise value, relatively.
+_GUARD = 2.0**-8
 
-def _differences(X, Z) -> np.ndarray:
-    """X[i] - Z[j] for all pairs of rows, shape (n, m, d), from validated inputs."""
+# flagged entries are summed coordinate-wise in pieces of at most this many
+# coordinate differences
+_GUARD_PIECE = 1 << 18
+
+
+def _checked(X, Z) -> tuple[np.ndarray, np.ndarray]:
+    """X and Z as float arrays, refused unless 2-d, equal in d and finite."""
     X = np.asarray(X, dtype=float)
     Z = np.asarray(Z, dtype=float)
     if X.ndim != 2 or Z.ndim != 2:
@@ -40,11 +58,58 @@ def _differences(X, Z) -> np.ndarray:
         )
     if not (np.isfinite(X).all() and np.isfinite(Z).all()):
         raise InvalidArgumentError("kernel inputs contain non-finite entries")
+    return X, Z
+
+
+def _differences(X, Z) -> np.ndarray:
+    """X[i] - Z[j] for all pairs of rows, shape (n, m, d), from validated inputs."""
+    X, Z = _checked(X, Z)
     return X[:, None, :] - Z[None, :, :]
 
 
 def _sqdist(diff: np.ndarray) -> np.ndarray:
     return np.einsum("ijk,ijk->ij", diff, diff)
+
+
+def _sqdist_expanded(X, Z) -> np.ndarray:
+    """||X[i] - Z[j]||^2 for all pairs, shape (n, m), with no (n, m, d) array.
+
+    Both sides are centred on the mean of Z, so a row's distances do not
+    depend on the other rows of X it comes with.  The norms are laid out as
+    xn 1^T + 1 zn^T and BLAS ``gemm`` adds -2 Xc Zc^T in place.  Every entry
+    that is non-finite or at most ``_GUARD`` (xn_i + zn_j), negative ones
+    included, is then summed coordinate-wise from X and Z, so the result is
+    non-negative and exactly 0 for coincident rows.
+    """
+    X, Z = _checked(X, Z)
+    if X.size == 0 or Z.size == 0:
+        return np.zeros((X.shape[0], Z.shape[0]))
+    centre = Z.mean(axis=0)
+    Xc = X - centre
+    Zc = Z - centre
+    xn = np.einsum("ij,ij->i", Xc, Xc)
+    zn = np.einsum("ij,ij->i", Zc, Zc)
+    # einsum and gemm never warn; an overflow gives inf or NaN, which the
+    # guard recomputes
+    with np.errstate(over="ignore", invalid="ignore"):
+        # D - _GUARD (xn_i + zn_j) first, so the guard is a sign test and
+        # needs no (n, m) array of bounds
+        D = np.add.outer((1.0 - _GUARD) * xn, (1.0 - _GUARD) * zn)
+        # D.T is the Fortran-order (m, n) array gemm overwrites without a copy
+        D = dgemm(-2.0, Zc.T, Xc.T, beta=1.0, c=D.T, trans_a=1, overwrite_c=1).T
+        kept = np.greater(D, 0.0)
+        D += (_GUARD * xn)[:, None]
+        D += _GUARD * zn
+    flagged = np.flatnonzero(np.logical_not(kept, out=kept))
+    del kept
+    rows, cols = np.divmod(flagged, D.shape[1])
+    step = max(1, _GUARD_PIECE // X.shape[1])
+    for start in range(0, rows.size, step):
+        r, c = rows[start:start + step], cols[start:start + step]
+        diff = X[r]
+        diff -= Z[c]
+        D[r, c] = np.einsum("ij,ij->i", diff, diff)
+    return D
 
 
 @dataclass(frozen=True)
@@ -75,7 +140,8 @@ class GaussianKernel:
 
     def gram(self, X: np.ndarray, Z: np.ndarray) -> np.ndarray:
         """k(X[i], Z[j]) for all pairs, shape (n, m)."""
-        return self._from_sqdist(_sqdist(_differences(X, Z)))
+        sq = _sqdist_expanded(X, Z)
+        return self._from_sqdist(sq, out=sq)
 
     def gram_with_sqdist(
         self, X: np.ndarray, Z: np.ndarray, out: np.ndarray | None = None
@@ -84,7 +150,7 @@ class GaussianKernel:
 
         The kernel values are written into ``out`` when it is given.
         """
-        sq = _sqdist(_differences(X, Z))
+        sq = _sqdist_expanded(X, Z)
         return self._from_sqdist(sq, out=out), sq
 
     def grad1_gram(self, X: np.ndarray, Z: np.ndarray) -> np.ndarray:

@@ -23,10 +23,12 @@ the dot products into squared distances:
 
 with D the (n x p) data-to-landmark squared distances that K = exp(-D /
 2 sigma^2) is made from, P = K o D, and Q the landmark-to-landmark squared
-distances (the rows of D at the landmark indices).  Every input is a
-coordinate-wise distance, so nothing cancels for data far from the origin.
-K^T K is shared with A; the work is O(n p d) for D plus O(n p^2) for the
-products, and the memory O(n p) plus one row chunk of differences.
+distances (the rows of D at the landmark indices).  The kernel forms D by
+one matrix product per row chunk and sums coordinate-wise the entries where
+that product would cancel (see ``kernel``), so every distance is accurate
+for data far from the origin.  K^T K is shared with A; the work is O(n p d)
+for D plus O(n p^2) for the products, all in BLAS, and the memory O(n p)
+plus one row chunk of distances.
 
 Before assembly, ``prune_landmarks`` drops the drawn landmarks whose kernel
 functions are numerically dependent on the others (a pivoted Cholesky of
@@ -47,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_triangular
-from scipy.linalg.blas import dgemm, dsyrk
+from scipy.linalg.blas import dgemm, dgemv, dsyrk
 from scipy.linalg.lapack import dpstrf, dsygst
 
 from .errors import (
@@ -57,9 +59,12 @@ from .kernel import GaussianKernel
 
 DEFAULT_DENSE_CAP = 2000
 
-# rows per chunk are sized so the (chunk, p, d) coordinate-difference array
-# behind a chunk of squared distances stays small
-_CHUNK_BUDGET = 2_000_000
+# rows per chunk are sized so that a chunk's (chunk, p) squared distances
+# stay near 4 MB
+_CHUNK_BUDGET = 1 << 19
+
+# side of the square tiles in which _gram_of_rows mirrors a triangle
+_TILE = 128
 
 # pivoted Cholesky stopping tolerance on the landmark Gram; the Gaussian Gram
 # has a unit diagonal, so this is relative to its largest pivot
@@ -165,7 +170,7 @@ def assemble(
     """
     mu = real("mu", mu)
     X = ds.inputs
-    n, d = X.shape
+    n = X.shape[0]
     idx = np.asarray(landmarks)
     if idx.ndim != 1 or idx.size < 1 or idx.dtype.kind not in "iu":
         raise InvalidArgumentError(
@@ -181,7 +186,7 @@ def assemble(
     p = idx.size
     coords = X[idx]
 
-    chunk = max(1, _CHUNK_BUDGET // max(1, p * d))
+    chunk = max(1, _CHUNK_BUDGET // p)
     knp = np.empty((n, p))
     q = np.empty((p, p))
     pk = np.zeros((p, p), order="F")  # P^T K
@@ -227,8 +232,13 @@ def _gram_of_rows(a: np.ndarray) -> np.ndarray:
     """
     m = a.shape[0]
     c = dsyrk(1.0, a, c=np.zeros((m, m), order="F"), overwrite_c=1)  # upper triangle
-    c += c.T  # the lower triangle is 0, so only the diagonal is doubled
-    c.flat[:: m + 1] /= 2.0
+    # mirror it tile by tile: a transposed pass over the whole array strides
+    # through memory, and took three times as long at m = 1100 (2-core x86)
+    for i in range(0, m, _TILE):
+        diagonal = c[i:i + _TILE, i:i + _TILE]
+        diagonal += np.triu(diagonal, 1).T
+        for j in range(i + _TILE, m, _TILE):
+            c[j:j + _TILE, i:i + _TILE] = c[i:i + _TILE, j:j + _TILE].T
     return c
 
 
@@ -248,9 +258,9 @@ def prune_landmarks(
     pencil's numerical null space.  Work is O(p^2 d) for the Gram plus O(p^2 r).
     """
     coords = ds.inputs[landmarks]
-    p, d = coords.shape
+    p = coords.shape[0]
     kpp = np.empty((p, p))
-    chunk = max(1, _CHUNK_BUDGET // max(1, p * d))
+    chunk = max(1, _CHUNK_BUDGET // p)
     for start in range(0, p, chunk):
         stop = min(p, start + chunk)
         kernel.gram_with_sqdist(coords[start:stop], coords, out=kpp[start:stop])
@@ -329,10 +339,11 @@ def assemble_dense(
     phi = gram[:n]  # <k_{X_i}, basis_a>, rows over points
     psi = gram[n:]  # <d_j k_{X_l}, basis_a>, rows over (l, j)
 
+    # the products run on scipy's BLAS, which pencil_solve and gevd use next
     n_l = ds.n_labeled
-    A = phi[:n_l].T @ phi[:n_l] / n_l
-    B = psi.T @ psi / n + mu * gram
-    b = phi[:n_l].T @ y / n_l
+    A = _gram_of_rows(phi[:n_l].T) / n_l
+    B = _gram_of_rows(psi.T) / n + mu * gram
+    b = dgemv(1.0 / n_l, phi[:n_l].T, y)
     return OperatorBundle(knp=phi, znp=psi, A=A, B=B, b=b, kpp=gram)
 
 

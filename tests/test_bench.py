@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from kerlap import estimator
 from kerlap.bench import (
     METHODS,
     PRESETS,
@@ -222,12 +223,13 @@ class TestExportEigenvectors:
         lines = path.read_text().strip().splitlines()
         assert lines == ["x0,x1"]
 
-    def test_sign_convention(self):
+    def test_sign_convention(self, monkeypatch):
         ds = gen_gaussian_mix(GaussianMixSpec(n=40, n_labeled=4, d=2, seed=1))
         vals = export_eigenvectors(ds, GaussianKernel(1.0), p=15, mu=0.1, count=5,
                                    grid=ds.inputs)
-        # 30 copies of the data span three query chunks, and each copy gets
-        # the values of the one-chunk grid
+        # at 400-row query chunks (15 landmarks), 30 copies of the data span
+        # three chunks, and each copy gets the values of the one-chunk grid
+        monkeypatch.setattr(estimator, "_CHUNK_BUDGET", 400 * 15)
         tiled = export_eigenvectors(ds, GaussianKernel(1.0), p=15, mu=0.1, count=5,
                                     grid=np.tile(ds.inputs, (30, 1)))
         assert np.abs(tiled.reshape(30, 40, 5) - vals).max() <= 1e-12 * np.abs(vals).max()
@@ -235,6 +237,15 @@ class TestExportEigenvectors:
             col = vals[:, j]
             nz = np.flatnonzero(np.abs(col) > 1e-12 * np.abs(col).max())
             assert col[nz[0]] > 0
+
+    def test_empty_grid(self, tmp_path):
+        # like predict on 0 queries: a (0, count) array, and a header-only CSV
+        ds = gen_gaussian_mix(GaussianMixSpec(n=30, n_labeled=3, d=2, seed=0))
+        path = tmp_path / "eig.csv"
+        out = export_eigenvectors(ds, GaussianKernel(1.0), p=10, mu=0.1, count=3,
+                                  grid=np.zeros((0, 2)), path=path)
+        assert out.shape == (0, 3)
+        assert path.read_text().strip().splitlines() == ["x0,x1,e1,e2,e3"]
 
     def test_csv_shape(self, tmp_path):
         ds = gen_circles(CirclesSpec(n=60, n_labeled=4, seed=2))

@@ -7,7 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kerlap import estimator
+from kerlap import estimator, kernel as kernel_module
+from kerlap.baselines import GraphConfig, harmonic_propagate, krr_fit
 from kerlap.bench import generate_instance, preset
 from kerlap.errors import InvalidArgumentError
 from kerlap.estimator import (
@@ -253,6 +254,34 @@ class TestPredict:
         assert predict(m, np.array([[0.0]]))[0] == 2.0
         m2 = FittedModel(GaussianKernel(1.0), [[0.0]], [-5.0], LANDMARK_KERNEL, clip_bound=2.0)
         assert predict(m2, np.array([[0.0]]))[0] == -2.0
+
+
+class TestDistanceExpansionPath:
+    def test_no_coordinate_difference_array(self, monkeypatch):
+        # a fit (of a full-rank and of a pruned draw), a landmark model's
+        # predictions and both baselines take every kernel value from the
+        # kernel's distance expansion; only the dense oracle's derivative
+        # forms build the (rows, m, d) coordinate-difference array
+        def refuse(X, Z):
+            raise AssertionError("coordinate-difference array built")
+
+        monkeypatch.setattr(kernel_module, "_differences", refuse)
+        rng = np.random.default_rng(30)
+        X = rng.standard_normal((60, 3))
+        k = GaussianKernel(0.8)
+        with pytest.raises(AssertionError, match="difference array"):
+            k.grad1_gram(X, X)
+        ds = SemiDataset(X, rng.standard_normal(10))
+        model = fit(ds, k, 20, 0.1, TIK, seed=1)
+        assert model.coefficients.size == 20
+        # 30 points twice each: a draw of 40 holds duplicates, which are pruned
+        twice = SemiDataset(np.repeat(X[:30], 2, axis=0), rng.standard_normal(10))
+        assert fit(twice, k, 40, 0.1, TIK, seed=2).coefficients.size < 40
+        Q = rng.standard_normal((25, 3))
+        assert np.all(np.isfinite(predict(model, Q)))
+        ridge = krr_fit(X[:10], ds.labels, k, 0.1)
+        assert np.all(np.isfinite(predict(ridge, Q)))
+        assert np.all(np.isfinite(harmonic_propagate(ds, GraphConfig(0.8)).values))
 
 
 class TestDecodeSign:

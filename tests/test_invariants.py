@@ -3,20 +3,25 @@
 The Gaussian kernel depends on the inputs only through their pairwise
 distances, so translating or rotating the data and the queries together
 leaves the fitted predictions unchanged; and the fit is a linear map of the
-labels (Cabannes, Pillaud-Vivien, Bach & Rudi, arXiv 2009.04324).  Both hold
+labels (Cabannes, Pillaud-Vivien, Bach & Rudi, arXiv 2009.04324).  The
+unlabeled rows are an unordered sample, so permuting them, with the drawn
+landmark indices following their rows, changes nothing either.  All hold
 to rounding while the pencil is well-conditioned: the drawn problems keep
 d >= 2 and p <= 10, where cond(B) stayed below 2e5 over 1000 scratch draws.
 With many landmarks on 1-d data, Kpp is numerically singular and rounding in
 the coordinates moves the predictions far beyond 1e-10 (see CHANGES.md).
 """
 
+from unittest import mock
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from kerlap import estimator, operators
 from kerlap.estimator import fit, predict
 from kerlap.filters import FilterSpec
 from kerlap.kernel import GaussianKernel
-from kerlap.operators import SemiDataset
+from kerlap.operators import SemiDataset, select_landmarks
 
 RTOL = 1e-10
 
@@ -77,3 +82,19 @@ def test_label_linearity(prob, a):
     y2 = rng.standard_normal(y.size)
     expected = _fit_predict(prob, X, y, Q) + a * _fit_predict(prob, X, y2, Q)
     assert _rel(_fit_predict(prob, X, y + a * y2, Q), expected) <= RTOL
+
+
+@invariant_settings
+@given(problems, st.integers(1, 40))
+def test_unlabeled_permutation_invariance(prob, chunk_rows):
+    # the permuted fit runs in chunk_rows-row chunks, so rows change chunks too
+    rng, X, y, Q = _draw(prob)
+    n, n_l = X.shape[0], y.size
+    order = np.concatenate([np.arange(n_l), n_l + rng.permutation(n - n_l)])
+    position = np.argsort(order)  # row i of X is row position[i] of X[order]
+    drawn = select_landmarks(SemiDataset(X, y), prob["p"], prob["seed"])
+    base = _fit_predict(prob, X, y, Q)
+    with mock.patch.object(estimator, "select_landmarks", lambda ds, p, seed: position[drawn]), \
+            mock.patch.object(operators, "_CHUNK_BUDGET", chunk_rows * prob["p"]):
+        permuted = _fit_predict(prob, X[order], y, Q)
+    assert _rel(permuted, base) <= RTOL

@@ -201,8 +201,35 @@ class TestGram:
         assert np.allclose(D, ((X[:, None, :] - Z[None, :, :]) ** 2).sum(axis=2), rtol=1e-15, atol=0)
         assert np.array_equal(K, np.exp(-D / (2.0 * 0.7**2)))
 
+    @pytest.mark.parametrize("case", ["duplicates", "offset 1e8", "two clusters 1e6"])
+    def test_gram_with_sqdist_on_hostile_inputs(self, case):
+        # the distances come from an expansion in the norms and X Z^T; where
+        # that cancels, the kernel's guard sums them coordinate-wise, so
+        # coincident pairs give D = 0 and k = 1 exactly and every other entry
+        # is within 1e-12 of the coordinate-wise sum, relatively (the guard
+        # keeps expanded entries within about 3e-13)
+        rng = np.random.default_rng(7)
+        X = rng.standard_normal((40, 3))
+        if case == "duplicates":
+            X = np.repeat(X[:10], 4, axis=0)
+        elif case == "offset 1e8":
+            X += 1e8
+        else:
+            X[:20] += 1e6
+            X[20:] -= 1e6
+        Z = X[rng.permutation(40)[:15]]
+        k = GaussianKernel(0.9)
+        K, D = k.gram_with_sqdist(X, Z)
+        exact = ((X[:, None, :] - Z[None, :, :]) ** 2).sum(axis=2)
+        coincident = (X[:, None, :] == Z[None, :, :]).all(axis=2)
+        assert coincident.sum() >= 15
+        assert np.all(D[coincident] == 0.0) and np.all(K[coincident] == 1.0)
+        far = ~coincident
+        assert np.all(np.abs(D[far] - exact[far]) <= 1e-12 * exact[far])
+        assert np.array_equal(K, np.exp(-D / (2.0 * 0.9**2)))
+
     def test_compensated_high_dimension(self):
-        # at d = 100 the plain sum of non-negative squares must agree with fsum
+        # at d = 100 the kernel values must agree with those of an fsum distance
         rng = np.random.default_rng(5)
         k = GaussianKernel(3.0)
         X, Z = rng.standard_normal((4, 100)), rng.standard_normal((3, 100))

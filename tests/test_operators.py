@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dpstrf
 
 from kerlap.errors import (
     InvalidArgumentError,
@@ -156,7 +157,7 @@ class TestAssemble:
         kpp = k.gram(ds.inputs[lm], ds.inputs[lm])
         expected = znp.T @ znp / n + mu * kpp
         single = assemble(ds, k, lm, mu)
-        monkeypatch.setattr(operators, "_CHUNK_BUDGET", 4 * p * d)
+        monkeypatch.setattr(operators, "_CHUNK_BUDGET", 4 * p)
         chunked = assemble(ds, k, lm, mu)
         for bun in (single, chunked):
             assert bun.znp is None
@@ -165,8 +166,8 @@ class TestAssemble:
         assert np.allclose(chunked.b, single.b, rtol=0.0, atol=1e-15)
 
     @pytest.mark.parametrize(
-        "case", ["offset 1e6", "duplicates", "d 100", "sigma 1e-3", "sigma 1e3",
-                 "sigma over labeled", "4-row chunks"])
+        "case", ["offset 1e6", "two clusters 1e6", "duplicates", "d 100", "sigma 1e-3",
+                 "sigma 1e3", "sigma over labeled", "4-row chunks"])
     def test_b_matches_explicit_product_on_hostile_inputs(self, case, monkeypatch):
         # B is built from K and squared distances (polarization identity);
         # compare it with Znp^T Znp / n + mu Kpp from grad1_gram, and the
@@ -176,6 +177,11 @@ class TestAssemble:
         X = rng.standard_normal((n, d))
         if case == "offset 1e6":
             X += 1e6
+        elif case == "two clusters 1e6":
+            # centring on the landmark mean leaves both clusters ~1e6 away,
+            # so the kernel's distance expansion cancels within each
+            X[: n // 2] += 1e6
+            X[n // 2:] -= 1e6
         elif case == "duplicates":
             X = np.repeat(X[:10], 4, axis=0)
         elif case == "d 100":
@@ -185,7 +191,7 @@ class TestAssemble:
         elif case == "sigma 1e3":
             sigma = 1e3
         elif case == "4-row chunks":
-            monkeypatch.setattr(operators, "_CHUNK_BUDGET", 4 * p * d)
+            monkeypatch.setattr(operators, "_CHUNK_BUDGET", 4 * p)
         ds = SemiDataset(inputs=X, labels=rng.standard_normal(6))
         lm = select_landmarks(ds, p, seed=12)
         k = GaussianKernel(sigma)
@@ -323,6 +329,30 @@ class TestPruneAndWhiten:
         assert L.shape == (r, r) and np.array_equal(L, np.tril(L))
         M = ds.inputs[kept]
         assert np.abs(L @ L.T - k.gram(M, M)).max() <= 1e-12
+
+    @pytest.mark.parametrize("case", ["gaussian", "offset 1e8", "two clusters 1e6", "duplicates"])
+    def test_gram_diagonal_is_exactly_one_into_pstrf(self, case, monkeypatch):
+        # PRUNE_TOL is relative to a unit diagonal, so the kernel's distance
+        # expansion must give exactly 0 on every landmark's own pair
+        rng = np.random.default_rng(25)
+        X = rng.standard_normal((30, 3))
+        if case == "offset 1e8":
+            X += 1e8
+        elif case == "two clusters 1e6":
+            X[:15] += 1e6
+            X[15:] -= 1e6
+        elif case == "duplicates":
+            X = np.repeat(X[:10], 3, axis=0)
+        diagonals = []
+
+        def recording_dpstrf(a, **kwargs):
+            diagonals.append(np.diag(a).copy())
+            return dpstrf(a, **kwargs)
+
+        monkeypatch.setattr(operators, "dpstrf", recording_dpstrf)
+        ds = SemiDataset(inputs=X, labels=[1.0])
+        prune_landmarks(ds, GaussianKernel(0.7), np.arange(30))
+        assert len(diagonals) == 1 and np.array_equal(diagonals[0], np.ones(30))
 
     @pytest.mark.parametrize("over_labeled", [False, True])
     def test_whitened_pencil_is_congruent_to_assembled(self, over_labeled):
