@@ -6,9 +6,9 @@ The landmark fit runs:  select landmarks -> prune them by a pivoted
 Cholesky of their Gram Kpp -> assemble (A, B, b) over the kept ones ->
 generalized eigendecomposition of (A, B) -> spectral filtering of b,
 producing coefficients c that define g(x) = sum_i c_i k(x, M_i).  When the
-pruning drops landmarks, the assembled pencil is whitened by the Cholesky
-factor of the kept Kpp before the eigendecomposition, which keeps it
-well-conditioned however redundant the draw was.
+pruning drops landmarks, the pencil is assembled whitened by the Cholesky
+factor of the kept Kpp, which keeps it well-conditioned however redundant
+the draw was.
 
 The dense oracle minimizes the regularized empirical risk over the full
 n*(d+1) representer basis by a direct solve of (A + lam*B) c = b and is the
@@ -29,7 +29,7 @@ from .filters import FilterSpec, filter_coefficients
 from .kernel import GaussianKernel
 from .operators import (
     _CHUNK_BUDGET, DEFAULT_DENSE_CAP, SemiDataset, assemble, assemble_dense, prune_landmarks,
-    select_landmarks, whiten,
+    select_landmarks,
 )
 from .pencil import PencilDecomposition, gevd, pencil_solve
 
@@ -135,8 +135,9 @@ def fit(
 
     Work is O(p^2 d) for the landmark Gram, O(p^2 r) for its pivoted
     Cholesky, O(n r d + n r^2) for the assembly over the r <= p landmarks it
-    keeps and O(r^3) for the eigensolve; memory is O(n r + p^2).  The model
-    stores one coefficient per kept landmark.
+    keeps and O(r^3) for the eigensolve; memory is O(p^2 + chunk p), with
+    row chunks of about 2^19 / p rows.  The model stores one coefficient
+    per kept landmark.
     """
     kept, dec, b = _landmark_decomposition(ds, kernel, p, mu, seed, sigma_over_labeled)
     coef = filter_coefficients(dec, filter_spec, b)
@@ -162,21 +163,19 @@ def _landmark_decomposition(
 
     ``assemble`` builds the pencil over the kept landmarks.  When the drawn
     landmarks' Gram has full numerical rank, the kept ones are the draw as it
-    stands and ``gevd`` runs on that pencil.  Otherwise ``whiten`` reduces it
-    by the kept Gram's Cholesky factor L before ``gevd``, and the eigenvectors
-    are mapped back by L^-T, so they are generalized eigenvectors of the kept
+    stands and ``gevd`` runs on that pencil.  Otherwise ``assemble`` whitens
+    it by the kept Gram's Cholesky factor L, and the eigenvectors are mapped
+    back by L^-T, so they are generalized eigenvectors of the kept
     landmarks' pencil either way.
     """
     landmarks = select_landmarks(ds, p, seed)
     kept, factor = prune_landmarks(ds, kernel, landmarks)
-    bundle = assemble(ds, kernel, kept, mu, sigma_over_labeled=sigma_over_labeled)
-    if factor is None:
-        return kept, gevd(bundle.A, bundle.B), bundle.b
-    knp, B, b = bundle.knp, bundle.B, bundle.b
-    del bundle  # A and Kpp are freed before whiten forms Phi
-    A, B = whiten(knp[: ds.n_labeled if sigma_over_labeled else ds.n], B, factor)
-    del knp
+    bundle = assemble(ds, kernel, kept, mu, sigma_over_labeled=sigma_over_labeled, factor=factor)
+    A, B, b = bundle.A, bundle.B, bundle.b
+    del bundle  # Kpp is freed before the eigensolve
     dec = gevd(A, B)
+    if factor is None:
+        return kept, dec, b
     V = solve_triangular(factor, dec.eigenvectors, lower=True, trans="T", check_finite=False)
     return kept, PencilDecomposition(dec.eigenvalues, V, dec.jitter), b
 
@@ -251,12 +250,16 @@ def _kernel_expansion(
     kernel: GaussianKernel, queries: np.ndarray, coords: np.ndarray, coef: np.ndarray
 ) -> np.ndarray:
     """k(queries, coords) @ coef, in row chunks sized like the assembly's, so
-    that each (chunk, m) block of kernel values stays small."""
-    out = np.empty((queries.shape[0],) + coef.shape[1:])
-    chunk = max(1, _CHUNK_BUDGET // coords.shape[0])
-    for start in range(0, queries.shape[0], chunk):
-        stop = min(queries.shape[0], start + chunk)
-        out[start:stop] = kernel.gram(queries[start:stop], coords) @ coef
+    that each (chunk, m) block of kernel values stays small; one block is
+    reused for every chunk."""
+    q = queries.shape[0]
+    out = np.empty((q,) + coef.shape[1:])
+    chunk = max(1, min(q, _CHUNK_BUDGET // coords.shape[0]))
+    block = np.empty((chunk, coords.shape[0]))
+    for start in range(0, q, chunk):
+        stop = min(q, start + chunk)
+        np.dot(kernel.gram(queries[start:stop], coords, _sq=block[:stop - start]), coef,
+               out=out[start:stop])
     return out
 
 

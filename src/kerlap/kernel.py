@@ -25,6 +25,7 @@ themselves, hold the (n, m, d) coordinate-difference array.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +43,14 @@ _GUARD = 2.0**-8
 # flagged entries are summed coordinate-wise in pieces of at most this many
 # coordinate differences
 _GUARD_PIECE = 1 << 18
+
+# Kernel values below 2^-500 are flushed to exactly 0.  A product of two of
+# them is subnormal, and BLAS runs on subnormal operands through microcode
+# assists: a dsyrk of fig1's 2000 x 727 K (18.7% of its entries below
+# 1e-154) took 0.107 s, and 0.021 s with those entries zeroed, which changed
+# K^T K by 0.0 (2-core x86).  exp of the clamped exponent is exactly _FLUSH.
+_FLUSH_EXPONENT = -500.0 * math.log(2.0)
+_FLUSH = math.exp(_FLUSH_EXPONENT)
 
 
 def _checked(X, Z) -> tuple[np.ndarray, np.ndarray]:
@@ -71,7 +80,7 @@ def _sqdist(diff: np.ndarray) -> np.ndarray:
     return np.einsum("ijk,ijk->ij", diff, diff)
 
 
-def _sqdist_expanded(X, Z) -> np.ndarray:
+def _sqdist_expanded(X, Z, out: np.ndarray | None = None) -> np.ndarray:
     """||X[i] - Z[j]||^2 for all pairs, shape (n, m), with no (n, m, d) array.
 
     Both sides are centred on the mean of Z, so a row's distances do not
@@ -79,7 +88,9 @@ def _sqdist_expanded(X, Z) -> np.ndarray:
     xn 1^T + 1 zn^T and BLAS ``gemm`` adds -2 Xc Zc^T in place.  Every entry
     that is non-finite or at most ``_GUARD`` (xn_i + zn_j), negative ones
     included, is then summed coordinate-wise from X and Z, so the result is
-    non-negative and exactly 0 for coincident rows.
+    non-negative and exactly 0 for coincident rows.  The distances are
+    written into ``out`` when it is given, a C-contiguous (n, m) array that
+    a chunked caller reuses from one chunk to the next.
     """
     X, Z = _checked(X, Z)
     if X.size == 0 or Z.size == 0:
@@ -94,7 +105,7 @@ def _sqdist_expanded(X, Z) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         # D - _GUARD (xn_i + zn_j) first, so the guard is a sign test and
         # needs no (n, m) array of bounds
-        D = np.add.outer((1.0 - _GUARD) * xn, (1.0 - _GUARD) * zn)
+        D = np.add.outer((1.0 - _GUARD) * xn, (1.0 - _GUARD) * zn, out=out)
         # D.T is the Fortran-order (m, n) array gemm overwrites without a copy
         D = dgemm(-2.0, Zc.T, Xc.T, beta=1.0, c=D.T, trans_a=1, overwrite_c=1).T
         kept = np.greater(D, 0.0)
@@ -122,10 +133,11 @@ class GaussianKernel:
         d^2 k / dx_i dy_j   = -(x_i - y_i)(x_j - y_j) / sigma^4 * k(x, y)   (i != j)
         d^2 k / dx_i dy_i   = (1/sigma^2 - (x_i - y_i)^2 / sigma^4) * k(x, y)
 
-    exp of large negative arguments underflows to 0.0 silently; this is
-    harmless for positive semi-definiteness.  A squared distance that
-    overflows to inf likewise gives a kernel value of 0.0.  Inputs that are
-    not 2-d, disagree in d or hold a non-finite entry raise
+    Kernel values below 2^-500 (squared distances beyond about 693 sigma^2)
+    are flushed to exactly 0.0, so no product of two of them is subnormal;
+    this is harmless for positive semi-definiteness.  A squared distance
+    that overflows to inf likewise gives a kernel value of 0.0.  Inputs
+    that are not 2-d, disagree in d or hold a non-finite entry raise
     ``InvalidArgumentError``.
     """
 
@@ -136,21 +148,35 @@ class GaussianKernel:
 
     def _from_sqdist(self, sq: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         out = np.divide(sq, -2.0 * self.sigma**2, out=out)
-        return np.exp(out, out=out)
+        # clamped, the exponent never takes exp into the subnormal range, and
+        # every value at the floor is exactly _FLUSH; a masked store of -inf
+        # before exp took ten times as long.  The minimum costs a fifth of
+        # the zeroing pass, which most blocks of a wide kernel do not need.
+        np.maximum(out, _FLUSH_EXPONENT, out=out)
+        np.exp(out, out=out)
+        if out.min(initial=1.0) == _FLUSH:
+            np.multiply(out, out > _FLUSH, out=out)
+        return out
 
-    def gram(self, X: np.ndarray, Z: np.ndarray) -> np.ndarray:
-        """k(X[i], Z[j]) for all pairs, shape (n, m)."""
-        sq = _sqdist_expanded(X, Z)
+    def gram(self, X: np.ndarray, Z: np.ndarray, *, _sq: np.ndarray | None = None) -> np.ndarray:
+        """k(X[i], Z[j]) for all pairs, shape (n, m).
+
+        A chunked caller passes one C-contiguous (n, m) array ``_sq`` for
+        every chunk: the values are computed in it, and it is returned.
+        """
+        sq = _sqdist_expanded(X, Z, out=_sq)
         return self._from_sqdist(sq, out=sq)
 
     def gram_with_sqdist(
-        self, X: np.ndarray, Z: np.ndarray, out: np.ndarray | None = None
+        self, X: np.ndarray, Z: np.ndarray, out: np.ndarray | None = None,
+        *, _sq: np.ndarray | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """``gram(X, Z)`` and the squared distances ||X[i] - Z[j]||^2 behind it.
 
-        The kernel values are written into ``out`` when it is given.
+        The kernel values are written into ``out`` and the distances into
+        ``_sq`` when they are given, as by ``gram``.
         """
-        sq = _sqdist_expanded(X, Z)
+        sq = _sqdist_expanded(X, Z, out=_sq)
         return self._from_sqdist(sq, out=out), sq
 
     def grad1_gram(self, X: np.ndarray, Z: np.ndarray) -> np.ndarray:

@@ -26,15 +26,21 @@ with D the (n x p) data-to-landmark squared distances that K = exp(-D /
 distances (the rows of D at the landmark indices).  The kernel forms D by
 one matrix product per row chunk and sums coordinate-wise the entries where
 that product would cancel (see ``kernel``), so every distance is accurate
-for data far from the origin.  K^T K is shared with A; the work is O(n p d)
-for D plus O(n p^2) for the products, all in BLAS, and the memory O(n p)
-plus one row chunk of distances.
+for data far from the origin.
+
+``assemble`` streams: one loop over row chunks of the data accumulates
+K^T K (BLAS ``syrk``), P^T K, b, the labeled rows' K_l^T K_l when A
+averages over them, and the landmark rows of D and K (Q and Kpp).  K^T K is
+shared with A.  The work is O(n p d) for D plus O(n p^2) for the products,
+all in BLAS, and the memory O(p^2) plus one row chunk of distances and
+kernel values; the n x p K is never held (the block-wise products of
+FALKON: Rudi, Carratino & Rosasco, NeurIPS 2017).
 
 Before assembly, ``prune_landmarks`` drops the drawn landmarks whose kernel
 functions are numerically dependent on the others (a pivoted Cholesky of
-Kpp).  When it drops any, the pencil assembled over the kept ones is
-whitened by the Cholesky factor of their Kpp (``whiten``), so that B is
-well-conditioned however redundant the draw was.
+Kpp).  When it drops any, ``assemble`` is given the Cholesky factor L of
+the kept ones' Kpp and whitens the pencil by it in the same loop, so that B
+is well-conditioned however redundant the draw was.
 
 ``assemble_dense`` builds the same objects over the exact n*(d+1)-dimensional
 representer basis {k_{X_i}} + {d_j k_{X_i}} instead of a landmark subset, for
@@ -48,8 +54,7 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
-from scipy.linalg.blas import dgemm, dgemv, dsyrk
+from scipy.linalg.blas import dgemm, dgemv, dsyrk, dtrsm
 from scipy.linalg.lapack import dpstrf, dsygst
 
 from .errors import (
@@ -59,11 +64,11 @@ from .kernel import GaussianKernel
 
 DEFAULT_DENSE_CAP = 2000
 
-# rows per chunk are sized so that a chunk's (chunk, p) squared distances
-# stay near 4 MB
+# rows per chunk are sized so that a chunk's (chunk, p) squared distances,
+# and its kernel values, stay near 4 MB each
 _CHUNK_BUDGET = 1 << 19
 
-# side of the square tiles in which _gram_of_rows mirrors a triangle
+# side of the square tiles in which _mirror_upper mirrors a triangle
 _TILE = 128
 
 # pivoted Cholesky stopping tolerance on the landmark Gram; the Gaussian Gram
@@ -113,16 +118,16 @@ class SemiDataset:
 class OperatorBundle:
     """Compressed empirical operators: pencil matrices (A, B) and moment vector b.
 
-    For landmark assembly ``knp`` holds the kernel evaluation matrix, ``kpp``
-    the landmark Gram block, and ``znp`` is None: the (n*d x p) derivative
-    matrix is never built (see the module docstring).  For dense
+    For landmark assembly ``kpp`` is the landmark Gram block, and ``knp``
+    and ``znp`` are None: neither the n x p kernel matrix nor the (n*d x p)
+    derivative matrix is held (see the module docstring).  For dense
     assembly ``kpp`` is the extended basis Gram and ``knp`` / ``znp`` are its
     row blocks: the point evaluations of the basis and the gradient
-    evaluations with the cross-derivative columns.  The ``znp`` slot stays so
-    that both kinds of bundle share one type.
+    evaluations with the cross-derivative columns.  The ``knp`` and ``znp``
+    slots stay so that both kinds of bundle share one type.
     """
 
-    knp: np.ndarray
+    knp: np.ndarray | None
     znp: np.ndarray | None
     A: np.ndarray
     B: np.ndarray
@@ -154,6 +159,7 @@ def assemble(
     landmarks: np.ndarray,
     mu: float,
     sigma_over_labeled: bool = False,
+    factor: np.ndarray | None = None,
 ) -> OperatorBundle:
     """Build the landmark-compressed operator bundle.
 
@@ -165,12 +171,26 @@ def assemble(
     raises ``NumericalConsistencyError``.
 
     ``sigma_over_labeled`` switches the covariance compression A from the
-    default average over all n points to an average over the labeled points
-    only (the exact empirical-risk-minimization normalization).
+    default average over all m = n points to an average over the m = n_labeled
+    labeled points only (the exact empirical-risk-minimization normalization).
+
+    ``factor`` is the lower Cholesky factor L of the landmarks' Gram, as
+    ``prune_landmarks`` returns it.  When it is given, the bundle's A and B
+    are the whitened pencil: A~ = Phi Phi^T / m with Phi = L^-1 K^T, summed
+    chunk by chunk, and B~ = L^-1 B L^-T by LAPACK ``sygst``; b and Kpp are
+    not whitened.  A~ is PSD by construction, whereas L^-1 A L^-T would be
+    left indefinite by rounding.  Since L L^T = Kpp, B~ is L^-1 (Znp^T Znp /
+    n) L^-T + mu I, so B~ >= mu I up to rounding (its smallest eigenvalue is
+    0.993-0.998 mu on the fig1 preset) and cond(B~) stays near
+    1 + ||L^-1 Znp^T Znp L^-T|| / (n mu) however close Kpp is to singular
+    (the whitening of FALKON).  If V~ are generalized eigenvectors of
+    (A~, B~), V = L^-T V~ are those of (A, B) with the same eigenvalues, so
+    ``filter_coefficients`` applies to V and b unchanged.  Whitening adds
+    O(m p^2 + p^3) work.
     """
     mu = real("mu", mu)
-    X = ds.inputs
-    n = X.shape[0]
+    X, y = ds.inputs, ds.labels
+    n, n_l = X.shape[0], ds.n_labeled
     idx = np.asarray(landmarks)
     if idx.ndim != 1 or idx.size < 1 or idx.dtype.kind not in "iu":
         raise InvalidArgumentError(
@@ -184,42 +204,94 @@ def assemble(
             f"landmark indices must lie in [0, {n}), got {distinct[0]} .. {distinct[-1]}"
         )
     p = idx.size
+    if factor is not None:
+        # trsm and sygst take L^T (upper) in Fortran order, which is L in C
+        # order, as prune_landmarks returns it, without a copy
+        upper = np.ascontiguousarray(factor, dtype=float).T
+        if upper.shape != (p, p):
+            raise InvalidArgumentError(f"factor must be ({p}, {p}), got {upper.shape}")
     coords = X[idx]
+    m = n_l if sigma_over_labeled else n  # the rows A averages
 
-    chunk = max(1, _CHUNK_BUDGET // p)
-    knp = np.empty((n, p))
-    q = np.empty((p, p))
+    chunk = min(n, max(1, _CHUNK_BUDGET // p))
+    k_buf = np.empty((chunk, p))
+    d_buf = np.empty((chunk, p))
+    # the syrk accumulators hold upper triangles only
+    ktk = np.zeros((p, p), order="F")  # K^T K
     pk = np.zeros((p, p), order="F")  # P^T K
+    # the Gram A averages, when it is not K^T K: K_l^T K_l or Phi Phi^T
+    shared = m == n and factor is None
+    gm = None if shared else np.zeros((p, p), order="F")
+    q = np.empty((p, p))
+    kpp = np.empty((p, p))
+    b = np.zeros(p)
     for start in range(0, n, chunk):
         stop = min(n, start + chunk)
-        kb, db = kernel.gram_with_sqdist(X[start:stop], coords, out=knp[start:stop])
+        kb, db = kernel.gram_with_sqdist(
+            X[start:stop], coords, out=k_buf[:stop - start], _sq=d_buf[:stop - start])
         _check_block_finite(kb, start, "kernel")
         # an infinite distance has k = 0 and would make P = inf * 0 = NaN
         _check_block_finite(db, start, "kernel derivative")
         here = (idx >= start) & (idx < stop)
+        kpp[here] = kb[idx[here] - start]
         q[here] = db[idx[here] - start]
+        if start < n_l:
+            labeled = kb[:n_l - start]
+            b = dgemv(1.0, labeled.T, y[start:stop], beta=1.0, y=b, overwrite_y=1)
+        ktk = dsyrk(1.0, kb.T, beta=1.0, c=ktk, overwrite_c=1)
         db *= kb
-        dgemm(1.0, db.T, kb.T, beta=1.0, c=pk, trans_b=1, overwrite_c=1)
+        pk = dgemm(1.0, db.T, kb.T, beta=1.0, c=pk, trans_b=1, overwrite_c=1)
+        if not shared and start < m:
+            rows = kb[:m - start].T
+            if factor is not None:
+                # Phi = (L^T)^-T rows, over the chunk's kernel values, which
+                # are not read again
+                rows = dtrsm(1.0, upper, rows, trans_a=1, overwrite_b=1)
+            gm = dsyrk(1.0, rows, beta=1.0, c=gm, overwrite_c=1)
+    del kb, db, k_buf, d_buf
 
-    ktk = _gram_of_rows(knp.T)
-    # Znp^T Znp / n by the polarization identity; K^T K o Q overwrites Q
+    _mirror_upper(ktk)
+    # Znp^T Znp / n by the polarization identity; Q holds each product it
+    # subtracts in turn, so no other p x p array is made
     s2 = kernel.sigma**2
     B = pk
     B += pk.T
     B -= np.multiply(ktk, q, out=q)
-    del q  # freeing each p x p array before the next one lowers the peak
     B /= 2.0 * n * s2
     B /= s2
-    n_l = ds.n_labeled
-    if sigma_over_labeled:
-        A = _gram_of_rows(knp[:n_l].T) / n_l
+    B += np.multiply(kpp, mu, out=q)
+    del q
+    b /= n_l
+    if shared:
+        A = ktk
     else:
-        A = ktk / n
-    del ktk
-    kpp = knp[idx, :]
-    B += mu * kpp
-    b = knp[:n_l].T @ ds.labels / n_l
-    return OperatorBundle(knp=knp, znp=None, A=A, B=B, b=b, kpp=kpp)
+        del ktk
+        A = _mirror_upper(gm)
+    A /= m
+    if factor is not None:
+        # sygst overwrites the upper triangle of B with that of
+        # (L^T)^-T B (L^T)^-1 = L^-1 B L^-T
+        C, info = dsygst(B, upper, itype=1, lower=0, overwrite_a=1)
+        if info != 0:
+            raise InvalidArgumentError(f"illegal value in sygst argument {-info}")
+        B = _mirror_upper(C)
+    return OperatorBundle(knp=None, znp=None, A=A, B=B, b=b, kpp=kpp)
+
+
+def _mirror_upper(c: np.ndarray) -> np.ndarray:
+    """Copy the upper triangle of the square ``c`` over its lower one; returns c.
+
+    It goes tile by tile: a transposed pass over the whole array strides
+    through memory, and took three times as long at p = 1100 (2-core x86).
+    """
+    m = c.shape[0]
+    for i in range(0, m, _TILE):
+        diagonal = c[i:i + _TILE, i:i + _TILE]
+        below = np.tril_indices(diagonal.shape[0], -1)
+        diagonal[below] = diagonal.T[below]
+        for j in range(i + _TILE, m, _TILE):
+            c[j:j + _TILE, i:i + _TILE] = c[i:i + _TILE, j:j + _TILE].T
+    return c
 
 
 def _gram_of_rows(a: np.ndarray) -> np.ndarray:
@@ -231,15 +303,7 @@ def _gram_of_rows(a: np.ndarray) -> np.ndarray:
     fit's level-3 products use scipy's BLAS, as its LAPACK calls do.
     """
     m = a.shape[0]
-    c = dsyrk(1.0, a, c=np.zeros((m, m), order="F"), overwrite_c=1)  # upper triangle
-    # mirror it tile by tile: a transposed pass over the whole array strides
-    # through memory, and took three times as long at m = 1100 (2-core x86)
-    for i in range(0, m, _TILE):
-        diagonal = c[i:i + _TILE, i:i + _TILE]
-        diagonal += np.triu(diagonal, 1).T
-        for j in range(i + _TILE, m, _TILE):
-            c[j:j + _TILE, i:i + _TILE] = c[i:i + _TILE, j:j + _TILE].T
-    return c
+    return _mirror_upper(dsyrk(1.0, a, c=np.zeros((m, m), order="F"), overwrite_c=1))
 
 
 def prune_landmarks(
@@ -251,19 +315,23 @@ def prune_landmarks(
     first pivot at or below ``PRUNE_TOL``, after r steps.  When r = p this
     returns ``(landmarks, None)``: the draw, unchanged and in its order.
     Otherwise it returns the r pivot rows ``landmarks[piv[:r]]`` and the
-    lower factor L (r x r) with L L^T = their Gram.  The remaining pivots
-    are the squared RKHS distances of the dropped landmarks' kernel functions
-    from the span of the kept ones, all at most ``PRUNE_TOL`` (Harbrecht,
-    Peters & Schneider, Appl. Numer. Math. 2012), so what is dropped is the
-    pencil's numerical null space.  Work is O(p^2 d) for the Gram plus O(p^2 r).
+    lower factor L (r x r) with L L^T = their Gram, which ``assemble``
+    whitens their pencil by.  The remaining pivots are the squared RKHS
+    distances of the dropped landmarks' kernel functions from the span of
+    the kept ones, all at most ``PRUNE_TOL`` (Harbrecht, Peters & Schneider,
+    Appl. Numer. Math. 2012), so what is dropped is the pencil's numerical
+    null space.  Work is O(p^2 d) for the Gram plus O(p^2 r).
     """
     coords = ds.inputs[landmarks]
     p = coords.shape[0]
     kpp = np.empty((p, p))
-    chunk = max(1, _CHUNK_BUDGET // p)
+    chunk = min(p, max(1, _CHUNK_BUDGET // p))
+    sq = np.empty((chunk, p))
     for start in range(0, p, chunk):
         stop = min(p, start + chunk)
-        kernel.gram_with_sqdist(coords[start:stop], coords, out=kpp[start:stop])
+        kernel.gram_with_sqdist(
+            coords[start:stop], coords, out=kpp[start:stop], _sq=sq[:stop - start])
+    del sq
     # Kpp is symmetric, so its transpose is the Fortran-order array pstrf
     # overwrites without a copy
     c, piv, r, info = dpstrf(kpp.T, tol=PRUNE_TOL, lower=1, overwrite_a=1)
@@ -272,34 +340,6 @@ def prune_landmarks(
     if r == p:
         return landmarks, None
     return landmarks[piv[:r] - 1], np.tril(c[:r, :r])
-
-
-def whiten(rows: np.ndarray, B: np.ndarray, factor: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """An assembled landmark pencil whitened by the factor L of its Gram: (A~, B~).
-
-    ``rows`` are the rows of K that A averages (the labeled ones under
-    ``sigma_over_labeled``) and B is the bundle's Znp^T Znp / n + mu Kpp,
-    which is overwritten.  A~ = Phi Phi^T / m with Phi = L^-1 rows^T is PSD
-    by construction; A itself is never reduced, as rounding would leave
-    L^-1 A L^-T indefinite.  B~ = L^-1 B L^-T by LAPACK ``sygst``, and since
-    L L^T = Kpp it is L^-1 (Znp^T Znp / n) L^-T + mu I, so B~ >= mu I up to
-    rounding (its smallest eigenvalue is 0.993-0.998 mu on the fig1 preset)
-    and cond(B~) stays near 1 + ||L^-1 Znp^T Znp L^-T|| / (n mu) however close
-    Kpp is to singular (the whitening of FALKON: Rudi, Carratino & Rosasco,
-    NeurIPS 2017).  If V~ are generalized eigenvectors of (A~, B~), V = L^-T V~
-    are those of (A, B) with the same eigenvalues, so ``filter_coefficients``
-    applies to V and the bundle's b unchanged.  Work is O(m r^2 + r^3).
-    """
-    phi = solve_triangular(factor, rows.T, lower=True, check_finite=False)
-    A = _gram_of_rows(phi) / rows.shape[0]
-    del phi
-    # sygst overwrites the lower triangle of B with that of L^-1 B L^-T
-    C, info = dsygst(B, factor, itype=1, lower=1, overwrite_a=1)
-    if info != 0:
-        raise InvalidArgumentError(f"illegal value in sygst argument {-info}")
-    B = np.tril(C)
-    B += np.tril(C, -1).T
-    return A, B
 
 
 def assemble_dense(

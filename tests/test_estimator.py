@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kerlap import estimator, kernel as kernel_module
+from kerlap import estimator, kernel as kernel_module, operators
 from kerlap.baselines import GraphConfig, harmonic_propagate, krr_fit
 from kerlap.bench import generate_instance, preset
 from kerlap.errors import InvalidArgumentError
@@ -282,6 +282,24 @@ class TestDistanceExpansionPath:
         ridge = krr_fit(X[:10], ds.labels, k, 0.1)
         assert np.all(np.isfinite(predict(ridge, Q)))
         assert np.all(np.isfinite(harmonic_propagate(ds, GraphConfig(0.8)).values))
+
+    def test_pruned_fit_evaluates_each_kernel_value_once(self, monkeypatch):
+        # the landmark Gram of the draw for the pruning, then the n x r data
+        # to kept-landmark values once, whitened in the same pass
+        counted = []
+        expand = kernel_module._sqdist_expanded
+
+        def counting(X, Z, out=None):
+            counted.append(len(X) * len(Z))
+            return expand(X, Z, out=out)
+
+        monkeypatch.setattr(kernel_module, "_sqdist_expanded", counting)
+        monkeypatch.setattr(operators, "_CHUNK_BUDGET", 7 * 40)
+        rng = np.random.default_rng(31)
+        ds = SemiDataset(np.repeat(rng.standard_normal((30, 3)), 2, axis=0),
+                         rng.standard_normal(10))
+        r = fit(ds, GaussianKernel(0.8), 40, 0.1, TIK, seed=2).coefficients.size
+        assert r < 40 and sum(counted) == 40 * 40 + ds.n * r
 
 
 class TestDecodeSign:

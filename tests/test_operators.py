@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.linalg.lapack import dpstrf
@@ -17,8 +19,8 @@ from kerlap.operators import (
     prune_landmarks,
     save_dataset_csv,
     select_landmarks,
-    whiten,
 )
+from kerlap.synthdata import CirclesSpec, gen_circles
 
 
 # Single-pair kernel entries for the brute-force oracles, each the 1x1 batch
@@ -85,9 +87,12 @@ class TestAssemble:
         # B = [[mu]], b = (label)
         ds = SemiDataset(inputs=[[0.0]], labels=[2.0])
         lm = select_landmarks(ds, 1, seed=0)
-        bun = assemble(ds, GaussianKernel(1.0), lm, mu=0.5)
-        assert np.allclose(bun.knp, [[1.0]], atol=1e-14)
-        assert bun.znp is None  # landmark bundles never hold Znp
+        k = GaussianKernel(1.0)
+        bun = assemble(ds, k, lm, mu=0.5)
+        assert np.allclose(k.gram(ds.inputs, ds.inputs[lm]), [[1.0]], atol=1e-14)
+        # landmark bundles hold neither K nor Znp
+        assert bun.knp is None and bun.znp is None
+        assert np.array_equal(bun.kpp, [[1.0]])
         assert np.allclose(bun.A, [[1.0]], atol=1e-14)
         assert np.allclose(bun.B, [[0.5]], atol=1e-14)
         assert np.allclose(bun.b, [2.0], atol=1e-14)
@@ -142,8 +147,10 @@ class TestAssemble:
         rng = np.random.default_rng(1)
         ds = SemiDataset(inputs=rng.standard_normal((12, 2)), labels=[1.0, -1.0])
         lm = select_landmarks(ds, 4, seed=2)
-        bun = assemble(ds, GaussianKernel(1.0), lm, mu=0.1)
-        assert np.array_equal(bun.kpp, bun.knp[lm, :])
+        k = GaussianKernel(1.0)
+        bun = assemble(ds, k, lm, mu=0.1)
+        # a row's kernel values do not depend on the rows it is computed with
+        assert np.array_equal(bun.kpp, k.gram(ds.inputs, ds.inputs[lm])[lm, :])
 
     def test_streamed_b_matches_explicit_product(self, monkeypatch):
         # B is accumulated over row chunks; compare it with the explicit
@@ -204,8 +211,45 @@ class TestAssemble:
             assert np.abs(expected).max() > 0
             assert np.abs(bun.B - expected).max() <= 1e-12 * np.abs(expected).max()
         if over_labeled:
-            K_l = bun.knp[:6]
+            K_l = k.gram(ds.inputs[:6], ds.inputs[lm])
             assert np.allclose(bun.A, K_l.T @ K_l / 6, rtol=0.0, atol=1e-15)
+
+    @pytest.mark.parametrize("over_labeled", [False, True])
+    def test_four_row_chunks_match_one_chunk(self, over_labeled, monkeypatch):
+        # 28 rows in 4-row chunks with 7 labeled, so the labeled rows end
+        # inside a chunk; the streamed sums (b, A, and the whitened A~ and
+        # B~) match those of one chunk, and Kpp is gathered whole
+        grid = np.array([[i, j] for i in range(3) for j in range(3)], dtype=float)
+        rng = np.random.default_rng(26)
+        X = np.vstack([np.repeat(grid, 2, axis=0), rng.uniform(0, 2, (10, 2))])
+        ds = SemiDataset(inputs=X, labels=rng.standard_normal(7))
+        k, mu = GaussianKernel(0.6), 0.3
+        kept, L = prune_landmarks(ds, k, np.arange(18))
+        assert L is not None
+        p = kept.size
+        single = [assemble(ds, k, kept, mu, over_labeled, factor) for factor in (None, L)]
+        monkeypatch.setattr(operators, "_CHUNK_BUDGET", 4 * p)
+        chunked = [assemble(ds, k, kept, mu, over_labeled, factor) for factor in (None, L)]
+        for one, four in zip(single, chunked):
+            for name in ("A", "b", "kpp"):
+                assert np.abs(getattr(four, name) - getattr(one, name)).max() <= 1e-15, name
+        assert np.abs(chunked[1].B - single[1].B).max() <= 1e-15
+
+    def test_small_sigma_circles_have_no_subnormal_entry(self):
+        # fig1's geometry and sigma: without the kernel's flush, many K
+        # entries lie below 2^-500 and their products in A and B are
+        # subnormal, which slows every BLAS call on them
+        ds = gen_circles(CirclesSpec(n=400, n_labeled=4, angles="equispaced", seed=0))
+        k = GaussianKernel(0.2)
+        lm = select_landmarks(ds, 150, seed=1)
+        K = k.gram(ds.inputs, ds.inputs[lm])
+        D = np.sum((ds.inputs[:, None, :] - ds.inputs[lm][None, :, :]) ** 2, axis=2)
+        raw = np.exp(-D / (2.0 * 0.2**2))
+        assert np.count_nonzero((raw > 0) & (raw < 2.0**-500)) > 0.05 * raw.size
+        bun = assemble(ds, k, lm, mu=1.0 / 400)
+        tiny = np.finfo(float).tiny
+        for name, M in (("K", K), ("A", bun.A), ("B", bun.B), ("Kpp", bun.kpp)):
+            assert not np.any((M != 0) & (np.abs(M) < tiny)), name
 
     def test_overflowing_distance_raises(self):
         # d = 100 at +-1e154: the squared distance overflows, k is 0 and the
@@ -225,7 +269,7 @@ class TestAssemble:
         lm = select_landmarks(ds, 5, seed=4)
         k = GaussianKernel(1.0)
         bun = assemble(ds, k, lm, mu=0.1, sigma_over_labeled=True)
-        K_l = bun.knp[:n_l]
+        K_l = k.gram(ds.inputs[:n_l], ds.inputs[lm])
         assert np.allclose(bun.A, K_l.T @ K_l / n_l, atol=1e-12)
 
     def test_permutation_invariance(self):
@@ -357,7 +401,8 @@ class TestPruneAndWhiten:
     @pytest.mark.parametrize("over_labeled", [False, True])
     def test_whitened_pencil_is_congruent_to_assembled(self, over_labeled):
         # duplicated rows make the drawn Gram singular, while the kept one is
-        # well-conditioned: then L A~ L^T = A and L B~ L^T = B
+        # well-conditioned: then L A~ L^T = A and L B~ L^T = B, and A~ is
+        # Phi Phi^T / m with Phi = L^-1 K^T over the rows A averages
         grid = np.array([[i, j] for i in range(3) for j in range(3)], dtype=float)
         rng = np.random.default_rng(24)
         X = np.vstack([np.repeat(grid, 2, axis=0), rng.uniform(0, 2, (10, 2))])
@@ -366,12 +411,41 @@ class TestPruneAndWhiten:
         kept, L = prune_landmarks(ds, k, np.arange(18))
         assert kept.size == 9
         bun = assemble(ds, k, kept, mu, sigma_over_labeled=over_labeled)
-        rows = bun.knp[: ds.n_labeled] if over_labeled else bun.knp
-        A, B = whiten(rows, bun.B.copy(), L)
+        white = assemble(ds, k, kept, mu, sigma_over_labeled=over_labeled, factor=L)
+        A, B = white.A, white.B
         assert np.abs(L @ A @ L.T - bun.A).max() <= 1e-12 * np.abs(bun.A).max()
         assert np.abs(L @ B @ L.T - bun.B).max() <= 1e-12 * np.abs(bun.B).max()
-        assert np.array_equal(B, B.T)
+        rows = ds.inputs[: ds.n_labeled] if over_labeled else ds.inputs
+        phi = np.linalg.solve(L, k.gram(rows, ds.inputs[kept]).T)
+        assert np.abs(A - phi @ phi.T / rows.shape[0]).max() <= 1e-12 * np.abs(A).max()
+        assert np.array_equal(white.b, bun.b) and np.array_equal(white.kpp, bun.kpp)
+        assert np.array_equal(A, A.T) and np.array_equal(B, B.T)
         assert np.linalg.eigvalsh(B).min() >= mu * (1 - 1e-12)
+
+
+    @pytest.mark.parametrize("pruned", [False, True])
+    def test_assembly_memory_does_not_grow_with_n(self, pruned, monkeypatch):
+        # the assembly streams row chunks into p x p sums: its tracemalloc
+        # peak at n = 16000 is that at n = 4000, where an n x p K alone
+        # would grow by 9.6 MB at p = 100
+        monkeypatch.setattr(operators, "_CHUNK_BUDGET", 1000 * 100)
+        rng = np.random.default_rng(27)
+        X = rng.standard_normal((16000, 3))
+        if pruned:
+            X[50:100] = X[:50]  # 50 of the 100 landmarks repeat the others
+        k = GaussianKernel(1.0)
+        peaks = []
+        for n in (4000, 16000):
+            ds = SemiDataset(inputs=X[:n], labels=rng.standard_normal(n // 10))
+            kept, factor = prune_landmarks(ds, k, np.arange(100))
+            assert (factor is not None) == pruned
+            tracemalloc.start()
+            try:
+                assemble(ds, k, kept, 0.1, factor=factor)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.02 * peaks[0]
 
 
 class TestAssembleDense:
