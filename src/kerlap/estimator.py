@@ -11,8 +11,10 @@ factor of the kept Kpp, which keeps it well-conditioned however redundant
 the draw was.
 
 The dense oracle minimizes the regularized empirical risk over the full
-n*(d+1) representer basis by a direct solve of (A + lam*B) c = b and is the
-quality/correctness reference for the landmark path.
+n*(d+1) representer basis and is the quality/correctness reference for the
+landmark path.  Its minimizer has no weight on the unlabeled points' kernel
+features, and the weights on the others solve one symmetric positive
+definite system of size n_labeled + n*d (``fit_exact`` derives it).
 """
 
 from __future__ import annotations
@@ -22,16 +24,17 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg import cho_solve, solve_triangular
+from scipy.linalg.blas import dgemm, dgemv
 
-from .errors import InvalidArgumentError, SingularPencilError, integer, real
+from .errors import InvalidArgumentError, integer, real
 from .filters import FilterSpec, filter_coefficients
 from .kernel import GaussianKernel
 from .operators import (
-    _CHUNK_BUDGET, DEFAULT_DENSE_CAP, SemiDataset, assemble, assemble_dense, prune_landmarks,
+    _CHUNK_BUDGET, DEFAULT_DENSE_CAP, SemiDataset, _extended_gram, assemble, prune_landmarks,
     select_landmarks,
 )
-from .pencil import PencilDecomposition, gevd, pencil_solve
+from .pencil import PencilDecomposition, _cholesky_with_jitter, gevd
 
 LANDMARK_KERNEL = "landmark_kernel"
 DENSE_REPRESENTER = "dense_representer"
@@ -192,18 +195,35 @@ def fit_exact(
 
     The data-fit term averages over the labeled points (the exact ERM
     normalization), so this is the reference the landmark fit approximates.
-    Solved directly as (A + lam*B) c = b when that system is numerically
-    positive definite; the redundant dense basis often makes it singular at
-    machine precision, in which case the equivalent eigendecomposition-plus-
-    filtering route (which tolerates a semi-definite B) is used.
+    With G the extended basis Gram, ``assemble_dense``'s pencil gives
+    (A + lam*B) c = b as G (D G + lam*mu I) c = G e, where D is 1/n_l on the
+    labeled kernel rows, 0 on the unlabeled ones and lam/n on the derivative
+    rows, and e is y/n_l on the labeled rows and 0 elsewhere.  So every
+    solution of (D G + lam*mu I) c = e gives the minimizing function: its
+    coefficients on the unlabeled kernel features are 0, and on the n_l +
+    n*d others, S, c_S = s u with s = D_S^1/2 and
+
+        (s G_SS s + lam*mu I) u = e_S / s,
+
+    a symmetric positive definite system whose eigenvalues are all at least
+    lam*mu.  Only G_SS is built, and one Cholesky factorization solves it.
+    Work is O((n_l + n d)^3) and memory O((n_l + n d)^2).
     """
     lam = real("lam", lam)
-    bundle = assemble_dense(ds, kernel, mu, dense_cap=dense_cap)
-    try:
-        coef = pencil_solve(bundle.A, bundle.B, lam, bundle.b)
-    except SingularPencilError:
-        dec = gevd(bundle.A, bundle.B)
-        coef = filter_coefficients(dec, FilterSpec(kind="tikhonov", lam=lam), bundle.b)
+    mu = real("mu", mu)
+    n, n_l = ds.n, ds.n_labeled
+    M = _extended_gram(ds, kernel, n_l, dense_cap)  # G_SS
+    s = np.full(M.shape[0], math.sqrt(lam / n))
+    s[:n_l] = 1.0 / math.sqrt(n_l)
+    M *= s[:, None]
+    M *= s
+    M.flat[:: M.shape[0] + 1] += lam * mu
+    rhs = np.zeros(M.shape[0])
+    rhs[:n_l] = ds.labels / math.sqrt(n_l)
+    # M is symmetric: its transpose is the same matrix, in the Fortran order potrf takes
+    L, _ = _cholesky_with_jitter(M.T, "the dense representer system")
+    c = s * cho_solve((L, True), rhs, check_finite=False)
+    coef = np.concatenate([c[:n_l], np.zeros(n - n_l), c[n_l:]])
     return FittedModel(
         kernel=kernel,
         basis_coordinates=ds.inputs,
@@ -251,15 +271,23 @@ def _kernel_expansion(
 ) -> np.ndarray:
     """k(queries, coords) @ coef, in row chunks sized like the assembly's, so
     that each (chunk, m) block of kernel values stays small; one block is
-    reused for every chunk."""
+    reused for every chunk.
+
+    The products run on scipy's BLAS, as the fit's do (see
+    ``operators._gram_of_rows``), and take each C-order block as its
+    Fortran-order transpose, which f2py passes without a copy.
+    """
     q = queries.shape[0]
     out = np.empty((q,) + coef.shape[1:])
     chunk = max(1, min(q, _CHUNK_BUDGET // coords.shape[0]))
     block = np.empty((chunk, coords.shape[0]))
     for start in range(0, q, chunk):
         stop = min(q, start + chunk)
-        np.dot(kernel.gram(queries[start:stop], coords, _sq=block[:stop - start]), coef,
-               out=out[start:stop])
+        kb = kernel.gram(queries[start:stop], coords, _sq=block[:stop - start])
+        if coef.ndim == 1:
+            out[start:stop] = dgemv(1.0, kb.T, coef, trans=1)
+        else:
+            out[start:stop] = dgemm(1.0, kb.T, coef, trans_a=1)
     return out
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.blas import dgemv
 
 from .errors import InvalidArgumentError, real
 from .pencil import PencilDecomposition
@@ -54,4 +55,8 @@ def filter_coefficients(dec: PencilDecomposition, f: FilterSpec, b: np.ndarray) 
     if b.shape != (p,):
         raise InvalidArgumentError(f"b has shape {b.shape}, expected ({p},)")
     weights = apply(f, dec.eigenvalues)
-    return dec.eigenvectors @ (weights * (dec.eigenvectors.T @ b))
+    # on scipy's BLAS, as the fit's products; a C-order V goes in as its
+    # Fortran-order transpose and an F-order one as itself, without a copy
+    V = dec.eigenvectors
+    Vf, t = (V.T, 0) if V.flags.c_contiguous else (V, 1)  # op_t(Vf) = V^T
+    return dgemv(1.0, Vf, weights * dgemv(1.0, Vf, b, trans=t), trans=1 - t)

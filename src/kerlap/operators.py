@@ -43,9 +43,11 @@ the kept ones' Kpp and whitens the pencil by it in the same loop, so that B
 is well-conditioned however redundant the draw was.
 
 ``assemble_dense`` builds the same objects over the exact n*(d+1)-dimensional
-representer basis {k_{X_i}} + {d_j k_{X_i}} instead of a landmark subset, for
-use by the dense oracle estimator.  Neither symmetrizes its output: the
-``pencil`` solvers check and symmetrize every pencil they are given.
+representer basis {k_{X_i}} + {d_j k_{X_i}} instead of a landmark subset.
+The dense oracle estimator solves the same problem from one block of that
+basis' Gram, without the pencil, and ``assemble_dense`` is its reference.
+Neither assembly symmetrizes its output: the ``pencil`` solvers check and
+symmetrize every pencil they are given.
 """
 
 from __future__ import annotations
@@ -359,23 +361,8 @@ def assemble_dense(
     ``assemble``: psi^T psi / n has rank at most n*d < m, so B needs mu * Kpp.
     """
     mu = real("mu", mu)
-    X, y = ds.inputs, ds.labels
-    n, d = X.shape
-    m = n * (d + 1)
-    if m > integer("dense_cap", dense_cap):
-        raise ResourceLimitError(
-            f"dense basis size n*(d+1) = {m} exceeds the cap {dense_cap}; "
-            "use the landmark assembly instead"
-        )
-
-    K = kernel.gram(X, X)
-    Z = kernel.grad1_gram(X, X).reshape(n * d, n)
-    H = kernel.cross_hessian_gram(X, X).reshape(n * d, n * d)
-    _check_block_finite(K, 0, "kernel")
-    _check_block_finite(Z, 0, "kernel derivative")
-    _check_block_finite(H, 0, "kernel cross derivative")
-
-    gram = np.block([[K, Z.T], [Z, H]])  # extended basis Gram
+    n = ds.n
+    gram = _extended_gram(ds, kernel, n, dense_cap)
     phi = gram[:n]  # <k_{X_i}, basis_a>, rows over points
     psi = gram[n:]  # <d_j k_{X_l}, basis_a>, rows over (l, j)
 
@@ -383,8 +370,35 @@ def assemble_dense(
     n_l = ds.n_labeled
     A = _gram_of_rows(phi[:n_l].T) / n_l
     B = _gram_of_rows(psi.T) / n + mu * gram
-    b = dgemv(1.0 / n_l, phi[:n_l].T, y)
+    b = dgemv(1.0 / n_l, phi[:n_l].T, ds.labels)
     return OperatorBundle(knp=phi, znp=psi, A=A, B=B, b=b, kpp=gram)
+
+
+def _extended_gram(
+    ds: SemiDataset, kernel: GaussianKernel, n_points: int, dense_cap: int
+) -> np.ndarray:
+    """Gram of the kernel features k_{X_i}, i < n_points, followed by every
+    derivative feature d_j k_{X_l} (point-major, coordinate-minor).
+
+    Refuses a dense basis whose full size n*(d+1) exceeds ``dense_cap``,
+    whatever ``n_points`` is.
+    """
+    X = ds.inputs
+    n, d = X.shape
+    m = n * (d + 1)
+    if m > integer("dense_cap", dense_cap):
+        raise ResourceLimitError(
+            f"dense basis size n*(d+1) = {m} exceeds the cap {dense_cap}; "
+            "use the landmark assembly instead"
+        )
+    points = X[:n_points]
+    K = kernel.gram(points, points)
+    Z = kernel.grad1_gram(X, points).reshape(n * d, n_points)
+    H = kernel.cross_hessian_gram(X, X).reshape(n * d, n * d)
+    _check_block_finite(K, 0, "kernel")
+    _check_block_finite(Z, 0, "kernel derivative")
+    _check_block_finite(H, 0, "kernel cross derivative")
+    return np.block([[K, Z.T], [Z, H]])
 
 
 # Dataset CSV format (shared repo-wide): header x0,...,x{d-1},y with the y

@@ -7,10 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kerlap import estimator, kernel as kernel_module, operators
+from kerlap import estimator, kernel as kernel_module, operators, pencil
 from kerlap.baselines import GraphConfig, harmonic_propagate, krr_fit
 from kerlap.bench import generate_instance, preset
-from kerlap.errors import InvalidArgumentError
+from kerlap.errors import InvalidArgumentError, SingularPencilError
 from kerlap.estimator import (
     DENSE_REPRESENTER,
     LANDMARK_KERNEL,
@@ -27,7 +27,7 @@ from kerlap.estimator import (
 )
 from kerlap.filters import FilterSpec, filter_coefficients
 from kerlap.kernel import GaussianKernel
-from kerlap.operators import SemiDataset, assemble, select_landmarks
+from kerlap.operators import SemiDataset, assemble, assemble_dense, select_landmarks
 from kerlap.pencil import gevd, pencil_solve
 from kerlap.synthdata import CirclesSpec, gen_circles
 
@@ -53,8 +53,6 @@ class TestFit:
         # eigen-filter path against the direct (A + lam*B) solve; instances
         # where the dense kernel system is numerically singular (the direct
         # route refuses) are skipped, most must be comparable
-        from kerlap.errors import SingularPencilError
-
         rng = np.random.default_rng(1)
         compared = 0
         for trial in range(6):
@@ -212,6 +210,88 @@ class TestFitExact:
         ds = SemiDataset(inputs=[[0.0]], labels=[1.0])
         with pytest.raises(InvalidArgumentError):
             fit_exact(ds, GaussianKernel(1.0), lam=0.0, mu=0.1)
+
+    def test_matches_dense_pencil_solve(self):
+        # the reduced system against the direct solve of the full dense
+        # pencil, on the draws where A + lam*B is positive definite
+        rng = np.random.default_rng(12)
+        compared = 0
+        for _ in range(20):
+            n = int(rng.integers(3, 31))
+            X = rng.standard_normal((n, 2))
+            ds = SemiDataset(X, rng.standard_normal(int(rng.integers(1, n + 1))))
+            k = GaussianKernel(float(rng.uniform(0.3, 1.5)))
+            lam, mu = float(rng.uniform(0.01, 1.0)), float(rng.uniform(0.01, 1.0))
+            bundle = assemble_dense(ds, k, mu)
+            try:
+                c = pencil_solve(bundle.A, bundle.B, lam, bundle.b)
+            except SingularPencilError:
+                continue
+            Q = np.vstack([X, rng.standard_normal((5, 2))])
+            ref = predict(FittedModel(k, X, c, DENSE_REPRESENTER), Q)
+            got = predict(fit_exact(ds, k, lam, mu), Q)
+            assert np.linalg.norm(got - ref) <= 1e-8 * np.linalg.norm(ref)
+            compared += 1
+        assert compared >= 15
+
+    def test_unlabeled_kernel_coefficients_are_zero(self):
+        rng = np.random.default_rng(13)
+        n, n_l, d = 12, 5, 2
+        ds = SemiDataset(rng.standard_normal((n, d)), rng.standard_normal(n_l))
+        coef = fit_exact(ds, GaussianKernel(0.8), lam=0.3, mu=0.1).coefficients
+        assert coef.shape == (n * (d + 1),)
+        assert np.all(coef[n_l:n] == 0.0)
+        assert np.all(coef[:n_l] != 0.0)
+
+    def test_no_pencil_route(self, monkeypatch):
+        # one Cholesky of the reduced system: no pencil is assembled,
+        # decomposed or solved
+        calls = []
+        for module in (estimator, operators, pencil):
+            for name in ("assemble_dense", "gevd", "pencil_solve"):
+                monkeypatch.setattr(module, name, lambda *a, _n=name, **kw: calls.append(_n),
+                                    raising=False)
+        rng = np.random.default_rng(14)
+        ds = SemiDataset(rng.standard_normal((10, 2)), rng.standard_normal(4))
+        fit_exact(ds, GaussianKernel(1.0), lam=0.1, mu=0.01)
+        assert calls == []
+
+    @pytest.mark.parametrize("geometry", ["label_scaling", "landmark_rmse"])
+    def test_redundant_1d_basis_needs_no_jitter(self, geometry, monkeypatch):
+        # the geometries of test_label_scaling and
+        # test_landmark_fit_close_to_exact_rmse, with their queries: the full
+        # dense pencil is singular there (pencil_solve refuses it) and gevd
+        # needs jitter, while the reduced system is factored as it stands
+        if geometry == "label_scaling":
+            rng = np.random.default_rng(4)
+            X, y = rng.standard_normal((8, 1)), rng.standard_normal(3)
+            Q = rng.standard_normal((4, 1))
+            k, lam, mu = GaussianKernel(1.0), 0.1, 0.01
+        else:
+            rng = np.random.default_rng(5)
+            X = rng.uniform(-2, 2, (50, 1))
+            y = np.sin(2.0 * X[:25, 0]) + 0.05 * rng.standard_normal(25)
+            Q = np.linspace(-2, 2, 200)[:, None]
+            k, lam, mu = GaussianKernel(0.5), 1e-2, 1e-2
+        ds = SemiDataset(X, y)
+        bundle = assemble_dense(ds, k, mu)
+        with pytest.raises(SingularPencilError):
+            pencil_solve(bundle.A, bundle.B, lam, bundle.b)
+        dec = gevd(bundle.A, bundle.B)
+        assert dec.jitter > 0.0
+        old = filter_coefficients(dec, FilterSpec("tikhonov", lam), bundle.b)
+        ref = predict(FittedModel(k, X, old, DENSE_REPRESENTER), Q)
+
+        jitters = []
+        factor = estimator._cholesky_with_jitter
+        def spy(*args):
+            L, jitter = factor(*args)
+            jitters.append(jitter)
+            return L, jitter
+        monkeypatch.setattr(estimator, "_cholesky_with_jitter", spy)
+        got = predict(fit_exact(ds, k, lam, mu), Q)
+        assert jitters == [0.0]
+        assert np.linalg.norm(got - ref) <= 1e-6 * np.linalg.norm(ref)
 
 
 class TestPredict:

@@ -5,7 +5,9 @@ distances, so translating or rotating the data and the queries together
 leaves the fitted predictions unchanged; and the fit is a linear map of the
 labels (Cabannes, Pillaud-Vivien, Bach & Rudi, arXiv 2009.04324).  The
 unlabeled rows are an unordered sample, so permuting them, with the drawn
-landmark indices following their rows, changes nothing either.  All hold
+landmark indices following their rows, changes nothing either.  And
+Tikhonov filtering of the pencil's eigenpairs is its direct solve
+(A + lam*B)^-1 b wherever that system is positive definite.  All hold
 to rounding while the pencil is well-conditioned: the drawn problems keep
 d >= 2 and p <= 10, where cond(B) stayed below 2e5 over 1000 scratch draws.
 With many landmarks on 1-d data, Kpp is numerically singular and rounding in
@@ -15,13 +17,15 @@ the coordinates moves the predictions far beyond 1e-10 (see CHANGES.md).
 from unittest import mock
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from kerlap import estimator, operators
+from kerlap.errors import SingularPencilError
 from kerlap.estimator import fit, predict
-from kerlap.filters import FilterSpec
+from kerlap.filters import FilterSpec, filter_coefficients
 from kerlap.kernel import GaussianKernel
-from kerlap.operators import SemiDataset, select_landmarks
+from kerlap.operators import SemiDataset, assemble, select_landmarks
+from kerlap.pencil import gevd, pencil_solve
 
 RTOL = 1e-10
 
@@ -98,3 +102,19 @@ def test_unlabeled_permutation_invariance(prob, chunk_rows):
             mock.patch.object(operators, "_CHUNK_BUDGET", chunk_rows * prob["p"]):
         permuted = _fit_predict(prob, X[order], y, Q)
     assert _rel(permuted, base) <= RTOL
+
+
+@invariant_settings
+@given(problems)
+def test_tikhonov_filtering_is_the_direct_solve(prob):
+    _, X, y, _ = _draw(prob)
+    ds = SemiDataset(X, y)
+    bundle = assemble(ds, GaussianKernel(prob["sigma"]),
+                      select_landmarks(ds, prob["p"], prob["seed"]), prob["mu"])
+    try:
+        direct = pencil_solve(bundle.A, bundle.B, prob["lam"], bundle.b)
+    except SingularPencilError:
+        assume(False)  # A + lam*B is not positive definite
+    filtered = filter_coefficients(
+        gevd(bundle.A, bundle.B), FilterSpec("tikhonov", prob["lam"]), bundle.b)
+    assert _rel(filtered, direct) <= RTOL
