@@ -12,12 +12,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import InvalidArgumentError, integer, real
 from .estimator import LANDMARK_KERNEL, FittedModel
-from .kernel import GaussianKernel
-from .pencil import _cholesky_with_jitter
+from .kernel import GaussianKernel, bandwidth
+from .pencil import _spd_solve
 
 
 @dataclass(frozen=True)
@@ -27,7 +26,7 @@ class GraphConfig:
     sigma: float
 
     def __post_init__(self):
-        object.__setattr__(self, "sigma", real("sigma", self.sigma))
+        object.__setattr__(self, "sigma", bandwidth("sigma", self.sigma))
 
 
 @dataclass(frozen=True)
@@ -61,8 +60,7 @@ def harmonic_propagate(ds, config: GraphConfig) -> HarmonicResult:
     L_uu = np.diag(D[n_l:]) - W[n_l:, n_l:]
     rhs = W[n_l:, :n_l] @ y
 
-    L_factor, jitter = _cholesky_with_jitter(L_uu, "the unlabeled graph block")
-    f_u = sla.cho_solve((L_factor, True), rhs, check_finite=False)
+    f_u, jitter = _spd_solve(L_uu, rhs, "the unlabeled graph block")
     return HarmonicResult(values=f_u, jittered=jitter > 0)
 
 
@@ -76,9 +74,9 @@ def krr_fit(
         raise InvalidArgumentError("inputs must be (n_l, d) with matching label vector")
     ridge = real("ridge", ridge)
     n_l = X.shape[0]
-    M = kernel.gram(X, X) + n_l * ridge * np.eye(n_l)
-    L_factor, _ = _cholesky_with_jitter(M, "the ridge system")
-    coef = sla.cho_solve((L_factor, True), y, check_finite=False)
+    M = kernel.gram(X, X)
+    M.flat[:: n_l + 1] += n_l * ridge
+    coef, _ = _spd_solve(M, y, "the ridge system")
     return FittedModel(
         kernel=kernel,
         basis_coordinates=X,

@@ -27,7 +27,7 @@ from .estimator import (
     fit_exact, predict, schedule,
 )
 from .filters import FILTER_KINDS, FilterSpec
-from .kernel import GaussianKernel
+from .kernel import GaussianKernel, bandwidth
 from .operators import SemiDataset
 from .synthdata import (
     CirclesSpec,
@@ -143,14 +143,14 @@ class ExperimentConfig:
                                        "which has no out-of-sample extension")
         # the fit's values, by the library's rule under the config's names
         n = self.n_grid[0]
-        real("kernel_sigma", self.kernel_sigma)
+        bandwidth("kernel_sigma", self.kernel_sigma)
         real("lam", self.lam)
         real("mu", self.resolve_mu(n))
         integer("p", self.resolve_p(n))
         real("ridge", self.ridge)
         integer("dense_cap", self.dense_cap)
         if self.method == "graph":
-            real("graph_sigma", self.resolve_graph_sigma(n, self.d))
+            bandwidth("graph_sigma", self.resolve_graph_sigma(n, self.d))
 
     def resolve_n_labeled(self, n: int) -> int:
         if self.n_labeled is not None:

@@ -24,24 +24,19 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
+from scipy.linalg import solve_triangular
 from scipy.linalg.blas import dgemm, dgemv
 
 from .errors import InvalidArgumentError, integer, real
 from .filters import FilterSpec, filter_coefficients
 from .kernel import GaussianKernel
 from .operators import (
-    _CHUNK_BUDGET, DEFAULT_DENSE_CAP, SemiDataset, _extended_gram, assemble, prune_landmarks,
-    select_landmarks,
+    DEFAULT_DENSE_CAP, SemiDataset, _extended_gram, assemble, prune_landmarks, select_landmarks,
 )
-from .pencil import PencilDecomposition, _cholesky_with_jitter, gevd
+from .pencil import PencilDecomposition, _spd_solve, gevd
 
 LANDMARK_KERNEL = "landmark_kernel"
 DENSE_REPRESENTER = "dense_representer"
-
-# queries per chunk of a dense model's prediction, whose derivative features
-# go through the kernel's (m, chunk, d) coordinate-difference array
-_QUERY_CHUNK = 512
 
 
 @dataclass(frozen=True)
@@ -138,8 +133,8 @@ def fit(
 
     Work is O(p^2 d) for the landmark Gram, O(p^2 r) for its pivoted
     Cholesky, O(n r d + n r^2) for the assembly over the r <= p landmarks it
-    keeps and O(r^3) for the eigensolve; memory is O(p^2 + chunk p), with
-    row chunks of about 2^19 / p rows.  The model stores one coefficient
+    keeps and O(r^3) for the eigensolve; memory is O(p^2) plus one row
+    chunk of ``GaussianKernel.blocks``.  The model stores one coefficient
     per kept landmark.
     """
     kept, dec, b = _landmark_decomposition(ds, kernel, p, mu, seed, sigma_over_labeled)
@@ -221,8 +216,7 @@ def fit_exact(
     rhs = np.zeros(M.shape[0])
     rhs[:n_l] = ds.labels / math.sqrt(n_l)
     # M is symmetric: its transpose is the same matrix, in the Fortran order potrf takes
-    L, _ = _cholesky_with_jitter(M.T, "the dense representer system")
-    c = s * cho_solve((L, True), rhs, check_finite=False)
+    c = s * _spd_solve(M.T, rhs, "the dense representer system")[0]
     coef = np.concatenate([c[:n_l], np.zeros(n - n_l), c[n_l:]])
     return FittedModel(
         kernel=kernel,
@@ -234,7 +228,12 @@ def fit_exact(
 
 
 def predict(model: FittedModel, queries: np.ndarray) -> np.ndarray:
-    """Evaluate the fitted function at query rows, clipping if configured."""
+    """Evaluate the fitted function at query rows, clipping if configured.
+
+    A dense model's g(x) = sum_l k(x, X_l) [c0_l + C1_l.(x - X_l)], C1 = c1 /
+    sigma^2 as (m, d), is E[:, 0] + rowdot(E[:, 1:], x - x0) with E = k(x, X) W,
+    W = [c0 - rowdot(C1, X - x0) | C1] and x0 the basis mean: one expansion.
+    """
     Q = np.asarray(queries, dtype=float)
     if Q.ndim != 2:
         raise InvalidArgumentError(f"queries must be (q, d), got shape {Q.shape}")
@@ -246,21 +245,15 @@ def predict(model: FittedModel, queries: np.ndarray) -> np.ndarray:
         raise InvalidArgumentError(
             f"query dimension {Q.shape[1]} does not match model dimension {d}"
         )
-    k = model.kernel
     if model.basis_kind == LANDMARK_KERNEL:
-        out = _kernel_expansion(k, Q, coords, model.coefficients)
+        out = _kernel_expansion(model.kernel, Q, coords, model.coefficients)
     else:
-        out = np.empty(Q.shape[0])
-        c0 = model.coefficients[:m]
-        c1 = model.coefficients[m:]
-        for start in range(0, Q.shape[0], _QUERY_CHUNK):
-            stop = min(Q.shape[0], start + _QUERY_CHUNK)
-            Qc = Q[start:stop]
-            vals = k.gram(Qc, coords) @ c0
-            # derivative features are taken at the basis points, so evaluate
-            # the gradient with the basis point as the differentiated argument
-            Zq = k.grad1_gram(coords, Qc).reshape(m * d, Qc.shape[0])
-            out[start:stop] = vals + Zq.T @ c1
+        centre = coords.mean(axis=0)
+        W = np.empty((m, d + 1), order="F")
+        W[:, 1:] = model.coefficients[m:].reshape(m, d) / model.kernel.sigma**2
+        W[:, 0] = model.coefficients[:m] - np.einsum("ij,ij->i", W[:, 1:], coords - centre)
+        E = _kernel_expansion(model.kernel, Q, coords, W)
+        out = E[:, 0] + np.einsum("ij,ij->i", E[:, 1:], Q - centre)
     if model.clip_bound is not None:
         np.clip(out, -model.clip_bound, model.clip_bound, out=out)
     return out
@@ -269,21 +262,15 @@ def predict(model: FittedModel, queries: np.ndarray) -> np.ndarray:
 def _kernel_expansion(
     kernel: GaussianKernel, queries: np.ndarray, coords: np.ndarray, coef: np.ndarray
 ) -> np.ndarray:
-    """k(queries, coords) @ coef, in row chunks sized like the assembly's, so
-    that each (chunk, m) block of kernel values stays small; one block is
-    reused for every chunk.
+    """k(queries, coords) @ coef, over the kernel's row chunks, so that no
+    more than one (chunk, m) block of kernel values is held.
 
     The products run on scipy's BLAS, as the fit's do (see
     ``operators._gram_of_rows``), and take each C-order block as its
     Fortran-order transpose, which f2py passes without a copy.
     """
-    q = queries.shape[0]
-    out = np.empty((q,) + coef.shape[1:])
-    chunk = max(1, min(q, _CHUNK_BUDGET // coords.shape[0]))
-    block = np.empty((chunk, coords.shape[0]))
-    for start in range(0, q, chunk):
-        stop = min(q, start + chunk)
-        kb = kernel.gram(queries[start:stop], coords, _sq=block[:stop - start])
+    out = np.empty((queries.shape[0],) + coef.shape[1:])
+    for start, stop, kb, _ in kernel.blocks(queries, coords):
         if coef.ndim == 1:
             out[start:stop] = dgemv(1.0, kb.T, coef, trans=1)
         else:

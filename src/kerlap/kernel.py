@@ -5,9 +5,9 @@ the derivative feature maps.
 model JSON format all take it.  Every evaluation is over all pairs of rows
 of two (rows, d) arrays: ``gram`` (kernel values), ``grad1_gram`` (gradients
 in the first argument) and ``cross_hessian_gram`` (mixed second derivatives,
-one per argument).  ``gram_with_sqdist`` also returns the squared distances
-the kernel values are made from, for the landmark assembly of the
-Dirichlet-energy matrix.  A single pair is a batch of one row each.
+one per argument).  A single pair is a batch of one row each.  ``blocks``
+yields ``gram`` and the squared distances behind it chunk by chunk: the
+pruning Gram, the landmark assembly and prediction all loop over it.
 
 Squared distances come from the expansion ||x||^2 + ||z||^2 - 2<x, z>, with
 X Z^T as one BLAS matrix product, so no (n, m, d) array is formed.  The
@@ -26,12 +26,16 @@ themselves, hold the (n, m, d) coordinate-difference array.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.blas import dgemm
 
 from .errors import InvalidArgumentError, real
+
+# entries in a chunk of ``blocks``: 4 MB of distances and 4 MB of kernel values
+_CHUNK_BUDGET = 1 << 19
 
 # Rounding leaves an expanded squared distance off by c eps (|x|^2 + |z|^2),
 # c a small multiple (at most about 2d + 3; below 6 on d = 2..10 data).  An
@@ -76,10 +80,6 @@ def _differences(X, Z) -> np.ndarray:
     return X[:, None, :] - Z[None, :, :]
 
 
-def _sqdist(diff: np.ndarray) -> np.ndarray:
-    return np.einsum("ijk,ijk->ij", diff, diff)
-
-
 def _sqdist_expanded(X, Z, out: np.ndarray | None = None) -> np.ndarray:
     """||X[i] - Z[j]||^2 for all pairs, shape (n, m), with no (n, m, d) array.
 
@@ -90,7 +90,7 @@ def _sqdist_expanded(X, Z, out: np.ndarray | None = None) -> np.ndarray:
     included, is then summed coordinate-wise from X and Z, so the result is
     non-negative and exactly 0 for coincident rows.  The distances are
     written into ``out`` when it is given, a C-contiguous (n, m) array that
-    a chunked caller reuses from one chunk to the next.
+    ``blocks`` reuses from one chunk to the next.
     """
     X, Z = _checked(X, Z)
     if X.size == 0 or Z.size == 0:
@@ -123,6 +123,17 @@ def _sqdist_expanded(X, Z, out: np.ndarray | None = None) -> np.ndarray:
     return D
 
 
+def bandwidth(name: str, value) -> float:
+    """``value`` as a bandwidth: a real whose sigma^2 is a normal double and
+    2 sigma^2 finite, else ``InvalidArgumentError`` naming ``name``."""
+    sigma = real(name, value)
+    s2 = sigma * sigma  # a float product overflows to inf, where ** raises
+    if not (s2 >= sys.float_info.min and 2.0 * s2 <= sys.float_info.max):
+        raise InvalidArgumentError(f"{name} must lie between about 1.5e-154 and 9.5e153, "
+                                   f"so that sigma^2 is a normal double, got {value!r}")
+    return sigma
+
+
 @dataclass(frozen=True)
 class GaussianKernel:
     """k(x, y) = exp(-||x - y||^2 / (2 sigma^2)).
@@ -138,16 +149,17 @@ class GaussianKernel:
     this is harmless for positive semi-definiteness.  A squared distance
     that overflows to inf likewise gives a kernel value of 0.0.  Inputs
     that are not 2-d, disagree in d or hold a non-finite entry raise
-    ``InvalidArgumentError``.
+    ``InvalidArgumentError``, as does a sigma that ``bandwidth`` refuses.
     """
 
     sigma: float
 
     def __post_init__(self):
-        object.__setattr__(self, "sigma", real("sigma", self.sigma))
+        object.__setattr__(self, "sigma", bandwidth("sigma", self.sigma))
 
     def _from_sqdist(self, sq: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        out = np.divide(sq, -2.0 * self.sigma**2, out=out)
+        with np.errstate(over="ignore"):  # to -inf at a small sigma, then clamped
+            out = np.divide(sq, -2.0 * self.sigma**2, out=out)
         # clamped, the exponent never takes exp into the subnormal range, and
         # every value at the floor is exactly _FLUSH; a masked store of -inf
         # before exp took ten times as long.  The minimum costs a fifth of
@@ -158,40 +170,42 @@ class GaussianKernel:
             np.multiply(out, out > _FLUSH, out=out)
         return out
 
-    def gram(self, X: np.ndarray, Z: np.ndarray, *, _sq: np.ndarray | None = None) -> np.ndarray:
-        """k(X[i], Z[j]) for all pairs, shape (n, m).
-
-        A chunked caller passes one C-contiguous (n, m) array ``_sq`` for
-        every chunk: the values are computed in it, and it is returned.
-        """
-        sq = _sqdist_expanded(X, Z, out=_sq)
+    def gram(self, X: np.ndarray, Z: np.ndarray) -> np.ndarray:
+        """k(X[i], Z[j]) for all pairs, shape (n, m)."""
+        sq = _sqdist_expanded(X, Z)
         return self._from_sqdist(sq, out=sq)
 
-    def gram_with_sqdist(
-        self, X: np.ndarray, Z: np.ndarray, out: np.ndarray | None = None,
-        *, _sq: np.ndarray | None = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """``gram(X, Z)`` and the squared distances ||X[i] - Z[j]||^2 behind it.
-
-        The kernel values are written into ``out`` and the distances into
-        ``_sq`` when they are given, as by ``gram``.
-        """
-        sq = _sqdist_expanded(X, Z, out=_sq)
-        return self._from_sqdist(sq, out=out), sq
+    def blocks(self, X: np.ndarray, Z: np.ndarray):
+        """Yield (start, stop, K, D) for chunks of min(n, max(1, _CHUNK_BUDGET
+        // len(Z))) rows of X: K = ``gram(X[start:stop], Z)`` and D the squared
+        distances it is made from.  K and D are views of two C-contiguous
+        buffers reused for every chunk, which saves page faults: a caller may
+        overwrite them, and copies what it keeps."""
+        X, Z = _checked(X, Z)
+        n, m = X.shape[0], Z.shape[0]
+        chunk = max(1, min(n, _CHUNK_BUDGET // max(m, 1)))
+        k_buf = np.empty((chunk, m))
+        d_buf = np.empty((chunk, m))
+        for start in range(0, n, chunk):
+            stop = min(n, start + chunk)
+            D = _sqdist_expanded(X[start:stop], Z, out=d_buf[:stop - start])
+            yield start, stop, self._from_sqdist(D, out=k_buf[:stop - start]), D
 
     def grad1_gram(self, X: np.ndarray, Z: np.ndarray) -> np.ndarray:
         """d/dX[l]_j k(X[l], Z[i]) for all pairs, shape (n, d, m)."""
         diff = _differences(X, Z)  # (n, m, d)
-        K = self._from_sqdist(_sqdist(diff))
-        out = -diff / self.sigma**2 * K[:, :, None]
+        K = self._from_sqdist(np.einsum("ijk,ijk->ij", diff, diff))
+        # K / sigma^2 first: where K > 0, |diff| < 27 sigma, so nothing overflows
+        out = diff * (K / -self.sigma**2)[:, :, None]
         return np.ascontiguousarray(out.transpose(0, 2, 1))  # (n, d, m)
 
     def cross_hessian_gram(self, X: np.ndarray, Z: np.ndarray) -> np.ndarray:
         """d^2 k / dX[l]_j dZ[i]_j' for all pairs, shape (n, d, m, d)."""
         s2 = self.sigma**2
         diff = _differences(X, Z)  # (n, m, d)
-        K = self._from_sqdist(_sqdist(diff))
-        out = -np.einsum("lmi,lmj,lm->limj", diff, diff, K) / s2**2
+        K = self._from_sqdist(np.einsum("ijk,ijk->ij", diff, diff))
+        # by sigma^2 twice, since sigma^4 leaves the double range beyond 1e77
+        out = np.einsum("lmi,lmj,lm->limj", diff, diff, K) / -s2 / s2
         d = diff.shape[2]
         idx = np.arange(d)
         # advanced indexing on axes 1 and 3 yields a (d, n, m) view target

@@ -28,13 +28,14 @@ one matrix product per row chunk and sums coordinate-wise the entries where
 that product would cancel (see ``kernel``), so every distance is accurate
 for data far from the origin.
 
-``assemble`` streams: one loop over row chunks of the data accumulates
-K^T K (BLAS ``syrk``), P^T K, b, the labeled rows' K_l^T K_l when A
-averages over them, and the landmark rows of D and K (Q and Kpp).  K^T K is
-shared with A.  The work is O(n p d) for D plus O(n p^2) for the products,
-all in BLAS, and the memory O(p^2) plus one row chunk of distances and
-kernel values; the n x p K is never held (the block-wise products of
-FALKON: Rudi, Carratino & Rosasco, NeurIPS 2017).
+``assemble`` streams: one loop over the kernel's row chunks of K and D
+(``GaussianKernel.blocks``) accumulates K^T K (BLAS ``syrk``), P^T K, b,
+the labeled rows' K_l^T K_l when A averages over them, and the landmark
+rows of D and K (Q and Kpp).  K^T K is shared with A.  The work is O(n p d)
+for D plus O(n p^2) for the products, all in BLAS, and the memory O(p^2)
+plus one row chunk of distances and kernel values; the n x p K is never
+held (the block-wise products of FALKON: Rudi, Carratino & Rosasco,
+NeurIPS 2017).
 
 Before assembly, ``prune_landmarks`` drops the drawn landmarks whose kernel
 functions are numerically dependent on the others (a pivoted Cholesky of
@@ -65,10 +66,6 @@ from .errors import (
 from .kernel import GaussianKernel
 
 DEFAULT_DENSE_CAP = 2000
-
-# rows per chunk are sized so that a chunk's (chunk, p) squared distances,
-# and its kernel values, stay near 4 MB each
-_CHUNK_BUDGET = 1 << 19
 
 # side of the square tiles in which _mirror_upper mirrors a triangle
 _TILE = 128
@@ -215,9 +212,6 @@ def assemble(
     coords = X[idx]
     m = n_l if sigma_over_labeled else n  # the rows A averages
 
-    chunk = min(n, max(1, _CHUNK_BUDGET // p))
-    k_buf = np.empty((chunk, p))
-    d_buf = np.empty((chunk, p))
     # the syrk accumulators hold upper triangles only
     ktk = np.zeros((p, p), order="F")  # K^T K
     pk = np.zeros((p, p), order="F")  # P^T K
@@ -227,10 +221,7 @@ def assemble(
     q = np.empty((p, p))
     kpp = np.empty((p, p))
     b = np.zeros(p)
-    for start in range(0, n, chunk):
-        stop = min(n, start + chunk)
-        kb, db = kernel.gram_with_sqdist(
-            X[start:stop], coords, out=k_buf[:stop - start], _sq=d_buf[:stop - start])
+    for start, stop, kb, db in kernel.blocks(X, coords):
         _check_block_finite(kb, start, "kernel")
         # an infinite distance has k = 0 and would make P = inf * 0 = NaN
         _check_block_finite(db, start, "kernel derivative")
@@ -250,7 +241,7 @@ def assemble(
                 # are not read again
                 rows = dtrsm(1.0, upper, rows, trans_a=1, overwrite_b=1)
             gm = dsyrk(1.0, rows, beta=1.0, c=gm, overwrite_c=1)
-    del kb, db, k_buf, d_buf
+    del kb, db
 
     _mirror_upper(ktk)
     # Znp^T Znp / n by the polarization identity; Q holds each product it
@@ -327,13 +318,9 @@ def prune_landmarks(
     coords = ds.inputs[landmarks]
     p = coords.shape[0]
     kpp = np.empty((p, p))
-    chunk = min(p, max(1, _CHUNK_BUDGET // p))
-    sq = np.empty((chunk, p))
-    for start in range(0, p, chunk):
-        stop = min(p, start + chunk)
-        kernel.gram_with_sqdist(
-            coords[start:stop], coords, out=kpp[start:stop], _sq=sq[:stop - start])
-    del sq
+    for start, stop, block, _ in kernel.blocks(coords, coords):
+        kpp[start:stop] = block
+    del block, _
     # Kpp is symmetric, so its transpose is the Fortran-order array pstrf
     # overwrites without a copy
     c, piv, r, info = dpstrf(kpp.T, tol=PRUNE_TOL, lower=1, overwrite_a=1)

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
+from scipy.linalg.blas import dnrm2, dsymv
 from scipy.linalg.lapack import dpocon, dpotrf, dsygst
 
 from .errors import InvalidArgumentError, NumericalConsistencyError, SingularPencilError, real
@@ -38,10 +39,12 @@ def spectral_norm_estimate(M: np.ndarray) -> float:
         return 0.0
     j = int(np.argmax(norms))
     v = M[:, j] / norms[j]
+    # on scipy's BLAS, as gevd's LAPACK calls; M^T = M is Fortran-order for symv
+    Mf = np.asfortranarray(M.T, dtype=float)
     est = 0.0
     for _ in range(12):
-        w = M @ v
-        est = float(np.linalg.norm(w))
+        w = dsymv(1.0, Mf, v)
+        est = float(dnrm2(w))
         if est == 0.0:
             return 0.0
         v = w / est
@@ -70,8 +73,9 @@ def _check_symmetric(M: np.ndarray, name: str) -> np.ndarray:
         raise InvalidArgumentError(f"{name} must be square and non-empty, got shape {M.shape}")
     if not np.all(np.isfinite(M)):
         raise InvalidArgumentError(f"{name} contains non-finite entries")
-    scale = np.linalg.norm(M)
-    asym = np.linalg.norm(M - M.T)
+    # on scipy's BLAS: numpy's pool would spin against the solvers' next
+    scale = dnrm2(M.ravel())
+    asym = dnrm2((M - M.T).ravel())
     if asym > 1e-8 * max(scale, np.finfo(float).tiny):
         raise InvalidArgumentError(
             f"{name} is asymmetric beyond tolerance: ||M-M^T||={asym:.3e}, ||M||={scale:.3e}"
@@ -110,6 +114,13 @@ def _cholesky_with_jitter(M: np.ndarray, name: str) -> tuple[np.ndarray, float]:
             pivot=int(info2),
         )
     return L, float(jitter)
+
+
+def _spd_solve(M: np.ndarray, rhs: np.ndarray, name: str) -> tuple[np.ndarray, float]:
+    """(x, jitter): M x = rhs for SPD M, by ``_cholesky_with_jitter`` and two
+    triangular solves."""
+    L, jitter = _cholesky_with_jitter(M, name)
+    return sla.cho_solve((L, True), rhs, check_finite=False), jitter
 
 
 def gevd(A: np.ndarray, B: np.ndarray) -> PencilDecomposition:

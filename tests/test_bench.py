@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from kerlap import estimator
+from kerlap import kernel as kernel_module
 from kerlap.bench import (
     METHODS,
     PRESETS,
@@ -229,7 +229,7 @@ class TestExportEigenvectors:
                                    grid=ds.inputs)
         # at 400-row query chunks (15 landmarks), 30 copies of the data span
         # three chunks, and each copy gets the values of the one-chunk grid
-        monkeypatch.setattr(estimator, "_CHUNK_BUDGET", 400 * 15)
+        monkeypatch.setattr(kernel_module, "_CHUNK_BUDGET", 400 * 15)
         tiled = export_eigenvectors(ds, GaussianKernel(1.0), p=15, mu=0.1, count=5,
                                     grid=np.tile(ds.inputs, (30, 1)))
         assert np.abs(tiled.reshape(30, 40, 5) - vals).max() <= 1e-12 * np.abs(vals).max()

@@ -1,11 +1,13 @@
 import json
 import shlex
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from kerlap import bench
 from kerlap.bench import ExperimentConfig, load_records_csv, preset
 from kerlap.cli import _bench_config, _parser, main
 from kerlap.operators import load_dataset_csv, save_dataset_csv
@@ -110,6 +112,18 @@ class TestFitPredict:
                     "--dense-cap", "400", "--out", str(model)])
         assert code == 0
         assert json.loads(model.read_text())["basis_kind"] == "dense_representer"
+
+    @pytest.mark.parametrize("method", ["kernel_laplacian", "exact"])
+    @pytest.mark.parametrize("sigma", ["1e300", "1e-300"])
+    def test_sigma_outside_double_range_exits_2(self, dataset, tmp_path, capsys, method, sigma):
+        model = tmp_path / "m.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(["fit", "--data", str(dataset), "--method", method, "--sigma", sigma,
+                        "--p", "20", "--out", str(model)])
+        err = capsys.readouterr().err
+        assert code == 2 and not model.exists()
+        assert err.startswith("error: kernel_sigma must lie between") and err.count("\n") == 1
 
     def test_missing_file_exit_2(self, tmp_path):
         code = run(["fit", "--data", str(tmp_path / "nope.csv"), "--sigma", "1.0",
@@ -291,6 +305,29 @@ class TestBenchFlags:
     def test_bad_value_message_names_the_field(self, tmp_path, capsys, flags, field):
         assert exit_code(["bench-error", *flags, "--out", str(tmp_path / "rec.csv")]) == 2
         assert capsys.readouterr().err.startswith(f"error: {field} must be")
+
+    @pytest.mark.parametrize("flags", [
+        ["--preset", "fig2", "--n-grid", "25", "--trials", "1", "--kernel-sigma", "1e-300"],
+        ["--preset", "fig2", "--n-grid", "25", "--trials", "1", "--kernel-sigma", "1e300"],
+        ["--method", "graph", "--graph-sigma", "1e-300"],
+    ], ids=["kernel 1e-300", "kernel 1e300", "graph 1e-300"])
+    def test_sigma_outside_double_range_exits_2_before_any_trial(
+        self, tmp_path, capsys, monkeypatch, flags
+    ):
+        # a sigma whose square underflows or overflows is refused with the
+        # config, silently; no trial runs and no record is written
+        def refuse(*args, **kwargs):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(bench, "fit_model", refuse)
+        monkeypatch.setattr(bench, "harmonic_propagate", refuse)
+        rec = tmp_path / "rec.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert exit_code(["bench-error", *flags, "--out", str(rec)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "sigma must lie between" in err
+        assert err.count("\n") == 1 and not rec.exists()
 
     @pytest.mark.parametrize("text", ['{"p": "bogus"}', '{"trials": "3"}', "5"])
     def test_bad_config_file_exits_2_without_records(self, tmp_path, text):

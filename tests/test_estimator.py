@@ -283,12 +283,12 @@ class TestFitExact:
         ref = predict(FittedModel(k, X, old, DENSE_REPRESENTER), Q)
 
         jitters = []
-        factor = estimator._cholesky_with_jitter
+        solve = estimator._spd_solve
         def spy(*args):
-            L, jitter = factor(*args)
+            x, jitter = solve(*args)
             jitters.append(jitter)
-            return L, jitter
-        monkeypatch.setattr(estimator, "_cholesky_with_jitter", spy)
+            return x, jitter
+        monkeypatch.setattr(estimator, "_spd_solve", spy)
         got = predict(fit_exact(ds, k, lam, mu), Q)
         assert jitters == [0.0]
         assert np.linalg.norm(got - ref) <= 1e-6 * np.linalg.norm(ref)
@@ -323,6 +323,41 @@ class TestPredict:
         batch = predict(m, Q)
         single = np.array([predict(m, q[None, :])[0] for q in Q])
         assert np.max(np.abs(batch - single)) <= 1e-12
+
+    @pytest.mark.parametrize("offset", [0.0, 1e3, 1e8])
+    def test_dense_matches_derivative_feature_formula(self, offset, monkeypatch):
+        # the reference sums the kernel features from gram and the derivative
+        # features from grad1_gram at the basis points, query by query
+        def reference(model, Q):
+            coords = model.basis_coordinates
+            m, d = coords.shape
+            k, c = model.kernel, model.coefficients
+            Zq = k.grad1_gram(coords, Q).reshape(m * d, len(Q))
+            return k.gram(Q, coords) @ c[:m] + Zq.T @ c[m:]
+
+        rng = np.random.default_rng(12)
+        X = rng.standard_normal((40, 3)) + offset
+        model = fit_exact(SemiDataset(X, rng.standard_normal(10)), GaussianKernel(0.8), 0.1, 0.01)
+        near = X[rng.integers(0, 40, 60)] + 0.5 * rng.standard_normal((60, 3))
+        far = offset + 1e3 + rng.standard_normal((5, 3))
+        Q = np.vstack([near, far])
+        ref = reference(model, Q)
+        # 7-row query chunks over the 40 basis points
+        monkeypatch.setattr(kernel_module, "_CHUNK_BUDGET", 7 * 40)
+        got = predict(model, Q)
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+        assert np.all(got[60:] == 0.0) and np.all(ref[60:] == 0.0)
+
+    def test_dense_predict_takes_no_derivative_gram(self, monkeypatch):
+        rng = np.random.default_rng(13)
+        model = fit_exact(SemiDataset(rng.standard_normal((20, 2)), rng.standard_normal(5)),
+                          GaussianKernel(1.0), 0.1, 0.01)
+
+        def refuse(self, X, Z):
+            raise AssertionError("grad1_gram called")
+
+        monkeypatch.setattr(GaussianKernel, "grad1_gram", refuse)
+        assert np.all(np.isfinite(predict(model, rng.standard_normal((30, 2)))))
 
     def test_dimension_mismatch(self):
         m = FittedModel(GaussianKernel(1.0), [[0.0, 0.0]], [1.0], LANDMARK_KERNEL)
@@ -374,7 +409,7 @@ class TestDistanceExpansionPath:
             return expand(X, Z, out=out)
 
         monkeypatch.setattr(kernel_module, "_sqdist_expanded", counting)
-        monkeypatch.setattr(operators, "_CHUNK_BUDGET", 7 * 40)
+        monkeypatch.setattr(kernel_module, "_CHUNK_BUDGET", 7 * 40)
         rng = np.random.default_rng(31)
         ds = SemiDataset(np.repeat(rng.standard_normal((30, 3)), 2, axis=0),
                          rng.standard_normal(10))

@@ -19,7 +19,7 @@ from unittest import mock
 import numpy as np
 from hypothesis import assume, given, settings, strategies as st
 
-from kerlap import estimator, operators
+from kerlap import estimator, kernel as kernel_module
 from kerlap.errors import SingularPencilError
 from kerlap.estimator import fit, predict
 from kerlap.filters import FilterSpec, filter_coefficients
@@ -99,7 +99,7 @@ def test_unlabeled_permutation_invariance(prob, chunk_rows):
     drawn = select_landmarks(SemiDataset(X, y), prob["p"], prob["seed"])
     base = _fit_predict(prob, X, y, Q)
     with mock.patch.object(estimator, "select_landmarks", lambda ds, p, seed: position[drawn]), \
-            mock.patch.object(operators, "_CHUNK_BUDGET", chunk_rows * prob["p"]):
+            mock.patch.object(kernel_module, "_CHUNK_BUDGET", chunk_rows * prob["p"]):
         permuted = _fit_predict(prob, X[order], y, Q)
     assert _rel(permuted, base) <= RTOL
 

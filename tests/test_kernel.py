@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from kerlap import kernel as kernel_module
 from kerlap.errors import InvalidArgumentError
 from kerlap.kernel import GaussianKernel
 
@@ -50,7 +51,13 @@ def random_pair(rng, d, sigma):
     return x, x + sigma * t * u
 
 
-BATCH_FORMS = ("gram", "gram_with_sqdist", "grad1_gram", "cross_hessian_gram")
+BATCH_FORMS = ("gram", "blocks", "grad1_gram", "cross_hessian_gram")
+
+
+def evaluate(k, form, X, Z):
+    """One batch form of k on (X, Z); the chunked form runs to its end."""
+    result = getattr(k, form)(X, Z)
+    return list(result) if form == "blocks" else result
 
 
 class TestEval:
@@ -86,34 +93,57 @@ class TestEval:
     def test_dimension_mismatch(self):
         k = GaussianKernel(1.0)
         for form in BATCH_FORMS:
-            method = getattr(k, form)
             with pytest.raises(InvalidArgumentError, match="dimension mismatch"):
-                method([[1.0, 2.0]], [[1.0]])
+                evaluate(k, form, [[1.0, 2.0]], [[1.0]])
             with pytest.raises(InvalidArgumentError, match="dimension mismatch"):
-                method(np.zeros((2, 2)), np.zeros((2, 3)))
+                evaluate(k, form, np.zeros((2, 2)), np.zeros((2, 3)))
 
     def test_non_2d_input(self):
         k = GaussianKernel(1.0)
         for form in BATCH_FORMS:
-            method = getattr(k, form)
             with pytest.raises(InvalidArgumentError, match="2-d"):
-                method([1.0, 2.0], [[1.0, 2.0]])
+                evaluate(k, form, [1.0, 2.0], [[1.0, 2.0]])
             with pytest.raises(InvalidArgumentError, match="2-d"):
-                method([[1.0, 2.0]], np.zeros((1, 1, 2)))
+                evaluate(k, form, [[1.0, 2.0]], np.zeros((1, 1, 2)))
 
     def test_non_finite_input(self):
         k = GaussianKernel(1.0)
         for form in BATCH_FORMS:
-            method = getattr(k, form)
             with pytest.raises(InvalidArgumentError, match="non-finite"):
-                method([[np.nan, 0.0]], [[0.0, 0.0]])
+                evaluate(k, form, [[np.nan, 0.0]], [[0.0, 0.0]])
             with pytest.raises(InvalidArgumentError, match="non-finite"):
-                method([[0.0]], [[np.inf]])
+                evaluate(k, form, [[0.0]], [[np.inf]])
 
     @pytest.mark.parametrize("sigma", [0.0, -1.0, np.nan, np.inf])
     def test_bad_sigma(self, sigma):
         with pytest.raises(InvalidArgumentError):
             GaussianKernel(sigma)
+
+    @pytest.mark.parametrize("sigma", [1e-300, 1e-155, 1.2e154, 1e155, 1e300, 1.7e308])
+    def test_sigma_outside_double_range(self, sigma):
+        # sigma^2 would underflow (NaN on coincident points) or overflow (an
+        # untyped OverflowError), or 2 sigma^2 would (k = 1 for every pair):
+        # refused with the typed error, silently
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidArgumentError, match="sigma must lie between"):
+                GaussianKernel(sigma)
+
+    @pytest.mark.parametrize("sigma", [1.5e-154, 1e-100, 1e100, 9.4e153])
+    def test_sigma_at_the_ends_of_its_range(self, sigma):
+        # every form stays finite and silent and coincident points have
+        # k = 1; against sigma, near pairs have k = 1 and far ones k = 0
+        k = GaussianKernel(sigma)
+        X = np.array([[0.0, 0.0], [1.0, -2.0], [1e100, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            G, blocks, G1, H = (evaluate(k, form, X, X) for form in BATCH_FORMS)
+        assert np.all(np.diag(G) == 1.0) and np.array_equal(blocks[0][2], G)
+        assert np.all(np.isfinite(G1)) and np.all(np.isfinite(H))
+        if sigma < 1.0:
+            assert np.array_equal(G, np.eye(3))
+        else:
+            assert G[0, 1] == 1.0
 
 
 class TestDerivatives:
@@ -190,19 +220,31 @@ class TestGram:
                 assert np.allclose(G1[i, :, j], kgrad(k, X[i], Z[j]), atol=1e-15)
                 assert np.allclose(H[i, :, j, :], khess(k, X[i], Z[j]), atol=1e-15)
 
-    def test_gram_with_sqdist(self):
-        # the same kernel values as gram, and the distances they come from
+    def test_blocks(self, monkeypatch):
+        # the row chunks tile X in order, each with gram's values of its rows
+        # and the distances they come from, in two buffers reused throughout
         rng = np.random.default_rng(6)
         k = GaussianKernel(0.7)
         X, Z = rng.standard_normal((6, 3)), rng.standard_normal((4, 3))
-        out = np.empty((6, 4))
-        K, D = k.gram_with_sqdist(X, Z, out=out)
-        assert K is out and np.array_equal(K, k.gram(X, Z))
-        assert np.allclose(D, ((X[:, None, :] - Z[None, :, :]) ** 2).sum(axis=2), rtol=1e-15, atol=0)
-        assert np.array_equal(K, np.exp(-D / (2.0 * 0.7**2)))
+        monkeypatch.setattr(kernel_module, "_CHUNK_BUDGET", 4 * 4)
+        chunks = list(k.blocks(X, Z))
+        assert [(start, stop) for start, stop, _, _ in chunks] == [(0, 4), (4, 6)]
+        K0, D0 = chunks[0][2], chunks[0][3]
+        for start, stop, K, D in chunks:
+            assert np.shares_memory(K, K0) and np.shares_memory(D, D0)
+            assert not np.shares_memory(K, D)
+        for start, stop, K, D in k.blocks(X, Z):
+            assert np.array_equal(K, k.gram(X[start:stop], Z))
+            exact = ((X[start:stop, None, :] - Z[None, :, :]) ** 2).sum(axis=2)
+            assert np.allclose(D, exact, rtol=1e-15, atol=0)
+            assert np.array_equal(K, np.exp(-D / (2.0 * 0.7**2)))
+        # a budget below one row of Z still gives one-row chunks; no rows, none
+        monkeypatch.setattr(kernel_module, "_CHUNK_BUDGET", 3)
+        assert [stop - start for start, stop, _, _ in k.blocks(X[:3], Z)] == [1, 1, 1]
+        assert list(k.blocks(np.zeros((0, 3)), Z)) == []
 
     @pytest.mark.parametrize("case", ["duplicates", "offset 1e8", "two clusters 1e6"])
-    def test_gram_with_sqdist_on_hostile_inputs(self, case):
+    def test_blocks_on_hostile_inputs(self, case):
         # the distances come from an expansion in the norms and X Z^T; where
         # that cancels, the kernel's guard sums them coordinate-wise, so
         # coincident pairs give D = 0 and k = 1 exactly and every other entry
@@ -219,7 +261,7 @@ class TestGram:
             X[20:] -= 1e6
         Z = X[rng.permutation(40)[:15]]
         k = GaussianKernel(0.9)
-        K, D = k.gram_with_sqdist(X, Z)
+        [(_, _, K, D)] = k.blocks(X, Z)
         exact = ((X[:, None, :] - Z[None, :, :]) ** 2).sum(axis=2)
         coincident = (X[:, None, :] == Z[None, :, :]).all(axis=2)
         assert coincident.sum() >= 15

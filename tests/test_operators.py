@@ -9,7 +9,7 @@ from kerlap.errors import (
     NumericalConsistencyError,
     ResourceLimitError,
 )
-from kerlap import operators
+from kerlap import kernel as kernel_module, operators
 from kerlap.kernel import GaussianKernel
 from kerlap.operators import (
     SemiDataset,
@@ -164,7 +164,7 @@ class TestAssemble:
         kpp = k.gram(ds.inputs[lm], ds.inputs[lm])
         expected = znp.T @ znp / n + mu * kpp
         single = assemble(ds, k, lm, mu)
-        monkeypatch.setattr(operators, "_CHUNK_BUDGET", 4 * p)
+        monkeypatch.setattr(kernel_module, "_CHUNK_BUDGET", 4 * p)
         chunked = assemble(ds, k, lm, mu)
         for bun in (single, chunked):
             assert bun.znp is None
@@ -198,7 +198,7 @@ class TestAssemble:
         elif case == "sigma 1e3":
             sigma = 1e3
         elif case == "4-row chunks":
-            monkeypatch.setattr(operators, "_CHUNK_BUDGET", 4 * p)
+            monkeypatch.setattr(kernel_module, "_CHUNK_BUDGET", 4 * p)
         ds = SemiDataset(inputs=X, labels=rng.standard_normal(6))
         lm = select_landmarks(ds, p, seed=12)
         k = GaussianKernel(sigma)
@@ -228,7 +228,7 @@ class TestAssemble:
         assert L is not None
         p = kept.size
         single = [assemble(ds, k, kept, mu, over_labeled, factor) for factor in (None, L)]
-        monkeypatch.setattr(operators, "_CHUNK_BUDGET", 4 * p)
+        monkeypatch.setattr(kernel_module, "_CHUNK_BUDGET", 4 * p)
         chunked = [assemble(ds, k, kept, mu, over_labeled, factor) for factor in (None, L)]
         for one, four in zip(single, chunked):
             for name in ("A", "b", "kpp"):
@@ -362,7 +362,7 @@ class TestPruneAndWhiten:
         # numerical rank below 60; the kept rows' Gram is L L^T, in one chunk
         # and in 7-row chunks
         if budget:
-            monkeypatch.setattr(operators, "_CHUNK_BUDGET", budget)
+            monkeypatch.setattr(kernel_module, "_CHUNK_BUDGET", budget)
         rng = np.random.default_rng(22)
         ds = SemiDataset(inputs=rng.uniform(-2, 2, (60, 1)), labels=[1.0])
         k = GaussianKernel(0.5)
@@ -428,7 +428,7 @@ class TestPruneAndWhiten:
         # the assembly streams row chunks into p x p sums: its tracemalloc
         # peak at n = 16000 is that at n = 4000, where an n x p K alone
         # would grow by 9.6 MB at p = 100
-        monkeypatch.setattr(operators, "_CHUNK_BUDGET", 1000 * 100)
+        monkeypatch.setattr(kernel_module, "_CHUNK_BUDGET", 1000 * 100)
         rng = np.random.default_rng(27)
         X = rng.standard_normal((16000, 3))
         if pruned:
