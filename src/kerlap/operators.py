@@ -70,6 +70,10 @@ DEFAULT_DENSE_CAP = 2000
 # side of the square tiles in which _mirror_upper mirrors a triangle
 _TILE = 128
 
+# the strict lower triangle of a diagonal tile, as a mask; the leading
+# s x s block of it is that of a smaller tile
+_BELOW = np.tri(_TILE, k=-1, dtype=bool)
+
 # pivoted Cholesky stopping tolerance on the landmark Gram; the Gaussian Gram
 # has a unit diagonal, so this is relative to its largest pivot
 PRUNE_TOL = 1e-10
@@ -142,8 +146,26 @@ def select_landmarks(ds: SemiDataset, p: int, seed: int) -> np.ndarray:
     return rng.choice(ds.n, size=p, replace=False)
 
 
+def _landmark_indices(landmarks, n: int) -> np.ndarray:
+    """``landmarks`` as an array of distinct row indices in [0, n), else
+    ``InvalidArgumentError``: not 1-d integers, empty, repeated or out of range."""
+    idx = np.asarray(landmarks)
+    if idx.ndim != 1 or idx.size < 1 or idx.dtype.kind not in "iu":
+        raise InvalidArgumentError(
+            f"landmarks must be a non-empty vector of row indices, got {idx.dtype} {idx.shape}"
+        )
+    ordered = np.sort(idx)
+    if (ordered[1:] == ordered[:-1]).any():
+        raise InvalidArgumentError("landmark indices must be distinct")
+    if ordered[0] < 0 or ordered[-1] >= n:
+        raise InvalidArgumentError(
+            f"landmark indices must lie in [0, {n}), got {ordered[0]} .. {ordered[-1]}"
+        )
+    return idx
+
+
 def _check_block_finite(block: np.ndarray, row_offset: int, what: str):
-    if np.all(np.isfinite(block)):
+    if np.isfinite(block).all():
         return
     bad = np.argwhere(~np.isfinite(block))
     r, c = bad[0][0], bad[0][-1]
@@ -190,18 +212,7 @@ def assemble(
     mu = real("mu", mu)
     X, y = ds.inputs, ds.labels
     n, n_l = X.shape[0], ds.n_labeled
-    idx = np.asarray(landmarks)
-    if idx.ndim != 1 or idx.size < 1 or idx.dtype.kind not in "iu":
-        raise InvalidArgumentError(
-            f"landmarks must be a non-empty vector of row indices, got {idx.dtype} {idx.shape}"
-        )
-    distinct = np.unique(idx)
-    if distinct.size != idx.size:
-        raise InvalidArgumentError("landmark indices must be distinct")
-    if distinct[0] < 0 or distinct[-1] >= n:
-        raise InvalidArgumentError(
-            f"landmark indices must lie in [0, {n}), got {distinct[0]} .. {distinct[-1]}"
-        )
+    idx = _landmark_indices(landmarks, n)
     p = idx.size
     if factor is not None:
         # trsm and sygst take L^T (upper) in Fortran order, which is L in C
@@ -226,8 +237,9 @@ def assemble(
         # an infinite distance has k = 0 and would make P = inf * 0 = NaN
         _check_block_finite(db, start, "kernel derivative")
         here = (idx >= start) & (idx < stop)
-        kpp[here] = kb[idx[here] - start]
-        q[here] = db[idx[here] - start]
+        chunk_rows = idx[here] - start
+        kpp[here] = kb[chunk_rows]
+        q[here] = db[chunk_rows]
         if start < n_l:
             labeled = kb[:n_l - start]
             b = dgemv(1.0, labeled.T, y[start:stop], beta=1.0, y=b, overwrite_y=1)
@@ -280,8 +292,9 @@ def _mirror_upper(c: np.ndarray) -> np.ndarray:
     m = c.shape[0]
     for i in range(0, m, _TILE):
         diagonal = c[i:i + _TILE, i:i + _TILE]
-        below = np.tril_indices(diagonal.shape[0], -1)
-        diagonal[below] = diagonal.T[below]
+        size = diagonal.shape[0]
+        # copyto reads the overlapping diagonal.T from a copy
+        np.copyto(diagonal, diagonal.T, where=_BELOW[:size, :size])
         for j in range(i + _TILE, m, _TILE):
             c[j:j + _TILE, i:i + _TILE] = c[i:i + _TILE, j:j + _TILE].T
     return c
@@ -313,9 +326,11 @@ def prune_landmarks(
     distances of the dropped landmarks' kernel functions from the span of
     the kept ones, all at most ``PRUNE_TOL`` (Harbrecht, Peters & Schneider,
     Appl. Numer. Math. 2012), so what is dropped is the pencil's numerical
-    null space.  Work is O(p^2 d) for the Gram plus O(p^2 r).
+    null space.  Work is O(p^2 d) for the Gram plus O(p^2 r).  ``landmarks``
+    is checked as ``assemble`` checks it.
     """
-    coords = ds.inputs[landmarks]
+    idx = _landmark_indices(landmarks, ds.n)
+    coords = ds.inputs[idx]
     p = coords.shape[0]
     kpp = np.empty((p, p))
     for start, stop, block, _ in kernel.blocks(coords, coords):
@@ -328,7 +343,7 @@ def prune_landmarks(
         raise InvalidArgumentError(f"illegal value in pstrf argument {-info}")
     if r == p:
         return landmarks, None
-    return landmarks[piv[:r] - 1], np.tril(c[:r, :r])
+    return idx[piv[:r] - 1], np.tril(c[:r, :r])
 
 
 def assemble_dense(

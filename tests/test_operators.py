@@ -38,6 +38,12 @@ def khess(k, x, y) -> np.ndarray:
     return k.cross_hessian_gram(x[None], y[None])[0, :, 0, :]
 
 
+# landmark vectors that are not distinct row indices of a 3-point dataset
+BAD_LANDMARKS = pytest.mark.parametrize("landmarks", [
+    [0.0, 1.0], [True, False], [[0], [1]], [], [-1, 0], [0, 3], [1, 1]],
+    ids=["float", "bool", "2-d", "empty", "negative", "beyond n", "duplicate"])
+
+
 class TestSemiDataset:
     def test_basic(self):
         ds = SemiDataset(inputs=[[0.0, 1.0], [2.0, 3.0]], labels=[1.0])
@@ -329,9 +335,7 @@ class TestAssemble:
         with pytest.raises(InvalidArgumentError):
             assemble(ds, GaussianKernel(1.0), lm, mu=0.0)
 
-    @pytest.mark.parametrize("landmarks", [
-        [0.0, 1.0], [True, False], [[0], [1]], [], [-1, 0], [0, 3], [1, 1]],
-        ids=["float", "bool", "2-d", "empty", "negative", "beyond n", "duplicate"])
+    @BAD_LANDMARKS
     def test_bad_indices_rejected(self, landmarks):
         # a landmark set is a vector of distinct row indices in [0, n)
         ds = SemiDataset(inputs=[[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], labels=[1.0])
@@ -348,7 +352,25 @@ class TestAssemble:
             assemble(ds, GaussianKernel(1.0), [0], mu=0.1)
 
 
+class TestMirrorUpper:
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("m", [1, 127, 128, 129, 300])
+    def test_copies_upper_triangle_over_lower(self, m, order):
+        # tiles of 128: one partial, one full, a full and a partial, three
+        c = np.asarray(np.random.default_rng(m).standard_normal((m, m)), order=order)
+        want = np.triu(c) + np.triu(c, 1).T
+        got = operators._mirror_upper(c)
+        assert got is c and np.array_equal(got, want)
+
+
 class TestPruneAndWhiten:
+    @BAD_LANDMARKS
+    def test_bad_indices_rejected(self, landmarks):
+        # checked as assemble checks them, before any kernel value
+        ds = SemiDataset(inputs=[[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], labels=[1.0])
+        with pytest.raises(InvalidArgumentError, match="landmark"):
+            prune_landmarks(ds, GaussianKernel(1.0), landmarks)
+
     def test_full_rank_draw_kept_as_drawn(self):
         rng = np.random.default_rng(20)
         ds = SemiDataset(inputs=rng.standard_normal((30, 3)), labels=[1.0, -1.0])

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
+from kerlap import pencil as pencil_module
 from kerlap.errors import InvalidArgumentError, NumericalConsistencyError, SingularPencilError
 from kerlap.filters import FilterSpec, filter_coefficients
 from kerlap.pencil import (
@@ -10,7 +12,7 @@ from kerlap.pencil import (
     pencil_solve,
     spectral_norm_estimate,
 )
-from scipy.linalg.lapack import dpotrf
+from scipy.linalg.lapack import dpotrf, dsyevd
 
 
 def random_pencil(rng, p, rank=None):
@@ -156,12 +158,86 @@ class TestGevd:
             pencil_solve((A_asym + A_asym.T) / 2, (B_asym + B_asym.T) / 2, 0.5, rhs),
         )
 
+    @pytest.mark.parametrize("p", [1, 2, 129, 300])
+    def test_eigenvalues_match_scipy_eigh(self, p):
+        rng = np.random.default_rng(40 + p)
+        A, B = random_pencil(rng, p)
+        want = sla.eigh(A, B, eigvals_only=True)[::-1]
+        got = gevd(A, B).eigenvalues
+        assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
+    def test_clamp_decision_same_with_and_without_the_floor(self, monkeypatch):
+        # gevd computes the clamp tolerance only below a floor it cannot
+        # exceed; with that shortcut disabled every decision and every
+        # output stays the same, while the shortcut spares most of these
+        # rank-deficient pencils the norm estimate
+        rng = np.random.default_rng(11)
+        estimates = []
+
+        def counting_estimate(M):
+            estimates.append(1)
+            return spectral_norm_estimate(M)
+
+        monkeypatch.setattr(pencil_module, "spectral_norm_estimate", counting_estimate)
+        cases = []
+        for shift in [0.0, 1e-14, 1e-10, 3e-9, 1e-8, 3e-8, 1e-6, 1e-3]:
+            for _ in range(5):
+                p = int(rng.integers(2, 30))
+                A, B = random_pencil(rng, p, rank=int(rng.integers(1, p + 1)))
+                cases.append((A - shift * np.abs(A).max() * B, B * rng.uniform(0.1, 10.0)))
+
+        def outcomes():
+            out = []
+            for A, B in cases:
+                try:
+                    dec = gevd(A, B)
+                    out.append((dec.eigenvalues, dec.eigenvectors))
+                except NumericalConsistencyError as exc:
+                    out.append(str(exc))
+            return out
+
+        fast = outcomes()
+        fast_estimates = len(estimates)
+        monkeypatch.setattr(pencil_module, "_NORM_RANGE", (np.inf, np.inf))
+        full = outcomes()
+        assert len(estimates) - fast_estimates == len(cases) and fast_estimates < 0.75 * len(cases)
+        assert any(isinstance(f, str) for f in full) and not all(isinstance(f, str) for f in full)
+        for f, g in zip(fast, full):
+            if isinstance(g, str):
+                assert f == g
+            else:
+                assert np.array_equal(f[0], g[0]) and np.array_equal(f[1], g[1])
+
+    @pytest.mark.parametrize("info, error", [
+        (-3, InvalidArgumentError), (7, NumericalConsistencyError)])
+    def test_syevd_failure_raises(self, info, error, monkeypatch):
+        # syevd's info is checked: an illegal argument or a failure to converge
+        def failing_dsyevd(c, **kwargs):
+            w, q, _ = dsyevd(c, **kwargs)
+            return w, q, info
+
+        monkeypatch.setattr(pencil_module, "dsyevd", failing_dsyevd)
+        A, B = random_pencil(np.random.default_rng(9), 6)
+        with pytest.raises(error, match="syevd"):
+            gevd(A, B)
+
 
 class TestSpectralNormEstimate:
     def test_positive_when_ones_is_in_the_null_space(self):
         # I - 11^T/4 is a projector with ||M||_2 = 1 and M 1 = 0
         M = np.eye(4) - np.ones((4, 4)) / 4
         assert spectral_norm_estimate(M) == pytest.approx(1.0, rel=1e-12)
+
+    def test_at_least_the_largest_column_norm(self):
+        # gevd's clamp floor rests on this: from the largest column, each
+        # power step's estimate is at least the last one's
+        rng = np.random.default_rng(12)
+        for _ in range(200):
+            p = int(rng.integers(1, 40))
+            G = rng.standard_normal((p, int(rng.integers(1, p + 1))))
+            M = G * rng.choice([-1.0, 1.0], G.shape[1]) @ G.T  # PSD or indefinite
+            M = (M + M.T) / 2
+            assert spectral_norm_estimate(M) >= np.linalg.norm(M, axis=0).max() * (1 - 1e-12)
 
     def test_bounded_by_the_norm(self):
         rng = np.random.default_rng(7)
