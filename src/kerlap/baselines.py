@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgumentError, integer, real
+from .errors import InvalidArgumentError, array, integer, real
 from .estimator import LANDMARK_KERNEL, FittedModel
 from .kernel import GaussianKernel, bandwidth
 from .pencil import _spd_solve
@@ -68,10 +68,9 @@ def krr_fit(
     inputs: np.ndarray, labels: np.ndarray, kernel: GaussianKernel, ridge: float
 ) -> FittedModel:
     """Kernel ridge regression on labeled data: (K + n_l*ridge*I) c = y."""
-    X = np.asarray(inputs, dtype=float)
-    y = np.asarray(labels, dtype=float)
-    if X.ndim != 2 or y.shape != (X.shape[0],):
-        raise InvalidArgumentError("inputs must be (n_l, d) with matching label vector")
+    X, y = array("inputs", inputs, ndim=2), array("labels", labels, ndim=1)
+    if y.size != X.shape[0]:
+        raise InvalidArgumentError(f"labels must match the {X.shape[0]} inputs, got {y.size}")
     ridge = real("ridge", ridge)
     n_l = X.shape[0]
     M = kernel.gram(X, X)

@@ -21,14 +21,14 @@ from typing import get_args, get_origin, get_type_hints
 import numpy as np
 
 from .baselines import GraphConfig, graph_bandwidth, harmonic_propagate, krr_fit
-from .errors import InvalidArgumentError, KerlapError, integer, real
+from .errors import InvalidArgumentError, KerlapError, array, integer, real
 from .estimator import (
     FittedModel, _kernel_expansion, _landmark_decomposition, clip_bound, decode_sign, fit,
     fit_exact, predict, schedule,
 )
 from .filters import FILTER_KINDS, FilterSpec
 from .kernel import GaussianKernel, bandwidth
-from .operators import SemiDataset
+from .operators import DEFAULT_DENSE_CAP, SemiDataset
 from .synthdata import (
     CirclesSpec,
     GaussianMixSpec,
@@ -120,7 +120,7 @@ class ExperimentConfig:
     sigma_over_labeled: bool = False
     graph_sigma: float | str = "auto"
     ridge: float = 1e-3
-    dense_cap: int = 2000
+    dense_cap: int = DEFAULT_DENSE_CAP
     metric: str = "classification"
     inductive_test: int = 0
     clip: bool = False
@@ -379,8 +379,8 @@ def export_eigenvectors(
     coordinates and eigenvector columns are written as CSV (header only if
     count == 0).
     """
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 2 or grid.shape[1] != ds.d:
+    grid = array("grid", grid, ndim=2)
+    if grid.shape[1] != ds.d:
         raise InvalidArgumentError(f"grid must be (q, {ds.d}), got {grid.shape}")
     if integer("count", count, low=0) > integer("p", p):
         raise InvalidArgumentError(f"count must satisfy 0 <= count <= p, got {count}")

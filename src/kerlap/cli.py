@@ -21,7 +21,7 @@ from .errors import EXIT_INVALID_ARGUMENT, EXIT_OK, InvalidArgumentError, Kerlap
 from .estimator import decode_sign, model_from_json, model_to_json, predict
 from .filters import FILTER_KINDS
 from .kernel import GaussianKernel
-from .operators import load_dataset_csv, save_dataset_csv
+from .operators import DEFAULT_DENSE_CAP, load_dataset_csv, save_dataset_csv
 from .svgplot import plot_svg
 
 
@@ -55,7 +55,7 @@ def _add_fit(sub):
     p.add_argument("--filter", choices=list(FILTER_KINDS), default="tikhonov")
     p.add_argument("--lambda", dest="lam", type=float, default=1.0)
     p.add_argument("--ridge", type=float, default=1e-3, help="krr ridge strength")
-    p.add_argument("--dense-cap", type=int, default=2000)
+    p.add_argument("--dense-cap", type=int, default=DEFAULT_DENSE_CAP)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--sigma-over-labeled", action="store_true",
                    help="average the covariance over labeled points only")

@@ -1,11 +1,17 @@
 """Exception types shared across the library, mapped to CLI exit codes, and
-``real`` / ``integer``, the one check of every scalar parameter: a value of
-the wrong type (a bool is no number), non-finite or out of range raises
-``InvalidArgumentError`` naming the parameter, which exits with code 2."""
+the one check of every parameter a caller passes in: ``real`` / ``integer``
+for scalars, ``array`` for arrays.  A scalar of the wrong type (a bool is no
+number), non-finite or out of range, and an array that is not numbers (a
+ragged nested list, strings, bools), has the wrong number of dimensions or
+holds a non-finite entry, raise ``InvalidArgumentError`` naming the
+parameter, which exits with code 2.  Checks that compare one argument with
+another (matching lengths or dimensions) stay with the call that needs them."""
 
 import math
 import numbers
 import sys
+
+import numpy as np
 
 EXIT_OK = 0
 EXIT_INVALID_ARGUMENT = 2
@@ -62,3 +68,20 @@ def integer(name: str, value, low=1) -> int:
     if isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= low:
         return int(value)
     raise InvalidArgumentError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
+def array(name: str, value, ndim: int | None = None) -> np.ndarray:
+    """``value`` as a float ndarray: integers or reals (not bools or strings),
+    of ``ndim`` dimensions when given, every entry finite."""
+    try:
+        arr = np.asarray(value)
+    except (TypeError, ValueError) as exc:  # a ragged nested list
+        raise InvalidArgumentError(f"{name} must be an array of numbers: {exc}") from None
+    if arr.dtype.kind not in "iuf":
+        raise InvalidArgumentError(f"{name} must be an array of numbers, got dtype {arr.dtype}")
+    if ndim is not None and arr.ndim != ndim:
+        raise InvalidArgumentError(f"{name} must be {ndim}-d, got shape {arr.shape}")
+    arr = arr.astype(float, copy=False)
+    if not np.isfinite(arr).all():
+        raise InvalidArgumentError(f"{name} contains non-finite entries")
+    return arr

@@ -27,7 +27,7 @@ import numpy as np
 from scipy.linalg import solve_triangular
 from scipy.linalg.blas import dgemm, dgemv
 
-from .errors import InvalidArgumentError, integer, real
+from .errors import InvalidArgumentError, array, integer, real
 from .filters import FilterSpec, filter_coefficients
 from .kernel import GaussianKernel
 from .operators import (
@@ -58,10 +58,10 @@ class FittedModel:
     clip_bound: float | None = None
 
     def __post_init__(self):
-        coords = np.array(self.basis_coordinates, dtype=float, copy=True)
-        coef = np.array(self.coefficients, dtype=float, copy=True)
-        if coords.ndim != 2:
-            raise InvalidArgumentError("basis_coordinates must be a 2-d array")
+        if not isinstance(self.kernel, GaussianKernel):
+            raise InvalidArgumentError(f"kernel must be a GaussianKernel, got {self.kernel!r}")
+        coords = array("basis_coordinates", self.basis_coordinates, ndim=2).copy()
+        coef = array("coefficients", self.coefficients, ndim=1).copy()
         m, d = coords.shape
         if self.basis_kind == LANDMARK_KERNEL:
             expected = m
@@ -69,12 +69,8 @@ class FittedModel:
             expected = m * (d + 1)
         else:
             raise InvalidArgumentError(f"unknown basis kind {self.basis_kind!r}")
-        if coef.shape != (expected,):
-            raise InvalidArgumentError(
-                f"coefficients have shape {coef.shape}, expected ({expected},)"
-            )
-        if not (np.all(np.isfinite(coords)) and np.all(np.isfinite(coef))):
-            raise InvalidArgumentError("model parameters contain non-finite entries")
+        if coef.size != expected:
+            raise InvalidArgumentError(f"coefficients number {coef.size}, expected {expected}")
         if self.clip_bound is not None:
             object.__setattr__(self, "clip_bound", real("clip_bound", self.clip_bound, closed=True))
         coords.setflags(write=False)
@@ -234,17 +230,9 @@ def predict(model: FittedModel, queries: np.ndarray) -> np.ndarray:
     sigma^2 as (m, d), is E[:, 0] + rowdot(E[:, 1:], x - x0) with E = k(x, X) W,
     W = [c0 - rowdot(C1, X - x0) | C1] and x0 the basis mean: one expansion.
     """
-    Q = np.asarray(queries, dtype=float)
-    if Q.ndim != 2:
-        raise InvalidArgumentError(f"queries must be (q, d), got shape {Q.shape}")
-    if not np.all(np.isfinite(Q)):
-        raise InvalidArgumentError("queries contain non-finite entries")
+    Q = array("queries", queries, ndim=2)  # the kernel checks that it matches the model in d
     coords = model.basis_coordinates
     m, d = coords.shape
-    if Q.shape[1] != d:
-        raise InvalidArgumentError(
-            f"query dimension {Q.shape[1]} does not match model dimension {d}"
-        )
     if model.basis_kind == LANDMARK_KERNEL:
         out = _kernel_expansion(model.kernel, Q, coords, model.coefficients)
     else:
@@ -280,9 +268,7 @@ def _kernel_expansion(
 
 def decode_sign(values) -> np.ndarray:
     """Binary decoding of real scores: +1 where the value is >= 0, else -1."""
-    v = np.asarray(values, dtype=float)
-    if not np.all(np.isfinite(v)):
-        raise InvalidArgumentError("scores contain non-finite entries")
+    v = array("values", values)
     return np.where(v >= 0, 1, -1).astype(np.int64)
 
 
@@ -290,8 +276,6 @@ def decode_sign(values) -> np.ndarray:
 # (repr round-trips IEEE doubles through decimal exactly).
 
 def model_to_json(model: FittedModel) -> str:
-    if not isinstance(model.kernel, GaussianKernel):
-        raise InvalidArgumentError("only Gaussian-kernel models are serializable")
     doc = {
         "kernel_sigma": model.kernel.sigma,
         "basis_kind": model.basis_kind,
@@ -307,8 +291,8 @@ def model_from_json(text: str) -> FittedModel:
         doc = json.loads(text)
         return FittedModel(
             kernel=GaussianKernel(sigma=doc["kernel_sigma"]),
-            basis_coordinates=np.array(doc["coordinates"], dtype=float),
-            coefficients=np.array(doc["coefficients"], dtype=float),
+            basis_coordinates=doc["coordinates"],
+            coefficients=doc["coefficients"],
             basis_kind=doc["basis_kind"],
             clip_bound=doc["clip_bound"],
         )

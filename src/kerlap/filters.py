@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.blas import dgemv
 
-from .errors import InvalidArgumentError, real
+from .errors import InvalidArgumentError, array, real
 from .pencil import PencilDecomposition
 
 TIKHONOV = "tikhonov"
@@ -36,7 +36,7 @@ class FilterSpec:
 
 def apply(f: FilterSpec, x) -> np.ndarray | float:
     """Evaluate the filter at non-negative x (scalar or array)."""
-    arr = np.asarray(x, dtype=float)
+    arr = array("x", x)
     if np.any(arr < 0):
         raise InvalidArgumentError("filter argument must be non-negative")
     if f.kind == TIKHONOV:
@@ -50,7 +50,7 @@ def apply(f: FilterSpec, x) -> np.ndarray | float:
 
 def filter_coefficients(dec: PencilDecomposition, f: FilterSpec, b: np.ndarray) -> np.ndarray:
     """c = sum_i psi(lambda_i) v_i (v_i^T b), linear in b."""
-    b = np.asarray(b, dtype=float)
+    b = array("b", b, ndim=1)
     p = dec.eigenvalues.size
     if b.shape != (p,):
         raise InvalidArgumentError(f"b has shape {b.shape}, expected ({p},)")

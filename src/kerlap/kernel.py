@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.blas import dgemm
 
-from .errors import InvalidArgumentError, real
+from .errors import InvalidArgumentError, array, real
 
 # entries in a chunk of ``blocks``: 4 MB of distances and 4 MB of kernel values
 _CHUNK_BUDGET = 1 << 19
@@ -58,19 +58,11 @@ _FLUSH = math.exp(_FLUSH_EXPONENT)
 
 
 def _checked(X, Z) -> tuple[np.ndarray, np.ndarray]:
-    """X and Z as float arrays, refused unless 2-d, equal in d and finite."""
-    X = np.asarray(X, dtype=float)
-    Z = np.asarray(Z, dtype=float)
-    if X.ndim != 2 or Z.ndim != 2:
-        raise InvalidArgumentError(
-            f"kernel inputs must be 2-d (rows, d), got shapes {X.shape} and {Z.shape}"
-        )
+    """X and Z as 2-d float arrays by ``errors.array``, refused unless equal in d."""
+    X, Z = array("X", X, ndim=2), array("Z", Z, ndim=2)
     if X.shape[1] != Z.shape[1]:
         raise InvalidArgumentError(
-            f"dimension mismatch: X has d={X.shape[1]}, Z has d={Z.shape[1]}"
-        )
-    if not (np.isfinite(X).all() and np.isfinite(Z).all()):
-        raise InvalidArgumentError("kernel inputs contain non-finite entries")
+            f"dimension mismatch: X has d={X.shape[1]}, Z has d={Z.shape[1]}")
     return X, Z
 
 
@@ -151,8 +143,8 @@ class GaussianKernel:
     are flushed to exactly 0.0, so no product of two of them is subnormal;
     this is harmless for positive semi-definiteness.  A squared distance
     that overflows to inf likewise gives a kernel value of 0.0.  Inputs
-    that are not 2-d, disagree in d or hold a non-finite entry raise
-    ``InvalidArgumentError``, as does a sigma that ``bandwidth`` refuses.
+    that ``errors.array`` refuses as 2-d arrays, or that disagree in d,
+    raise ``InvalidArgumentError``, as does a sigma that ``bandwidth`` refuses.
     """
 
     sigma: float

@@ -61,7 +61,7 @@ from scipy.linalg.blas import dgemm, dgemv, dsyrk, dtrsm
 from scipy.linalg.lapack import dpstrf, dsygst
 
 from .errors import (
-    InvalidArgumentError, NumericalConsistencyError, ResourceLimitError, integer, real,
+    InvalidArgumentError, NumericalConsistencyError, ResourceLimitError, array, integer, real,
 )
 from .kernel import GaussianKernel
 
@@ -87,18 +87,13 @@ class SemiDataset:
     labels: np.ndarray
 
     def __post_init__(self):
-        X = np.array(self.inputs, dtype=float, copy=True)
-        y = np.atleast_1d(np.array(self.labels, dtype=float, copy=True))
-        if X.ndim != 2 or X.shape[0] < 1 or X.shape[1] < 1:
-            raise InvalidArgumentError(f"inputs must be (n, d) with n,d >= 1, got {X.shape}")
-        if not np.all(np.isfinite(X)):
-            raise InvalidArgumentError("inputs contain non-finite entries")
-        if y.ndim != 1 or not 1 <= y.size <= X.shape[0]:
+        X = array("inputs", self.inputs, ndim=2).copy()
+        y = array("labels", self.labels, ndim=1).copy()
+        if X.shape[1] < 1 or not 1 <= y.size <= X.shape[0]:
             raise InvalidArgumentError(
-                f"labels must be a vector with 1 <= n_labeled <= n, got {y.size} for n={X.shape[0]}"
+                f"inputs must be (n, d) with d >= 1 and labels 1 <= n_labeled <= n, "
+                f"got {X.shape} and {y.size} labels"
             )
-        if not np.all(np.isfinite(y)):
-            raise InvalidArgumentError("labels contain non-finite entries")
         X.setflags(write=False)
         y.setflags(write=False)
         object.__setattr__(self, "inputs", X)
@@ -149,7 +144,10 @@ def select_landmarks(ds: SemiDataset, p: int, seed: int) -> np.ndarray:
 def _landmark_indices(landmarks, n: int) -> np.ndarray:
     """``landmarks`` as an array of distinct row indices in [0, n), else
     ``InvalidArgumentError``: not 1-d integers, empty, repeated or out of range."""
-    idx = np.asarray(landmarks)
+    try:
+        idx = np.asarray(landmarks)
+    except (TypeError, ValueError) as exc:  # a ragged nested list
+        raise InvalidArgumentError(f"landmarks must be a vector of row indices: {exc}") from None
     if idx.ndim != 1 or idx.size < 1 or idx.dtype.kind not in "iu":
         raise InvalidArgumentError(
             f"landmarks must be a non-empty vector of row indices, got {idx.dtype} {idx.shape}"
@@ -217,7 +215,7 @@ def assemble(
     if factor is not None:
         # trsm and sygst take L^T (upper) in Fortran order, which is L in C
         # order, as prune_landmarks returns it, without a copy
-        upper = np.ascontiguousarray(factor, dtype=float).T
+        upper = np.ascontiguousarray(array("factor", factor, ndim=2)).T
         if upper.shape != (p, p):
             raise InvalidArgumentError(f"factor must be ({p}, {p}), got {upper.shape}")
     coords = X[idx]

@@ -25,7 +25,9 @@ import scipy.linalg as sla
 from scipy.linalg.blas import dnrm2, dsymv, dtrsm
 from scipy.linalg.lapack import dpocon, dpotrf, dsyevd, dsygst
 
-from .errors import InvalidArgumentError, NumericalConsistencyError, SingularPencilError, real
+from .errors import (
+    InvalidArgumentError, NumericalConsistencyError, SingularPencilError, array, real,
+)
 
 _JITTER_EPS = 1e-10
 
@@ -75,13 +77,11 @@ class PencilDecomposition:
 
 
 def _check_symmetric(M: np.ndarray, name: str) -> np.ndarray:
-    """Validate a non-empty, square, finite, nearly symmetric M; return
-    (M + M^T)/2 as a new array."""
-    M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] < 1:
+    """Validate a non-empty, square, nearly symmetric M that ``errors.array``
+    passes as 2-d; return (M + M^T)/2 as a new array."""
+    M = array(name, M, ndim=2)
+    if M.shape[0] != M.shape[1] or M.shape[0] < 1:
         raise InvalidArgumentError(f"{name} must be square and non-empty, got shape {M.shape}")
-    if not np.isfinite(M).all():
-        raise InvalidArgumentError(f"{name} contains non-finite entries")
     # on scipy's BLAS: numpy's pool would spin against the solvers' next
     scale = dnrm2(M.ravel())
     asym = dnrm2((M - M.T).ravel())
@@ -215,11 +215,11 @@ def pencil_solve(A: np.ndarray, B: np.ndarray, lam: float, rhs: np.ndarray) -> n
     lam = real("lam", lam)
     A = _check_symmetric(A, "A")
     B = _check_symmetric(B, "B")
-    rhs = np.asarray(rhs, dtype=float)
+    rhs = array("rhs", rhs, ndim=1)
+    if A.shape != B.shape:
+        raise InvalidArgumentError(f"shape mismatch: A {A.shape} vs B {B.shape}")
     if rhs.shape != (A.shape[0],):
-        raise InvalidArgumentError(
-            f"rhs has shape {rhs.shape}, expected ({A.shape[0]},)"
-        )
+        raise InvalidArgumentError(f"rhs has shape {rhs.shape}, expected ({A.shape[0]},)")
     M = A + lam * B
     L, info = dpotrf(M, lower=1, clean=1, overwrite_a=0)
     if info != 0:

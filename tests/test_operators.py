@@ -40,8 +40,8 @@ def khess(k, x, y) -> np.ndarray:
 
 # landmark vectors that are not distinct row indices of a 3-point dataset
 BAD_LANDMARKS = pytest.mark.parametrize("landmarks", [
-    [0.0, 1.0], [True, False], [[0], [1]], [], [-1, 0], [0, 3], [1, 1]],
-    ids=["float", "bool", "2-d", "empty", "negative", "beyond n", "duplicate"])
+    [0.0, 1.0], [True, False], [[0], [1]], [], [-1, 0], [0, 3], [1, 1], [[0], [1, 2]]],
+    ids=["float", "bool", "2-d", "empty", "negative", "beyond n", "duplicate", "ragged"])
 
 
 class TestSemiDataset:

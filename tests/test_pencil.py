@@ -304,3 +304,5 @@ class TestPencilSolve:
     def test_shape_mismatch(self):
         with pytest.raises(InvalidArgumentError):
             pencil_solve(np.eye(2), np.eye(2), 1.0, np.array([1.0, 1.0, 1.0]))
+        with pytest.raises(InvalidArgumentError, match="shape mismatch"):
+            pencil_solve(np.eye(2), np.eye(3), 1.0, np.array([1.0, 1.0]))
