@@ -13,9 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgumentError, array, integer, real
+from .errors import InvalidArgumentError, array, instance, integer, real
 from .estimator import LANDMARK_KERNEL, FittedModel
 from .kernel import GaussianKernel, bandwidth
+from .operators import SemiDataset
 from .pencil import _spd_solve
 
 
@@ -44,12 +45,14 @@ def graph_bandwidth(n: int, d: int) -> float:
     return float(n) ** (-1.0 / (d + 4)) * math.log(n)
 
 
-def harmonic_propagate(ds, config: GraphConfig) -> HarmonicResult:
+def harmonic_propagate(ds: SemiDataset, config: GraphConfig) -> HarmonicResult:
     """Harmonic (transductive) solution on the unlabeled nodes.
 
     Weights W_ij = exp(-||X_i - X_j||^2 / (2 sigma^2)) for i != j, zero
     diagonal; D = diag of row sums.  Solves (D_uu - W_uu) f_u = W_ul y_l.
     """
+    instance("ds", ds, SemiDataset)
+    instance("config", config, GraphConfig)
     n, n_l = ds.n, ds.n_labeled
     if n <= n_l:
         raise InvalidArgumentError("harmonic propagation needs at least one unlabeled point")
@@ -71,6 +74,7 @@ def krr_fit(
     X, y = array("inputs", inputs, ndim=2), array("labels", labels, ndim=1)
     if y.size != X.shape[0]:
         raise InvalidArgumentError(f"labels must match the {X.shape[0]} inputs, got {y.size}")
+    instance("kernel", kernel, GaussianKernel)
     ridge = real("ridge", ridge)
     n_l = X.shape[0]
     M = kernel.gram(X, X)

@@ -15,13 +15,13 @@ import csv
 import json
 import numbers
 import time
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, astuple, dataclass, field, fields, replace
 from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
 from .baselines import GraphConfig, graph_bandwidth, harmonic_propagate, krr_fit
-from .errors import InvalidArgumentError, KerlapError, array, integer, real
+from .errors import InvalidArgumentError, KerlapError, array, instance, integer, real
 from .estimator import (
     FittedModel, _kernel_expansion, _landmark_decomposition, clip_bound, decode_sign, fit,
     fit_exact, predict, schedule,
@@ -30,6 +30,8 @@ from .filters import FILTER_KINDS, FilterSpec
 from .kernel import GaussianKernel, bandwidth
 from .operators import DEFAULT_DENSE_CAP, SemiDataset
 from .synthdata import (
+    ALLOCATIONS,
+    ANGLES,
     CirclesSpec,
     GaussianMixSpec,
     gen_circles_with_truth,
@@ -38,10 +40,6 @@ from .synthdata import (
 
 METHODS = ("kernel_laplacian", "graph", "krr", "exact")
 FAMILIES = ("circles", "gauss2")
-RECORD_HEADER = [
-    "method", "n", "n_labeled", "trial", "error",
-    "fit_seconds", "predict_seconds", "seed",
-]
 
 _MASK64 = (1 << 64) - 1
 
@@ -72,6 +70,10 @@ class BenchRecord:
     seed: int
 
 
+_RECORD_TYPES = get_type_hints(BenchRecord)  # the records CSV columns, in field order
+RECORD_HEADER = list(_RECORD_TYPES)
+
+
 def _conforms(value, hint) -> bool:
     """Whether ``value`` has the type that a config field's annotation names."""
     if get_origin(hint) is list:
@@ -85,7 +87,8 @@ def _conforms(value, hint) -> bool:
 # the words a str field accepts; mu, p and graph_sigma take them in place of a number
 _WORDS = {
     "family": FAMILIES, "method": METHODS, "metric": ("classification", "rmse"),
-    "filter_kind": FILTER_KINDS, "mu": ("1/n",), "p": ("n", "sqrt-log"), "graph_sigma": ("auto",),
+    "angles": ANGLES, "allocation": ALLOCATIONS, "filter_kind": FILTER_KINDS,
+    "mu": ("1/n",), "p": ("n", "sqrt-log"), "graph_sigma": ("auto",),
 }
 
 
@@ -321,11 +324,7 @@ def write_records_csv(records: list[BenchRecord], path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(RECORD_HEADER)
-        for r in records:
-            writer.writerow([
-                r.method, r.n, r.n_labeled, r.trial, repr(r.error),
-                repr(r.fit_seconds), repr(r.predict_seconds), r.seed,
-            ])
+        writer.writerows(astuple(r) for r in records)  # str(float) round-trips a double
 
 
 def load_records_csv(path) -> list[BenchRecord]:
@@ -348,12 +347,7 @@ def load_records_csv(path) -> list[BenchRecord]:
                     f"{path}:{lineno}: expected {len(RECORD_HEADER)} cells, got {len(row)}"
                 )
             try:
-                out.append(BenchRecord(
-                    method=row[0], n=int(row[1]), n_labeled=int(row[2]),
-                    trial=int(row[3]), error=float(row[4]),
-                    fit_seconds=float(row[5]), predict_seconds=float(row[6]),
-                    seed=int(row[7]),
-                ))
+                out.append(BenchRecord(*(t(cell) for t, cell in zip(_RECORD_TYPES.values(), row))))
             except ValueError as exc:
                 raise InvalidArgumentError(f"{path}:{lineno}: {exc}") from None
         return out
@@ -379,6 +373,8 @@ def export_eigenvectors(
     coordinates and eigenvector columns are written as CSV (header only if
     count == 0).
     """
+    instance("ds", ds, SemiDataset)
+    instance("kernel", kernel, GaussianKernel)
     grid = array("grid", grid, ndim=2)
     if grid.shape[1] != ds.d:
         raise InvalidArgumentError(f"grid must be (q, {ds.d}), got {grid.shape}")

@@ -1,9 +1,11 @@
 """Command-line interface.
 
-Subcommands: generate, fit, predict, eigvecs, bench-error, plot.  Per-layer
-timing of the fit comes from the benchmark driver (``perfbench/run.py --trace 1``).
-Exit codes: 0 success, 2 invalid arguments, 3 numerical failure, 4 resource
-cap exceeded.
+Subcommands: generate, fit, predict, eigvecs, bench-error, plot.  Each
+``ExperimentConfig`` field a command reads is one flag, declared from the
+field, with the same spelling, type, words and aliases in every command; no
+flag may be abbreviated.  Per-layer timing of the fit comes from the
+benchmark driver (``perfbench/run.py --trace 1``).  Exit codes: 0 success,
+2 invalid arguments, 3 numerical failure, 4 resource cap exceeded.
 """
 
 from __future__ import annotations
@@ -19,72 +21,17 @@ from . import bench as bench_mod
 from .bench import FIELD_TYPES, ExperimentConfig, preset, run_error_curve, write_records_csv
 from .errors import EXIT_INVALID_ARGUMENT, EXIT_OK, InvalidArgumentError, KerlapError
 from .estimator import decode_sign, model_from_json, model_to_json, predict
-from .filters import FILTER_KINDS
 from .kernel import GaussianKernel
-from .operators import DEFAULT_DENSE_CAP, load_dataset_csv, save_dataset_csv
+from .operators import load_dataset_csv, save_dataset_csv
 from .svgplot import plot_svg
 
-
-def _add_generate(sub):
-    p = sub.add_parser("generate", help="write a synthetic dataset CSV")
-    p.set_defaults(run=_cmd_generate)
-    p.add_argument("--family", choices=["circles", "gauss2"], required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--n-labeled", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
-    p.add_argument("--num-circles", type=int, default=4)
-    p.add_argument("--inner-radius", type=float, default=1.0)
-    p.add_argument("--radius-step", type=float, default=None)
-    p.add_argument("--angles", choices=["uniform", "equispaced"], default="uniform")
-    p.add_argument("--allocation", choices=["equal", "proportional"], default="equal")
-    p.add_argument("--d", type=int, default=10)
-    p.add_argument("--separation", type=float, default=3.0)
-
-
-def _add_fit(sub):
-    p = sub.add_parser("fit", help="fit a model on a dataset CSV and write model JSON")
-    p.set_defaults(run=_cmd_fit)
-    p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--method", choices=["kernel_laplacian", "krr", "exact"],
-                   default="kernel_laplacian")
-    p.add_argument("--sigma", type=float, required=True, help="Gaussian kernel bandwidth")
-    p.add_argument("--p", type=int, default=50, help="number of landmarks")
-    p.add_argument("--mu", type=float, default=1e-3)
-    p.add_argument("--filter", choices=list(FILTER_KINDS), default="tikhonov")
-    p.add_argument("--lambda", dest="lam", type=float, default=1.0)
-    p.add_argument("--ridge", type=float, default=1e-3, help="krr ridge strength")
-    p.add_argument("--dense-cap", type=int, default=DEFAULT_DENSE_CAP)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--sigma-over-labeled", action="store_true",
-                   help="average the covariance over labeled points only")
-    p.add_argument("--clip", action="store_true", help="clip predictions to max |label|")
-
-
-def _add_predict(sub):
-    p = sub.add_parser("predict", help="evaluate a model JSON on query points")
-    p.set_defaults(run=_cmd_predict)
-    p.add_argument("--model", required=True)
-    p.add_argument("--data", required=True, help="dataset CSV; all rows are queried")
-    p.add_argument("--out", required=True, help="output CSV with score and sign columns")
-
-
-def _add_eigvecs(sub):
-    p = sub.add_parser("eigvecs", help="export top generalized eigenvectors on a grid")
-    p.set_defaults(run=_cmd_eigvecs)
-    p.add_argument("--data", required=True)
-    p.add_argument("--sigma", type=float, required=True)
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--mu", type=float, required=True)
-    p.add_argument("--count", type=int, required=True)
-    p.add_argument("--grid", default=None,
-                   help="CSV of grid points (dataset format); defaults to the data points")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
-
-
-_ALIASES = {"filter_kind": ("--filter",), "lam": ("--lambda",), "method": ("--baseline",)}
+_ALIASES = {"kernel_sigma": ("--sigma",), "filter_kind": ("--filter",), "lam": ("--lambda",),
+            "method": ("--baseline",)}
+_HELP = {
+    "kernel_sigma": "Gaussian kernel bandwidth", "p": "number of landmarks",
+    "ridge": "krr ridge strength", "clip": "clip predictions to max |label|",
+    "sigma_over_labeled": "average the covariance over labeled points only",
+}
 
 
 def _int_list(text: str) -> list[int]:
@@ -107,23 +54,68 @@ def _flag_type(hint):
     return number_or_text
 
 
-def _add_bench(sub):
-    p = sub.add_parser("bench-error", help="error-vs-n sweep, records CSV output")
-    p.set_defaults(run=_cmd_bench)
+def _add_config_flags(p, names, required=()):
+    """A flag for each ``ExperimentConfig`` field in ``names``; none has a
+    default, so ``_config`` sees which were given."""
+    for f in fields(ExperimentConfig):
+        if f.name not in names:
+            continue
+        hint = FIELD_TYPES[f.name]
+        flags = (f"--{f.name.replace('_', '-')}", *_ALIASES.get(f.name, ()))
+        if hint is bool:
+            kind = {"action": argparse.BooleanOptionalAction}
+        elif hint is str:
+            kind = {"choices": bench_mod._WORDS[f.name]}
+        else:
+            kind = {"type": _flag_type(hint)}
+        p.add_argument(*flags, required=f.name in required, help=_HELP.get(f.name, f.type), **kind)
+
+
+def _config(args, base: ExperimentConfig) -> ExperimentConfig:
+    """``base`` with the config fields given on the command line."""
+    given = {f.name: getattr(args, f.name, None) for f in fields(base)}
+    return replace(base, **{name: v for name, v in given.items() if v is not None})
+
+
+def _add_generate(p):
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--out", required=True)
+    _add_config_flags(p, ("family", "n_labeled", "seed", "num_circles", "inner_radius",
+                          "radius_step", "angles", "allocation", "d", "separation"),
+                      required=("family", "n_labeled"))
+
+
+def _add_fit(p):
+    p.add_argument("--data", required=True)
+    p.add_argument("--out", required=True)
+    _add_config_flags(p, ("method", "kernel_sigma", "p", "mu", "filter_kind", "lam", "ridge",
+                          "dense_cap", "seed", "sigma_over_labeled", "clip"),
+                      required=("kernel_sigma",))
+
+
+def _add_predict(p):
+    p.add_argument("--model", required=True)
+    p.add_argument("--data", required=True, help="dataset CSV; all rows are queried")
+    p.add_argument("--out", required=True, help="output CSV with score and sign columns")
+
+
+def _add_eigvecs(p):
+    p.add_argument("--data", required=True)
+    p.add_argument("--count", type=int, required=True)
+    p.add_argument("--grid", default=None,
+                   help="CSV of grid points (dataset format); defaults to the data points")
+    p.add_argument("--out", required=True)
+    _add_config_flags(p, ("kernel_sigma", "p", "mu", "seed"), required=("kernel_sigma", "p", "mu"))
+
+
+def _add_bench(p):
     p.add_argument("--config", default=None, help="ExperimentConfig JSON file")
     p.add_argument("--preset", choices=sorted(bench_mod.PRESETS), default=None)
     p.add_argument("--out", required=True, help="records CSV path")
-    for f in fields(ExperimentConfig):
-        flags = (f"--{f.name.replace('_', '-')}", *_ALIASES.get(f.name, ()))
-        if FIELD_TYPES[f.name] is bool:
-            p.add_argument(*flags, action=argparse.BooleanOptionalAction, help=f.type)
-        else:
-            p.add_argument(*flags, type=_flag_type(FIELD_TYPES[f.name]), help=f.type)
+    _add_config_flags(p, FIELD_TYPES)
 
 
-def _add_plot(sub):
-    p = sub.add_parser("plot", help="render a records CSV as a deterministic SVG")
-    p.set_defaults(run=_cmd_plot)
+def _add_plot(p):
     p.add_argument("--records", required=True)
     p.add_argument("--out", required=True)
 
@@ -136,17 +128,17 @@ def _bench_config(args) -> ExperimentConfig:
             cfg = ExperimentConfig.from_json(fh.read())
     else:
         cfg = preset(args.preset) if args.preset else ExperimentConfig()
-    flags = {f.name: getattr(args, f.name) for f in fields(cfg)}
-    return replace(cfg, **{name: v for name, v in flags.items() if v is not None})
+    return _config(args, cfg)
+
+
+def _single_fit_p(cfg: ExperimentConfig, n: int) -> int:
+    """p for one fit: a word resolves against n, an integer stays as given (sweeps cap it)."""
+    return cfg.resolve_p(n) if isinstance(cfg.p, str) else cfg.p
 
 
 def _cmd_generate(args) -> int:
-    cfg = ExperimentConfig(
-        family=args.family, n_labeled=args.n_labeled, num_circles=args.num_circles,
-        inner_radius=args.inner_radius, radius_step=args.radius_step, angles=args.angles,
-        allocation=args.allocation, d=args.d, separation=args.separation,
-    )
-    ds, _ = bench_mod.generate_instance(cfg, args.n, args.seed)
+    cfg = _config(args, ExperimentConfig())
+    ds, _ = bench_mod.generate_instance(cfg, args.n, cfg.seed)
     save_dataset_csv(ds, args.out)
     print(f"wrote {ds.n} points (d={ds.d}, {ds.n_labeled} labeled) to {args.out}")
     return EXIT_OK
@@ -154,17 +146,13 @@ def _cmd_generate(args) -> int:
 
 def _cmd_fit(args) -> int:
     ds = load_dataset_csv(args.data)
-    if args.method == "kernel_laplacian" and args.p > ds.n:  # only sweeps cap p at n
-        raise InvalidArgumentError(f"p must satisfy 1 <= p <= n={ds.n}, got {args.p}")
-    cfg = ExperimentConfig(
-        method=args.method, n_grid=[ds.n], kernel_sigma=args.sigma, p=args.p, mu=args.mu,
-        filter_kind=args.filter, lam=args.lam, ridge=args.ridge, dense_cap=args.dense_cap,
-        sigma_over_labeled=args.sigma_over_labeled, clip=args.clip, seed=args.seed,
-    )
-    model = bench_mod.fit_model(cfg, ds, args.seed)
+    cfg = _config(args, ExperimentConfig(n_grid=[ds.n], mu=1e-3))
+    if cfg.method == "kernel_laplacian" and _single_fit_p(cfg, ds.n) > ds.n:
+        raise InvalidArgumentError(f"p must satisfy 1 <= p <= n={ds.n}, got {cfg.p}")
+    model = bench_mod.fit_model(cfg, ds, cfg.seed)
     with open(args.out, "w") as fh:
         fh.write(model_to_json(model))
-    print(f"wrote {args.method} model ({model.coefficients.size} coefficients) to {args.out}")
+    print(f"wrote {cfg.method} model ({model.coefficients.size} coefficients) to {args.out}")
     return EXIT_OK
 
 
@@ -185,9 +173,10 @@ def _cmd_predict(args) -> int:
 def _cmd_eigvecs(args) -> int:
     ds = load_dataset_csv(args.data)
     grid = load_dataset_csv(args.grid).inputs if args.grid else ds.inputs
+    cfg = _config(args, ExperimentConfig(n_grid=[ds.n]))
     bench_mod.export_eigenvectors(
-        ds, GaussianKernel(args.sigma), args.p, args.mu, args.count,
-        grid, seed=args.seed, path=args.out,
+        ds, GaussianKernel(cfg.kernel_sigma), _single_fit_p(cfg, ds.n), cfg.resolve_mu(ds.n),
+        args.count, grid, seed=cfg.seed, path=args.out,
     )
     print(f"wrote {args.count} eigenvector columns over {grid.shape[0]} grid points to {args.out}")
     return EXIT_OK
@@ -209,14 +198,27 @@ def _cmd_plot(args) -> int:
     return EXIT_OK
 
 
+_COMMANDS = (  # name, help, flags, run
+    ("generate", "write a synthetic dataset CSV", _add_generate, _cmd_generate),
+    ("fit", "fit a model on a dataset CSV and write model JSON", _add_fit, _cmd_fit),
+    ("predict", "evaluate a model JSON on query points", _add_predict, _cmd_predict),
+    ("eigvecs", "export top generalized eigenvectors on a grid", _add_eigvecs, _cmd_eigvecs),
+    ("bench-error", "error-vs-n sweep, records CSV output", _add_bench, _cmd_bench),
+    ("plot", "render a records CSV as a deterministic SVG", _add_plot, _cmd_plot),
+)
+
+
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kerlap",
         description="Laplacian-regularized kernel regression benchmarks",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for add in (_add_generate, _add_fit, _add_predict, _add_eigvecs, _add_bench, _add_plot):
-        add(sub)
+    for name, text, add, run in _COMMANDS:
+        p = sub.add_parser(name, help=text, allow_abbrev=False)
+        p.set_defaults(run=run)
+        add(p)
     return parser
 
 

@@ -1,9 +1,10 @@
 """Exception types shared across the library, mapped to CLI exit codes, and
 the one check of every parameter a caller passes in: ``real`` / ``integer``
-for scalars, ``array`` for arrays.  A scalar of the wrong type (a bool is no
-number), non-finite or out of range, and an array that is not numbers (a
-ragged nested list, strings, bools), has the wrong number of dimensions or
-holds a non-finite entry, raise ``InvalidArgumentError`` naming the
+for scalars, ``array`` for arrays, ``instance`` for the library's objects.
+A scalar of the wrong type (a bool is no number), non-finite or out of
+range, an array that is not numbers (a ragged nested list, strings, bools),
+has the wrong number of dimensions or holds a non-finite entry, and an
+object of the wrong class raise ``InvalidArgumentError`` naming the
 parameter, which exits with code 2.  Checks that compare one argument with
 another (matching lengths or dimensions) stay with the call that needs them."""
 
@@ -85,3 +86,10 @@ def array(name: str, value, ndim: int | None = None) -> np.ndarray:
     if not np.isfinite(arr).all():
         raise InvalidArgumentError(f"{name} contains non-finite entries")
     return arr
+
+
+def instance(name: str, value, cls):
+    """``value`` itself, when it is a ``cls``."""
+    if isinstance(value, cls):
+        return value
+    raise InvalidArgumentError(f"{name} must be a {cls.__name__}, got {type(value).__name__}")

@@ -27,7 +27,7 @@ import numpy as np
 from scipy.linalg import solve_triangular
 from scipy.linalg.blas import dgemm, dgemv
 
-from .errors import InvalidArgumentError, array, integer, real
+from .errors import InvalidArgumentError, array, instance, integer, real
 from .filters import FilterSpec, filter_coefficients
 from .kernel import GaussianKernel
 from .operators import (
@@ -58,8 +58,7 @@ class FittedModel:
     clip_bound: float | None = None
 
     def __post_init__(self):
-        if not isinstance(self.kernel, GaussianKernel):
-            raise InvalidArgumentError(f"kernel must be a GaussianKernel, got {self.kernel!r}")
+        instance("kernel", self.kernel, GaussianKernel)
         coords = array("basis_coordinates", self.basis_coordinates, ndim=2).copy()
         coef = array("coefficients", self.coefficients, ndim=1).copy()
         m, d = coords.shape
@@ -133,6 +132,9 @@ def fit(
     chunk of ``GaussianKernel.blocks``.  The model stores one coefficient
     per kept landmark.
     """
+    instance("ds", ds, SemiDataset)
+    instance("kernel", kernel, GaussianKernel)
+    instance("filter_spec", filter_spec, FilterSpec)
     kept, dec, b = _landmark_decomposition(ds, kernel, p, mu, seed, sigma_over_labeled)
     coef = filter_coefficients(dec, filter_spec, b)
     return FittedModel(
@@ -200,6 +202,8 @@ def fit_exact(
     lam*mu.  Only G_SS is built, and one Cholesky factorization solves it.
     Work is O((n_l + n d)^3) and memory O((n_l + n d)^2).
     """
+    instance("ds", ds, SemiDataset)
+    instance("kernel", kernel, GaussianKernel)
     lam = real("lam", lam)
     mu = real("mu", mu)
     n, n_l = ds.n, ds.n_labeled
@@ -230,6 +234,7 @@ def predict(model: FittedModel, queries: np.ndarray) -> np.ndarray:
     sigma^2 as (m, d), is E[:, 0] + rowdot(E[:, 1:], x - x0) with E = k(x, X) W,
     W = [c0 - rowdot(C1, X - x0) | C1] and x0 the basis mean: one expansion.
     """
+    instance("model", model, FittedModel)
     Q = array("queries", queries, ndim=2)  # the kernel checks that it matches the model in d
     coords = model.basis_coordinates
     m, d = coords.shape
@@ -276,6 +281,7 @@ def decode_sign(values) -> np.ndarray:
 # (repr round-trips IEEE doubles through decimal exactly).
 
 def model_to_json(model: FittedModel) -> str:
+    instance("model", model, FittedModel)
     doc = {
         "kernel_sigma": model.kernel.sigma,
         "basis_kind": model.basis_kind,

@@ -3,7 +3,7 @@
 Two filters are provided: the Tikhonov filter x -> 1/(x + lam) and the
 eigenvalue cutoff x -> (1/x) * [x > lam] (strict inequality, so the value at
 exactly x = lam is 0).  The enum is closed; adding a filter means extending
-``apply`` and the CLI choices together.
+``apply`` and ``FILTER_KINDS`` together (the CLI takes its words from it).
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.blas import dgemv
 
-from .errors import InvalidArgumentError, array, real
+from .errors import InvalidArgumentError, array, instance, real
 from .pencil import PencilDecomposition
 
 TIKHONOV = "tikhonov"
@@ -36,6 +36,7 @@ class FilterSpec:
 
 def apply(f: FilterSpec, x) -> np.ndarray | float:
     """Evaluate the filter at non-negative x (scalar or array)."""
+    instance("f", f, FilterSpec)
     arr = array("x", x)
     if np.any(arr < 0):
         raise InvalidArgumentError("filter argument must be non-negative")
@@ -50,6 +51,7 @@ def apply(f: FilterSpec, x) -> np.ndarray | float:
 
 def filter_coefficients(dec: PencilDecomposition, f: FilterSpec, b: np.ndarray) -> np.ndarray:
     """c = sum_i psi(lambda_i) v_i (v_i^T b), linear in b."""
+    instance("dec", dec, PencilDecomposition)  # apply checks f
     b = array("b", b, ndim=1)
     p = dec.eigenvalues.size
     if b.shape != (p,):

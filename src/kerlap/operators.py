@@ -61,7 +61,8 @@ from scipy.linalg.blas import dgemm, dgemv, dsyrk, dtrsm
 from scipy.linalg.lapack import dpstrf, dsygst
 
 from .errors import (
-    InvalidArgumentError, NumericalConsistencyError, ResourceLimitError, array, integer, real,
+    InvalidArgumentError, NumericalConsistencyError, ResourceLimitError, array, instance, integer,
+    real,
 )
 from .kernel import GaussianKernel
 
@@ -135,6 +136,7 @@ class OperatorBundle:
 
 def select_landmarks(ds: SemiDataset, p: int, seed: int) -> np.ndarray:
     """Draw p distinct row indices of ``ds`` uniformly without replacement (seeded)."""
+    instance("ds", ds, SemiDataset)
     if integer("p", p) > ds.n:
         raise InvalidArgumentError(f"p must satisfy 1 <= p <= n={ds.n}, got {p}")
     rng = np.random.default_rng(integer("seed", seed, low=0))
@@ -207,6 +209,8 @@ def assemble(
     ``filter_coefficients`` applies to V and b unchanged.  Whitening adds
     O(m p^2 + p^3) work.
     """
+    instance("ds", ds, SemiDataset)
+    instance("kernel", kernel, GaussianKernel)
     mu = real("mu", mu)
     X, y = ds.inputs, ds.labels
     n, n_l = X.shape[0], ds.n_labeled
@@ -327,6 +331,8 @@ def prune_landmarks(
     null space.  Work is O(p^2 d) for the Gram plus O(p^2 r).  ``landmarks``
     is checked as ``assemble`` checks it.
     """
+    instance("ds", ds, SemiDataset)
+    instance("kernel", kernel, GaussianKernel)
     idx = _landmark_indices(landmarks, ds.n)
     coords = ds.inputs[idx]
     p = coords.shape[0]

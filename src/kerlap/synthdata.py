@@ -23,10 +23,9 @@ from .operators import SemiDataset
 _BALANCE_RETRIES = 100
 
 
-ANGLES_UNIFORM = "uniform"
-ANGLES_EQUISPACED = "equispaced"
-ALLOC_EQUAL = "equal"
-ALLOC_PROPORTIONAL = "proportional"
+# the words CirclesSpec's ``angles`` and ``allocation`` take
+ANGLES = ("uniform", "equispaced")
+ALLOCATIONS = ("equal", "proportional")
 
 
 @dataclass(frozen=True)
@@ -49,8 +48,8 @@ class CirclesSpec:
     num_circles: int = 4
     inner_radius: float = 1.0
     radius_step: float | None = None
-    angles: str = ANGLES_UNIFORM
-    allocation: str = ALLOC_EQUAL
+    angles: str = "uniform"
+    allocation: str = "equal"
     seed: int = 0
 
     def __post_init__(self):
@@ -65,9 +64,9 @@ class CirclesSpec:
             )
         radius = real("inner_radius", self.inner_radius)
         step = radius if self.radius_step is None else real("radius_step", self.radius_step)
-        if self.angles not in (ANGLES_UNIFORM, ANGLES_EQUISPACED):
+        if self.angles not in ANGLES:
             raise InvalidArgumentError(f"unknown angles mode {self.angles!r}")
-        if self.allocation not in (ALLOC_EQUAL, ALLOC_PROPORTIONAL):
+        if self.allocation not in ALLOCATIONS:
             raise InvalidArgumentError(f"unknown allocation mode {self.allocation!r}")
         object.__setattr__(self, "inner_radius", radius)
         object.__setattr__(self, "radius_step", step)
@@ -112,7 +111,7 @@ def gen_circles_with_truth(spec: CirclesSpec) -> tuple[SemiDataset, np.ndarray]:
     rng = np.random.default_rng(spec.seed)
     c = spec.num_circles
     radii = spec.inner_radius + spec.radius_step * np.arange(c)
-    if spec.allocation == ALLOC_PROPORTIONAL:
+    if spec.allocation == "proportional":
         sizes = np.floor(spec.n * radii / radii.sum()).astype(int)
         sizes = np.maximum(sizes, 1)
         order_fix = np.argsort(sizes)  # pad the smallest circles first
@@ -130,7 +129,7 @@ def gen_circles_with_truth(spec: CirclesSpec) -> tuple[SemiDataset, np.ndarray]:
     pos = 0
     for ci in range(c):
         radius = radii[ci]
-        if spec.angles == ANGLES_EQUISPACED:
+        if spec.angles == "equispaced":
             angles = 2.0 * math.pi * (np.arange(sizes[ci]) + rng.uniform()) / sizes[ci]
         else:
             angles = rng.uniform(0.0, 2.0 * math.pi, sizes[ci])

@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -8,6 +8,8 @@ from kerlap import kernel as kernel_module
 from kerlap.bench import (
     METHODS,
     PRESETS,
+    RECORD_HEADER,
+    BenchRecord,
     ExperimentConfig,
     export_eigenvectors,
     fit_model,
@@ -21,7 +23,9 @@ from kerlap.bench import (
 from kerlap.errors import InvalidArgumentError
 from kerlap.kernel import GaussianKernel
 from kerlap.operators import SemiDataset
-from kerlap.synthdata import CirclesSpec, GaussianMixSpec, gen_circles, gen_gaussian_mix
+from kerlap.synthdata import (
+    ALLOCATIONS, ANGLES, CirclesSpec, GaussianMixSpec, gen_circles, gen_gaussian_mix,
+)
 
 
 class TestSeeds:
@@ -94,6 +98,20 @@ class TestConfig:
         # the dense oracle's assembly needs mu > 0 too: at mu = 0 its B is singular
         with pytest.raises(InvalidArgumentError, match="mu"):
             ExperimentConfig(method="exact", mu=0.0)
+
+    @pytest.mark.parametrize("field, words", [("angles", ANGLES), ("allocation", ALLOCATIONS)])
+    def test_circle_words_checked_at_construction(self, field, words):
+        # the config takes the words CirclesSpec takes, for any family
+        for word in words:
+            assert getattr(ExperimentConfig(**{field: word}), field) == word
+            CirclesSpec(n=8, n_labeled=4, **{field: word})
+        message = f"^{field} 'bogus' is not one of"
+        with pytest.raises(InvalidArgumentError, match=message):
+            ExperimentConfig(family="gauss2", **{field: "bogus"})
+        with pytest.raises(InvalidArgumentError, match=message):
+            ExperimentConfig.from_json(f'{{"{field}": "bogus"}}')
+        with pytest.raises(InvalidArgumentError, match=f"unknown {field} mode"):
+            CirclesSpec(n=8, n_labeled=4, **{field: "bogus"})
 
     def test_presets_accept_every_method(self):
         for name in sorted(PRESETS):
@@ -195,6 +213,16 @@ class TestRecordsCsv:
         write_records_csv(records, path)
         back = load_records_csv(path)
         assert math.isnan(back[0].error)
+
+    def test_bytes_of_one_record(self, tmp_path):
+        assert RECORD_HEADER == [f.name for f in fields(BenchRecord)]
+        path = tmp_path / "records.csv"
+        write_records_csv([BenchRecord("krr", 20, 2, 1, 0.1, 0.25, 1e-05, 7)], path)
+        assert path.read_bytes() == (
+            b"method,n,n_labeled,trial,error,fit_seconds,predict_seconds,seed\r\n"
+            b"krr,20,2,1,0.1,0.25,1e-05,7\r\n"
+        )
+        assert load_records_csv(path) == [BenchRecord("krr", 20, 2, 1, 0.1, 0.25, 1e-05, 7)]
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -9,7 +9,8 @@ import pytest
 
 from kerlap import bench
 from kerlap.bench import ExperimentConfig, load_records_csv, preset
-from kerlap.cli import _bench_config, _parser, main
+from kerlap.cli import _bench_config, _config, _parser, main
+from kerlap.estimator import schedule
 from kerlap.operators import load_dataset_csv, save_dataset_csv
 from kerlap.synthdata import CirclesSpec, gen_circles
 
@@ -292,6 +293,11 @@ class TestBenchFlags:
         ["--n-grid", "10,x"],
         ["--dense-cap", "0", "--method", "exact"],
         ["--mu", "0", "--method", "exact"],
+        ["--angles", "bogus", "--trials", "1"],
+        ["--allocation", "bogus", "--trials", "1"],
+        ["--sigma", "--trials", "1"],  # was --sigma-over-labeled, abbreviated
+        ["--kernel", "0.5", "--trials", "1"],  # was --kernel-sigma, abbreviated
+        ["--tri", "1"],
     ])
     def test_bad_value_exits_2_without_records(self, tmp_path, flags):
         rec = tmp_path / "rec.csv"
@@ -329,12 +335,109 @@ class TestBenchFlags:
         assert err.startswith("error: ") and "sigma must lie between" in err
         assert err.count("\n") == 1 and not rec.exists()
 
-    @pytest.mark.parametrize("text", ['{"p": "bogus"}', '{"trials": "3"}', "5"])
+    @pytest.mark.parametrize("text", ['{"p": "bogus"}', '{"trials": "3"}', "5",
+                                      '{"angles": "bogus"}', '{"allocation": "bogus"}'])
     def test_bad_config_file_exits_2_without_records(self, tmp_path, text):
         cfg, rec = tmp_path / "cfg.json", tmp_path / "rec.csv"
         cfg.write_text(text)
         assert exit_code(["bench-error", "--config", str(cfg), "--out", str(rec)]) == 2
         assert not rec.exists()
+
+
+# the config fields each command reads, and the flags it needs besides them,
+# whose values differ from FIELD_VALUES' so that those show through
+COMMAND_FIELDS = {
+    "generate": ("family", "n_labeled", "d", "separation", "num_circles", "inner_radius",
+                 "radius_step", "angles", "allocation", "seed"),
+    "fit": ("method", "kernel_sigma", "lam", "mu", "p", "filter_kind", "sigma_over_labeled",
+            "ridge", "dense_cap", "clip", "seed"),
+    "eigvecs": ("kernel_sigma", "mu", "p", "seed"),
+}
+REQUIRED = {
+    "generate": ["--n", "40", "--family", "gauss2", "--n-labeled", "9"],
+    "fit": ["--data", "d.csv", "--sigma", "1.5"],
+    "eigvecs": ["--data", "d.csv", "--count", "2", "--sigma", "1.5", "--p", "7", "--mu", "0.3"],
+}
+ALIASES = {"kernel_sigma": ["--sigma"], "filter_kind": ["--filter"], "lam": ["--lambda"],
+           "method": ["--baseline"]}
+
+
+def command_config(command, *flags):
+    args = _parser().parse_args([command, *REQUIRED[command], "--out", "o", *flags])
+    return _config(args, ExperimentConfig())
+
+
+class TestCommandFlags:
+    @pytest.mark.parametrize("command", sorted(COMMAND_FIELDS))
+    def test_each_field_parses_as_in_bench_error(self, command):
+        for name, (text, value) in FIELD_VALUES.items():
+            for flag in ["--" + name.replace("_", "-"), *ALIASES.get(name, [])]:
+                argv = [flag] if text is None else [flag, text]
+                if name in COMMAND_FIELDS[command]:
+                    got = getattr(command_config(command, *argv), name)
+                    assert got == getattr(bench_config(*argv), name) == value, (name, flag)
+                else:
+                    with pytest.raises(SystemExit):
+                        command_config(command, *argv)
+
+    @pytest.mark.parametrize("command", sorted(COMMAND_FIELDS))
+    def test_word_fields_list_their_words_in_help(self, command, capsys):
+        with pytest.raises(SystemExit):
+            _parser().parse_args([command, "--help"])
+        usage = capsys.readouterr().out
+        for name in COMMAND_FIELDS[command]:
+            if name in ("family", "method", "angles", "allocation", "filter_kind"):
+                assert "{" + ",".join(bench._WORDS[name]) + "}" in usage, name
+
+    def test_fit_defaults(self, tmp_path):
+        # fit's mu defaults to 1e-3, where a sweep's is 1/n
+        data, implied, spelled = tmp_path / "data.csv", tmp_path / "a.json", tmp_path / "b.json"
+        run(["generate", "--family", "gauss2", "--n", "60", "--n-labeled", "10", "--d", "3",
+             "--seed", "4", "--out", str(data)])
+        assert run(["fit", "--data", str(data), "--sigma", "2.0", "--out", str(implied)]) == 0
+        assert run(["fit", "--data", str(data), "--sigma", "2.0", "--method", "kernel_laplacian",
+                    "--p", "50", "--mu", "0.001", "--filter", "tikhonov", "--lambda", "1.0",
+                    "--seed", "0", "--no-sigma-over-labeled", "--no-clip",
+                    "--out", str(spelled)]) == 0
+        assert implied.read_bytes() == spelled.read_bytes()
+
+    @pytest.mark.parametrize("command, flags", [
+        ("generate", ["--family", "circles", "--n", "40", "--n-lab", "4"]),
+        ("fit", ["--sigma", "0.3", "--p", "10", "--lamb", "0.5"]),
+        ("eigvecs", ["--sigma", "0.3", "--p", "10", "--mu", "0.02", "--co", "2"]),
+    ])
+    def test_abbreviation_exits_2(self, tmp_path, command, flags):
+        # each abbreviation is a unique prefix, which argparse expands by default
+        data, out = tmp_path / "data.csv", tmp_path / "out"
+        run(["generate", "--family", "circles", "--n", "40", "--n-labeled", "4",
+             "--out", str(data)])
+        source = [] if command == "generate" else ["--data", str(data)]
+        assert exit_code([command, *source, *flags, "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_eigvecs_error_names_the_config_field(self, tmp_path, capsys):
+        data, out = tmp_path / "data.csv", tmp_path / "eig.csv"
+        run(["generate", "--family", "circles", "--n", "40", "--n-labeled", "4",
+             "--out", str(data)])
+        assert run(["eigvecs", "--data", str(data), "--sigma", "0", "--p", "10", "--mu", "0.02",
+                    "--count", "2", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: kernel_sigma must ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, extra", [
+        ("fit", []), ("eigvecs", ["--count", "3", "--mu", "0.02"]),
+    ])
+    def test_p_word_resolves_against_the_dataset(self, tmp_path, command, extra):
+        data = tmp_path / "data.csv"
+        run(["generate", "--family", "gauss2", "--n", "60", "--n-labeled", "10", "--d", "3",
+             "--seed", "4", "--out", str(data)])
+        outs = {}
+        for p in ("n", "60", "sqrt-log", str(schedule(60)[2])):
+            outs[p] = tmp_path / f"{p}.out"
+            assert run([command, "--data", str(data), "--sigma", "2.0", "--p", p, *extra,
+                        "--out", str(outs[p])]) == 0
+        assert outs["n"].read_bytes() == outs["60"].read_bytes()
+        assert outs["sqrt-log"].read_bytes() == outs[str(schedule(60)[2])].read_bytes()
 
 
 def readme_cli_commands():
