@@ -11,7 +11,6 @@ cannot change results.
 
 from __future__ import annotations
 
-import csv
 import json
 import numbers
 import time
@@ -28,7 +27,7 @@ from .estimator import (
 )
 from .filters import FILTER_KINDS, FilterSpec
 from .kernel import GaussianKernel, bandwidth
-from .operators import DEFAULT_DENSE_CAP, SemiDataset
+from .operators import DEFAULT_DENSE_CAP, SemiDataset, read_csv, write_csv
 from .synthdata import (
     ALLOCATIONS,
     ANGLES,
@@ -321,36 +320,18 @@ def run_error_curve(cfg: ExperimentConfig) -> list[BenchRecord]:
 
 
 def write_records_csv(records: list[BenchRecord], path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(RECORD_HEADER)
-        writer.writerows(astuple(r) for r in records)  # str(float) round-trips a double
+    write_csv(path, RECORD_HEADER, map(astuple, records))
 
 
 def load_records_csv(path) -> list[BenchRecord]:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise InvalidArgumentError(f"{path}: empty records file") from None
+    def check_header(header):
         if header != RECORD_HEADER:
             raise InvalidArgumentError(
                 f"{path}:1: bad header {header!r}, expected {RECORD_HEADER!r}"
             )
-        out = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(RECORD_HEADER):
-                raise InvalidArgumentError(
-                    f"{path}:{lineno}: expected {len(RECORD_HEADER)} cells, got {len(row)}"
-                )
-            try:
-                out.append(BenchRecord(*(t(cell) for t, cell in zip(_RECORD_TYPES.values(), row))))
-            except ValueError as exc:
-                raise InvalidArgumentError(f"{path}:{lineno}: {exc}") from None
-        return out
+
+    return read_csv(path, check_header, lambda row: BenchRecord(
+        *(t(cell) for t, cell in zip(_RECORD_TYPES.values(), row))))[1]
 
 
 def export_eigenvectors(
@@ -394,13 +375,6 @@ def export_eigenvectors(
             values[:, j] = -col
 
     if path is not None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow([f"x{j}" for j in range(ds.d)] + [f"e{j+1}" for j in range(count)])
-            if count > 0:
-                for i in range(grid.shape[0]):
-                    writer.writerow(
-                        [repr(float(v)) for v in grid[i]]
-                        + [repr(float(v)) for v in values[i]]
-                    )
+        rows = (x + v for x, v in zip(grid.tolist(), values.tolist())) if count else ()
+        write_csv(path, [f"x{j}" for j in range(ds.d)] + [f"e{j+1}" for j in range(count)], rows)
     return values

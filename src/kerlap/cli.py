@@ -22,7 +22,7 @@ from .bench import FIELD_TYPES, ExperimentConfig, preset, run_error_curve, write
 from .errors import EXIT_INVALID_ARGUMENT, EXIT_OK, InvalidArgumentError, KerlapError
 from .estimator import decode_sign, model_from_json, model_to_json, predict
 from .kernel import GaussianKernel
-from .operators import load_dataset_csv, save_dataset_csv
+from .operators import load_dataset_csv, read_points, save_dataset_csv, write_csv
 from .svgplot import plot_svg
 
 _ALIASES = {"kernel_sigma": ("--sigma",), "filter_kind": ("--filter",), "lam": ("--lambda",),
@@ -159,20 +159,15 @@ def _cmd_fit(args) -> int:
 def _cmd_predict(args) -> int:
     with open(args.model) as fh:
         model = model_from_json(fh.read())
-    ds = load_dataset_csv(args.data)
-    scores = predict(model, ds.inputs)
-    signs = decode_sign(scores)
-    with open(args.out, "w", newline="") as fh:
-        fh.write("score,label\n")
-        for s, l in zip(scores, signs):
-            fh.write(f"{float(s)!r},{int(l)}\n")
+    scores = predict(model, read_points(args.data)[0])
+    write_csv(args.out, ["score", "label"], zip(scores.tolist(), decode_sign(scores).tolist()))
     print(f"wrote {scores.size} predictions to {args.out}")
     return EXIT_OK
 
 
 def _cmd_eigvecs(args) -> int:
     ds = load_dataset_csv(args.data)
-    grid = load_dataset_csv(args.grid).inputs if args.grid else ds.inputs
+    grid = read_points(args.grid)[0] if args.grid else ds.inputs
     cfg = _config(args, ExperimentConfig(n_grid=[ds.n]))
     bench_mod.export_eigenvectors(
         ds, GaussianKernel(cfg.kernel_sigma), _single_fit_p(cfg, ds.n), cfg.resolve_mu(ds.n),

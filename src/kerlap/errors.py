@@ -6,7 +6,8 @@ range, an array that is not numbers (a ragged nested list, strings, bools),
 has the wrong number of dimensions or holds a non-finite entry, and an
 object of the wrong class raise ``InvalidArgumentError`` naming the
 parameter, which exits with code 2.  Checks that compare one argument with
-another (matching lengths or dimensions) stay with the call that needs them."""
+another (matching lengths or dimensions) stay with the call that needs them.
+``lapack_info`` is the one check of a LAPACK call's illegal-argument code."""
 
 import math
 import numbers
@@ -86,6 +87,14 @@ def array(name: str, value, ndim: int | None = None) -> np.ndarray:
     if not np.isfinite(arr).all():
         raise InvalidArgumentError(f"{name} contains non-finite entries")
     return arr
+
+
+def lapack_info(routine: str, info: int) -> int:
+    """``info`` as the LAPACK ``routine`` returned it; a negative one, an
+    illegal value in argument -info, raises ``InvalidArgumentError``."""
+    if info < 0:
+        raise InvalidArgumentError(f"illegal value in {routine} argument {-info}")
+    return info
 
 
 def instance(name: str, value, cls):

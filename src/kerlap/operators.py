@@ -49,11 +49,18 @@ The dense oracle estimator solves the same problem from one block of that
 basis' Gram, without the pencil, and ``assemble_dense`` is its reference.
 Neither assembly symmetrizes its output: the ``pencil`` solvers check and
 symmetrize every pencil they are given.
+
+Every CSV file the library writes goes through ``write_csv`` and every one
+it reads through ``read_csv``, which owns the checks on the rows.
+``read_points`` reads a dataset CSV in file order, labels or not, as
+``kerlap predict`` and ``eigvecs --grid`` read their query rows;
+``load_dataset_csv`` moves its labeled rows to the front.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,7 +69,7 @@ from scipy.linalg.lapack import dpstrf, dsygst
 
 from .errors import (
     InvalidArgumentError, NumericalConsistencyError, ResourceLimitError, array, instance, integer,
-    real,
+    lapack_info, real,
 )
 from .kernel import GaussianKernel
 
@@ -208,6 +215,13 @@ def assemble(
     (A~, B~), V = L^-T V~ are those of (A, B) with the same eigenvalues, so
     ``filter_coefficients`` applies to V and b unchanged.  Whitening adds
     O(m p^2 + p^3) work.
+
+    The whitening stays because the kept landmarks' Kpp is still near
+    singular: pruning only stops at pivots of 1e-10.  Without it, cond_1(B)
+    as LAPACK ``pocon`` estimates it on the B that ``fit`` gives ``gevd``
+    went from 3.0e2-3.5e2 to 4.1e13-9.8e13 on the fig1 geometry at
+    n = p = 400 (five draws), and from 1.5e3 to 6e14 on the fig1 preset
+    (two draws).
     """
     instance("ds", ds, SemiDataset)
     instance("kernel", kernel, GaussianKernel)
@@ -279,8 +293,7 @@ def assemble(
         # sygst overwrites the upper triangle of B with that of
         # (L^T)^-T B (L^T)^-1 = L^-1 B L^-T
         C, info = dsygst(B, upper, itype=1, lower=0, overwrite_a=1)
-        if info != 0:
-            raise InvalidArgumentError(f"illegal value in sygst argument {-info}")
+        lapack_info("sygst", info)
         B = _mirror_upper(C)
     return OperatorBundle(knp=None, znp=None, A=A, B=B, b=b, kpp=kpp)
 
@@ -343,8 +356,7 @@ def prune_landmarks(
     # Kpp is symmetric, so its transpose is the Fortran-order array pstrf
     # overwrites without a copy
     c, piv, r, info = dpstrf(kpp.T, tol=PRUNE_TOL, lower=1, overwrite_a=1)
-    if info < 0:
-        raise InvalidArgumentError(f"illegal value in pstrf argument {-info}")
+    lapack_info("pstrf", info)
     if r == p:
         return landmarks, None
     return idx[piv[:r] - 1], np.tril(c[:r, :r])
@@ -410,49 +422,72 @@ def _extended_gram(
 # Dataset CSV format (shared repo-wide): header x0,...,x{d-1},y with the y
 # cell left empty on unlabeled rows.
 
-def save_dataset_csv(ds: SemiDataset, path) -> None:
-    n, d = ds.inputs.shape
+def write_csv(path, header, rows) -> None:
+    """Write ``header`` and ``rows`` to ``path``, each line ending in \\r\\n;
+    ``csv`` writes a Python float as its round-trip repr."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow([f"x{j}" for j in range(d)] + ["y"])
-        for i in range(n):
-            row = [repr(float(v)) for v in ds.inputs[i]]
-            row.append(repr(float(ds.labels[i])) if i < ds.n_labeled else "")
-            writer.writerow(row)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
-def load_dataset_csv(path) -> SemiDataset:
-    """Read the shared CSV format, stably partitioning labeled rows to the front."""
+def read_csv(path, check_header, convert) -> tuple[list, list]:
+    """The header of ``path``, which ``check_header`` may refuse by raising,
+    and ``convert(row)`` of each non-blank row after it.  An empty file, a
+    row not as wide as the header and a row that ``convert`` refuses with
+    ``ValueError`` raise ``InvalidArgumentError`` naming ``<path>:<line>``."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise InvalidArgumentError(f"{path}: empty file") from None
-        d = len(header) - 1
-        if d < 1 or header[:d] != [f"x{j}" for j in range(d)] or header[d] != "y":
+        header = next(reader, None)
+        if header is None:
+            raise InvalidArgumentError(f"{path}: empty file")
+        check_header(header)
+        rows = []
+        for row in filter(None, reader):
+            if len(row) != len(header):
+                raise InvalidArgumentError(
+                    f"{path}:{reader.line_num}: expected {len(header)} cells, got {len(row)}"
+                )
+            try:
+                rows.append(convert(row))
+            except ValueError as exc:
+                raise InvalidArgumentError(f"{path}:{reader.line_num}: {exc}") from None
+    return header, rows
+
+
+def _finite(cell: str) -> float:
+    if math.isfinite(value := float(cell)):
+        return value
+    raise ValueError(f"non-finite value {cell!r}")
+
+
+def save_dataset_csv(ds: SemiDataset, path) -> None:
+    labels = ds.labels.tolist() + [""] * (ds.n - ds.n_labeled)
+    write_csv(path, [f"x{j}" for j in range(ds.d)] + ["y"],
+              (x + [y] for x, y in zip(ds.inputs.tolist(), labels)))
+
+
+def read_points(path) -> tuple[np.ndarray, list]:
+    """The (n, d) inputs of a dataset CSV in file order and each row's label,
+    or None; every cell must be a finite number, and no row need be labeled."""
+    def check_header(header):
+        if len(header) < 2 or header != [f"x{j}" for j in range(len(header) - 1)] + ["y"]:
             raise InvalidArgumentError(
                 f"{path}: malformed header {header!r}; expected x0,...,x{{d-1}},y"
             )
-        labeled_x, labeled_y, unlabeled_x = [], [], []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != d + 1:
-                raise InvalidArgumentError(
-                    f"{path}:{lineno}: expected {d + 1} cells, got {len(row)}"
-                )
-            try:
-                coords = [float(v) for v in row[:d]]
-                label = float(row[d]) if row[d].strip() != "" else None
-            except ValueError as exc:
-                raise InvalidArgumentError(f"{path}:{lineno}: {exc}") from None
-            if label is None:
-                unlabeled_x.append(coords)
-            else:
-                labeled_x.append(coords)
-                labeled_y.append(label)
-    if not labeled_y:
+
+    def convert(row):
+        return [_finite(v) for v in row[:-1]], (_finite(row[-1]) if row[-1].strip() else None)
+
+    header, rows = read_csv(path, check_header, convert)
+    return np.array([x for x, _ in rows]).reshape(len(rows), len(header) - 1), [y for _, y in rows]
+
+
+def load_dataset_csv(path) -> SemiDataset:
+    """Read the dataset CSV format, stably partitioning labeled rows to the front."""
+    inputs, labels = read_points(path)
+    unlabeled = np.array([y is None for y in labels], dtype=bool)
+    if unlabeled.all():
         raise InvalidArgumentError(f"{path}: no labeled rows")
-    inputs = np.array(labeled_x + unlabeled_x, dtype=float)
-    return SemiDataset(inputs=inputs, labels=np.array(labeled_y, dtype=float))
+    return SemiDataset(inputs=inputs[np.argsort(unlabeled, kind="stable")],
+                       labels=np.array([y for y in labels if y is not None]))

@@ -26,7 +26,8 @@ from scipy.linalg.blas import dnrm2, dsymv, dtrsm
 from scipy.linalg.lapack import dpocon, dpotrf, dsyevd, dsygst
 
 from .errors import (
-    InvalidArgumentError, NumericalConsistencyError, SingularPencilError, array, real,
+    InvalidArgumentError, NumericalConsistencyError, SingularPencilError, array, lapack_info,
+    real,
 )
 
 _JITTER_EPS = 1e-10
@@ -101,10 +102,8 @@ def _cholesky_with_jitter(M: np.ndarray, name: str) -> tuple[np.ndarray, float]:
     after the jitter pass.
     """
     L, info = dpotrf(M, lower=1, clean=1, overwrite_a=0)
-    if info == 0:
+    if lapack_info("potrf", info) == 0:
         return L, 0.0
-    if info < 0:
-        raise InvalidArgumentError(f"illegal value in Cholesky argument {-info}")
     p = M.shape[0]
     jitter = _JITTER_EPS * (np.trace(M) / p)
     if jitter <= 0:
@@ -169,15 +168,12 @@ def gevd(A: np.ndarray, B: np.ndarray) -> PencilDecomposition:
     # C is the symmetrized copy made above, so sygst and syevd may work in
     # place; its transpose is the same matrix in the Fortran order they use
     C, info = dsygst(C.T, L, lower=1, overwrite_a=1)
-    if info != 0:
-        raise InvalidArgumentError(f"illegal value in sygst argument {-info}")
+    lapack_info("sygst", info)
     # the wrapper's default workspace is LAPACK's minimum: what syevd's
     # workspace query returns for p >= 14, and below that enough for the
     # unblocked reduction that p < 32 takes either way
     w, Q, info = dsyevd(C, compute_v=1, lower=1, overwrite_a=1)
-    if info < 0:
-        raise InvalidArgumentError(f"illegal value in syevd argument {-info}")
-    if info > 0:
+    if lapack_info("syevd", info) > 0:
         raise NumericalConsistencyError(
             f"syevd failed to converge on the reduced pencil (info {info})"
         )
@@ -222,7 +218,7 @@ def pencil_solve(A: np.ndarray, B: np.ndarray, lam: float, rhs: np.ndarray) -> n
         raise InvalidArgumentError(f"rhs has shape {rhs.shape}, expected ({A.shape[0]},)")
     M = A + lam * B
     L, info = dpotrf(M, lower=1, clean=1, overwrite_a=0)
-    if info != 0:
+    if lapack_info("potrf", info) != 0:
         raise SingularPencilError(
             f"A + lam*B is not positive definite: Cholesky failed at pivot {info}",
             pivot=int(info),

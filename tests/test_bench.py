@@ -230,6 +230,16 @@ class TestRecordsCsv:
         with pytest.raises(InvalidArgumentError, match=":1"):
             load_records_csv(path)
 
+    @pytest.mark.parametrize("rows, match", [
+        ("", "empty file"),
+        (",".join(RECORD_HEADER) + "\nkrr,10\n", ":2: expected 8 cells, got 2")],
+        ids=["empty", "narrow"])
+    def test_empty_file_and_wrong_width(self, tmp_path, rows, match):
+        path = tmp_path / "bad.csv"
+        path.write_text(rows)
+        with pytest.raises(InvalidArgumentError, match=match):
+            load_records_csv(path)
+
     def test_bad_cell_line_number(self, tmp_path):
         path = tmp_path / "bad2.csv"
         path.write_text(
@@ -283,6 +293,14 @@ class TestExportEigenvectors:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "x0,x1,e1,e2,e3"
         assert len(lines) == 61
+
+    def test_bytes_of_one_export(self, tmp_path):
+        # one point, p = 1, mu = 0.5: A = 1, B = 0.5, so the B-normalized
+        # eigenfunction is 2^(1/2) k(x, 0), and k(100, 0) underflows to 0
+        path = tmp_path / "eig.csv"
+        export_eigenvectors(SemiDataset([[0.0]], [2.0]), GaussianKernel(1.0), p=1, mu=0.5,
+                            count=1, grid=np.array([[0.0], [100.0]]), path=path)
+        assert path.read_bytes() == b"x0,e1\r\n0.0,1.414213562373095\r\n100.0,0.0\r\n"
 
     def test_count_validation(self):
         ds = gen_gaussian_mix(GaussianMixSpec(n=20, n_labeled=2, d=2, seed=3))

@@ -10,7 +10,7 @@ import pytest
 from kerlap import bench
 from kerlap.bench import ExperimentConfig, load_records_csv, preset
 from kerlap.cli import _bench_config, _config, _parser, main
-from kerlap.estimator import schedule
+from kerlap.estimator import model_from_json, predict, schedule
 from kerlap.operators import load_dataset_csv, save_dataset_csv
 from kerlap.synthdata import CirclesSpec, gen_circles
 
@@ -126,6 +126,30 @@ class TestFitPredict:
         assert code == 2 and not model.exists()
         assert err.startswith("error: kernel_sigma must lie between") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("query", [
+        "x0,x1,x2,y\n0,0,0,\n1,1,1,1.0\n-1,2,0.5,\n",
+        "x0,x1,x2,y\n0,0,0,\n1,1,1,\n-1,2,0.5,\n",
+    ], ids=["interleaved", "unlabeled"])
+    def test_predict_reads_query_rows_in_file_order(self, dataset, tmp_path, query):
+        model, data, preds = tmp_path / "m.json", tmp_path / "q.csv", tmp_path / "preds.csv"
+        assert run(["fit", "--data", str(dataset), "--sigma", "2.0", "--p", "20",
+                    "--out", str(model)]) == 0
+        data.write_text(query)
+        assert run(["predict", "--model", str(model), "--data", str(data),
+                    "--out", str(preds)]) == 0
+        scores = predict(model_from_json(model.read_text()),
+                         np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0], [-1.0, 2.0, 0.5]]))
+        assert preds.read_bytes() == b"score,label\r\n" + b"".join(
+            f"{s!r},{1 if s >= 0 else -1}\r\n".encode() for s in scores.tolist())
+
+    def test_non_finite_cell_exits_2_naming_the_line(self, tmp_path, capsys):
+        data = tmp_path / "nan.csv"
+        data.write_text("x0,y\n0.5,1.0\n0.25,\nnan,-1.0\n")
+        code = run(["fit", "--data", str(data), "--sigma", "1.0", "--p", "2",
+                    "--out", str(tmp_path / "m.json")])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {data}:4: non-finite value 'nan'\n"
+
     def test_missing_file_exit_2(self, tmp_path):
         code = run(["fit", "--data", str(tmp_path / "nope.csv"), "--sigma", "1.0",
                     "--out", str(tmp_path / "m.json")])
@@ -144,6 +168,17 @@ class TestEigvecs:
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "x0,x1,e1,e2,e3,e4"
         assert len(lines) == 61
+
+    @pytest.mark.parametrize("labels", [("", "1.0"), ("", "")], ids=["interleaved", "unlabeled"])
+    def test_grid_rows_in_file_order(self, tmp_path, labels):
+        data, grid, out = tmp_path / "data.csv", tmp_path / "grid.csv", tmp_path / "eig.csv"
+        run(["generate", "--family", "circles", "--n", "60", "--n-labeled", "4",
+             "--seed", "3", "--out", str(data)])
+        grid.write_text("x0,x1,y\n0.5,0.0,{}\n-1.0,2.0,{}\n".format(*labels))
+        assert run(["eigvecs", "--data", str(data), "--sigma", "0.3", "--p", "20",
+                    "--mu", "0.02", "--count", "2", "--grid", str(grid), "--out", str(out)]) == 0
+        rows = [line.split(",")[:2] for line in out.read_text().splitlines()[1:]]
+        assert rows == [["0.5", "0.0"], ["-1.0", "2.0"]]
 
 
 class TestBench:

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dpocon, dpotrf
 
 from kerlap import estimator, kernel as kernel_module, operators, pencil
 from kerlap.baselines import GraphConfig, harmonic_propagate, krr_fit
@@ -107,6 +108,27 @@ class TestFit:
         coef = filter_coefficients(gevd(bundle.A, bundle.B), TIK, bundle.b)
         ref = predict(FittedModel(k, ds.inputs[landmarks], coef, LANDMARK_KERNEL), ds.inputs)
         assert np.linalg.norm(predict(model, ds.inputs) - ref) <= 1e-6 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_pruned_fit_eigensolves_a_well_conditioned_pencil(self, seed, monkeypatch):
+        # the whitening is what keeps B well-conditioned: on these circles
+        # cond_1(B) given to gevd is ~3e2 whitened and 4e13-1e14 without it
+        pencils = []
+
+        def spy(A, B):
+            pencils.append(B)
+            return gevd(A, B)
+
+        monkeypatch.setattr(estimator, "gevd", spy)
+        n = 400
+        ds = gen_circles(CirclesSpec(n=n, n_labeled=4, angles="equispaced", seed=seed))
+        model = fit(ds, GaussianKernel(0.2), n, 1.0 / n, TIK, seed)
+        assert model.coefficients.size < n and len(pencils) == 1
+        B = pencils[0]
+        L, info = dpotrf(B, lower=1)
+        assert info == 0
+        rcond, info = dpocon(L, np.linalg.norm(B, 1), uplo="L")
+        assert info == 0 and 1.0 / rcond <= 1e6
 
     def test_duplicate_rows_keep_one_landmark_each(self):
         # 12 points 1.5 apart, each repeated three times: p = n keeps one

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -17,6 +18,7 @@ from kerlap.operators import (
     assemble_dense,
     load_dataset_csv,
     prune_landmarks,
+    read_points,
     save_dataset_csv,
     select_landmarks,
 )
@@ -592,3 +594,40 @@ class TestCsv:
         path.write_text("x0,y\n0.5,\n")
         with pytest.raises(InvalidArgumentError, match="no labeled rows"):
             load_dataset_csv(path)
+
+    def test_points_in_file_order(self, tmp_path):
+        path = tmp_path / "mixed.csv"
+        path.write_text("x0,x1,y\n0.0,0.0,\n1.0,1.0,2.0\n\n-1.5,2.5,\n")
+        inputs, labels = read_points(path)
+        assert inputs.tolist() == [[0.0, 0.0], [1.0, 1.0], [-1.5, 2.5]]
+        assert labels == [None, 2.0, None]
+
+    def test_points_need_no_labels(self, tmp_path):
+        path = tmp_path / "none.csv"
+        path.write_text("x0,y\n0.5,\n")
+        inputs, labels = read_points(path)
+        assert inputs.tolist() == [[0.5]] and labels == [None]
+        path.write_text("x0,x1,x2,y\n")
+        inputs, labels = read_points(path)
+        assert inputs.shape == (0, 3) and labels == []
+
+    @pytest.mark.parametrize("row", ["nan,1.0", "0.5,inf", "-Infinity,", "1e999,1.0"])
+    def test_non_finite_cell_reports_line(self, tmp_path, row):
+        path = tmp_path / "nan.csv"
+        path.write_text(f"x0,y\n0.5,1.0\n{row}\n")
+        with pytest.raises(InvalidArgumentError, match=re.escape(f"{path}:3: non-finite")):
+            load_dataset_csv(path)
+
+    @pytest.mark.parametrize("text, match", [
+        ("", "empty file"), ("x0,y\n0.5,1.0,2.0\n", ":2: expected 2 cells, got 3")],
+        ids=["empty", "wide"])
+    def test_empty_file_and_wrong_width(self, tmp_path, text, match):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(InvalidArgumentError, match=match):
+            read_points(path)
+
+    def test_bytes_of_one_dataset(self, tmp_path):
+        path = tmp_path / "data.csv"
+        save_dataset_csv(SemiDataset(inputs=[[0.1, -2.0], [1e-05, 3.0]], labels=[1.0]), path)
+        assert path.read_bytes() == b"x0,x1,y\r\n0.1,-2.0,1.0\r\n1e-05,3.0,\r\n"

@@ -301,6 +301,15 @@ class TestPencilSolve:
         with pytest.raises(InvalidArgumentError):
             pencil_solve(np.eye(2), np.eye(2), -1.0, np.array([1.0, 1.0]))
 
+    @pytest.mark.parametrize("solve", [
+        lambda: pencil_solve(np.eye(2), np.eye(2), 1.0, np.array([1.0, 1.0])),
+        lambda: gevd(np.eye(2), np.eye(2))], ids=["pencil_solve", "gevd"])
+    def test_illegal_potrf_argument_is_no_singular_pencil(self, solve, monkeypatch):
+        # a negative info names an illegal argument, not a failed pivot
+        monkeypatch.setattr(pencil_module, "dpotrf", lambda m, **kwargs: (m, -2))
+        with pytest.raises(InvalidArgumentError, match="illegal value in potrf argument 2"):
+            solve()
+
     def test_shape_mismatch(self):
         with pytest.raises(InvalidArgumentError):
             pencil_solve(np.eye(2), np.eye(2), 1.0, np.array([1.0, 1.0, 1.0]))
