@@ -12,6 +12,7 @@ cannot change results.
 from __future__ import annotations
 
 import json
+import math
 import numbers
 import time
 from dataclasses import asdict, astuple, dataclass, field, fields, replace
@@ -38,7 +39,15 @@ from .synthdata import (
 )
 
 METHODS = ("kernel_laplacian", "graph", "krr", "exact")
-FAMILIES = ("circles", "gauss2")
+
+# each dataset family's spec and its generator; the lambdas look the
+# generator up when called, so a rebinding of the module's name (a tracer's
+# wrapper) is seen.  ExperimentConfig has a field for each spec parameter.
+DATASETS = {
+    "circles": (CirclesSpec, lambda spec: gen_circles_with_truth(spec)),
+    "gauss2": (GaussianMixSpec, lambda spec: gen_gaussian_mix_with_truth(spec)),
+}
+FAMILIES = tuple(DATASETS)
 
 _MASK64 = (1 << 64) - 1
 
@@ -107,13 +116,13 @@ class ExperimentConfig:
     trials: int = 1
     label_ratio: float | None = 0.1
     n_labeled: int | None = None
-    d: int = 10
-    separation: float = 3.0
-    num_circles: int = 4
-    inner_radius: float = 1.0
-    radius_step: float | None = None
-    angles: str = "uniform"
-    allocation: str = "equal"
+    d: int = GaussianMixSpec.d
+    separation: float = GaussianMixSpec.separation
+    num_circles: int = CirclesSpec.num_circles
+    inner_radius: float = CirclesSpec.inner_radius
+    radius_step: float | None = CirclesSpec.radius_step
+    angles: str = CirclesSpec.angles
+    allocation: str = CirclesSpec.allocation
     kernel_sigma: float = 1.0
     lam: float = 1.0
     mu: float | str = "1/n"
@@ -238,18 +247,10 @@ def preset(name: str) -> ExperimentConfig:
 
 
 def generate_instance(cfg: ExperimentConfig, n: int, seed: int) -> tuple[SemiDataset, np.ndarray]:
-    n_labeled = cfg.resolve_n_labeled(n)
-    if cfg.family == "circles":
-        spec = CirclesSpec(
-            n=n, n_labeled=n_labeled, num_circles=cfg.num_circles,
-            inner_radius=cfg.inner_radius, radius_step=cfg.radius_step,
-            angles=cfg.angles, allocation=cfg.allocation, seed=seed,
-        )
-        return gen_circles_with_truth(spec)
-    spec = GaussianMixSpec(
-        n=n, n_labeled=n_labeled, d=cfg.d, separation=cfg.separation, seed=seed,
-    )
-    return gen_gaussian_mix_with_truth(spec)
+    spec, generate = DATASETS[cfg.family]
+    draw = {"n": n, "n_labeled": cfg.resolve_n_labeled(n), "seed": seed}
+    params = {f.name: getattr(cfg, f.name) for f in fields(spec) if f.name not in draw}
+    return generate(spec(**draw, **params))
 
 
 def _score(cfg, predictions: np.ndarray, truth: np.ndarray) -> float:
@@ -323,6 +324,26 @@ def write_records_csv(records: list[BenchRecord], path) -> None:
     write_csv(path, RECORD_HEADER, map(astuple, records))
 
 
+def _record(row: list[str]) -> BenchRecord:
+    """One records CSV row; a value no sweep writes raises ``ValueError``."""
+    r = BenchRecord(*(t(cell) for t, cell in zip(_RECORD_TYPES.values(), row)))
+    for ok, problem in (
+        (r.n >= 1, f"n must be >= 1, got {r.n}"),
+        (1 <= r.n_labeled <= r.n, f"n_labeled must be in [1, n={r.n}], got {r.n_labeled}"),
+        (r.trial >= 0, f"trial must be >= 0, got {r.trial}"),
+        # NaN marks a failed trial
+        (math.isnan(r.error) or 0 <= r.error < math.inf,
+         f"error must be NaN or a finite value >= 0, got {r.error}"),
+        (0 <= r.fit_seconds < math.inf,
+         f"fit_seconds must be finite and >= 0, got {r.fit_seconds}"),
+        (0 <= r.predict_seconds < math.inf,
+         f"predict_seconds must be finite and >= 0, got {r.predict_seconds}"),
+    ):
+        if not ok:
+            raise ValueError(problem)
+    return r
+
+
 def load_records_csv(path) -> list[BenchRecord]:
     def check_header(header):
         if header != RECORD_HEADER:
@@ -330,8 +351,7 @@ def load_records_csv(path) -> list[BenchRecord]:
                 f"{path}:1: bad header {header!r}, expected {RECORD_HEADER!r}"
             )
 
-    return read_csv(path, check_header, lambda row: BenchRecord(
-        *(t(cell) for t, cell in zip(_RECORD_TYPES.values(), row))))[1]
+    return read_csv(path, check_header, _record)[1]
 
 
 def export_eigenvectors(
@@ -342,7 +362,6 @@ def export_eigenvectors(
     count: int,
     grid: np.ndarray,
     seed: int = 0,
-    path=None,
 ) -> np.ndarray:
     """Evaluate the top generalized eigenvectors at grid points.
 
@@ -350,9 +369,7 @@ def export_eigenvectors(
     x -> sum_i v_ji k(x, M_i) over the landmarks M_i that ``fit`` keeps of
     the p it draws, sign-normalized so its first entry larger than 1e-12 *
     max|column| is positive.  A count above the number kept raises
-    ``InvalidArgumentError``.  When ``path`` is given the grid
-    coordinates and eigenvector columns are written as CSV (header only if
-    count == 0).
+    ``InvalidArgumentError``.
     """
     instance("ds", ds, SemiDataset)
     instance("kernel", kernel, GaussianKernel)
@@ -373,8 +390,4 @@ def export_eigenvectors(
         nz = np.flatnonzero(np.abs(col) > 1e-12 * np.abs(col).max(initial=1e-300))
         if nz.size and col[nz[0]] < 0:
             values[:, j] = -col
-
-    if path is not None:
-        rows = (x + v for x, v in zip(grid.tolist(), values.tolist())) if count else ()
-        write_csv(path, [f"x{j}" for j in range(ds.d)] + [f"e{j+1}" for j in range(count)], rows)
     return values

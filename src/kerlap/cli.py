@@ -23,7 +23,7 @@ from .errors import EXIT_INVALID_ARGUMENT, EXIT_OK, InvalidArgumentError, Kerlap
 from .estimator import decode_sign, model_from_json, model_to_json, predict
 from .kernel import GaussianKernel
 from .operators import load_dataset_csv, read_points, save_dataset_csv, write_csv
-from .svgplot import plot_svg
+from .svgplot import render_svg
 
 _ALIASES = {"kernel_sigma": ("--sigma",), "filter_kind": ("--filter",), "lam": ("--lambda",),
             "method": ("--baseline",)}
@@ -80,9 +80,8 @@ def _config(args, base: ExperimentConfig) -> ExperimentConfig:
 def _add_generate(p):
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--out", required=True)
-    _add_config_flags(p, ("family", "n_labeled", "seed", "num_circles", "inner_radius",
-                          "radius_step", "angles", "allocation", "d", "separation"),
-                      required=("family", "n_labeled"))
+    spec_fields = {f.name for spec, _ in bench_mod.DATASETS.values() for f in fields(spec)}
+    _add_config_flags(p, {"family", *spec_fields}, required=("family", "n_labeled"))
 
 
 def _add_fit(p):
@@ -159,7 +158,11 @@ def _cmd_fit(args) -> int:
 def _cmd_predict(args) -> int:
     with open(args.model) as fh:
         model = model_from_json(fh.read())
-    scores = predict(model, read_points(args.data)[0])
+    queries = read_points(args.data)[0]
+    try:
+        scores = predict(model, queries)
+    except InvalidArgumentError as exc:  # the queries are the file's rows
+        raise InvalidArgumentError(f"{args.data}: {exc}") from None
     write_csv(args.out, ["score", "label"], zip(scores.tolist(), decode_sign(scores).tolist()))
     print(f"wrote {scores.size} predictions to {args.out}")
     return EXIT_OK
@@ -169,10 +172,13 @@ def _cmd_eigvecs(args) -> int:
     ds = load_dataset_csv(args.data)
     grid = read_points(args.grid)[0] if args.grid else ds.inputs
     cfg = _config(args, ExperimentConfig(n_grid=[ds.n]))
-    bench_mod.export_eigenvectors(
+    values = bench_mod.export_eigenvectors(
         ds, GaussianKernel(cfg.kernel_sigma), _single_fit_p(cfg, ds.n), cfg.resolve_mu(ds.n),
-        args.count, grid, seed=cfg.seed, path=args.out,
+        args.count, grid, seed=cfg.seed,
     )
+    header = [f"x{j}" for j in range(ds.d)] + [f"e{j + 1}" for j in range(args.count)]
+    # with no eigenvector columns the file is the header alone
+    write_csv(args.out, header, np.hstack([grid, values]).tolist() if args.count else ())
     print(f"wrote {args.count} eigenvector columns over {grid.shape[0]} grid points to {args.out}")
     return EXIT_OK
 
@@ -188,7 +194,9 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_plot(args) -> int:
-    plot_svg(args.records, args.out)
+    svg = render_svg(bench_mod.load_records_csv(args.records))
+    with open(args.out, "w", newline="") as fh:
+        fh.write(svg)
     print(f"wrote {args.out}")
     return EXIT_OK
 

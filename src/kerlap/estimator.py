@@ -158,11 +158,12 @@ def _landmark_decomposition(
     and its moment vector b.
 
     ``assemble`` builds the pencil over the kept landmarks.  When the drawn
-    landmarks' Gram has full numerical rank, the kept ones are the draw as it
-    stands and ``gevd`` runs on that pencil.  Otherwise ``assemble`` whitens
-    it by the kept Gram's Cholesky factor L, and the eigenvectors are mapped
-    back by L^-T, so they are generalized eigenvectors of the kept
-    landmarks' pencil either way.
+    landmarks' Gram has full numerical rank and is not near singular (its
+    last pivot is at least ``operators.WHITEN_PIVOT``), the kept ones are the
+    draw as it stands and ``gevd`` runs on that pencil.  Otherwise
+    ``assemble`` whitens it by the kept Gram's Cholesky factor L, and the
+    eigenvectors are mapped back by L^-T, so they are generalized
+    eigenvectors of the kept landmarks' pencil either way.
     """
     landmarks = select_landmarks(ds, p, seed)
     kept, factor = prune_landmarks(ds, kernel, landmarks)
@@ -235,9 +236,11 @@ def predict(model: FittedModel, queries: np.ndarray) -> np.ndarray:
     W = [c0 - rowdot(C1, X - x0) | C1] and x0 the basis mean: one expansion.
     """
     instance("model", model, FittedModel)
-    Q = array("queries", queries, ndim=2)  # the kernel checks that it matches the model in d
+    Q = array("queries", queries, ndim=2)
     coords = model.basis_coordinates
     m, d = coords.shape
+    if Q.shape[1] != d:
+        raise InvalidArgumentError(f"queries must have the model's d={d} columns, got {Q.shape[1]}")
     if model.basis_kind == LANDMARK_KERNEL:
         out = _kernel_expansion(model.kernel, Q, coords, model.coefficients)
     else:

@@ -39,9 +39,10 @@ NeurIPS 2017).
 
 Before assembly, ``prune_landmarks`` drops the drawn landmarks whose kernel
 functions are numerically dependent on the others (a pivoted Cholesky of
-Kpp).  When it drops any, ``assemble`` is given the Cholesky factor L of
-the kept ones' Kpp and whitens the pencil by it in the same loop, so that B
-is well-conditioned however redundant the draw was.
+Kpp).  When it drops any, or keeps them all but its last pivot is below
+``WHITEN_PIVOT``, ``assemble`` is given the Cholesky factor L of the kept
+ones' Kpp and whitens the pencil by it in the same loop, so that B is
+well-conditioned however redundant the draw was.
 
 ``assemble_dense`` builds the same objects over the exact n*(d+1)-dimensional
 representer basis {k_{X_i}} + {d_j k_{X_i}} instead of a landmark subset.
@@ -85,6 +86,14 @@ _BELOW = np.tri(_TILE, k=-1, dtype=bool)
 # pivoted Cholesky stopping tolerance on the landmark Gram; the Gaussian Gram
 # has a unit diagonal, so this is relative to its largest pivot
 PRUNE_TOL = 1e-10
+
+# a draw that keeps all its landmarks is still whitened when its last pivot
+# is below this.  On the fig1 preset's data every full-rank draw measured
+# below it gave cond_1(B) > 1e6 unwhitened (5e6 to 2e13); above it some
+# still reached 8e7.  It is no higher because the smallest last pivots of
+# the benchmark draws are 1.6e-2 (fig2) and 1.5e-4 (gauss2 at n = 8000,
+# 200 seeds), and it fires on none of them
+WHITEN_PIVOT = 1e-5
 
 
 @dataclass(frozen=True)
@@ -333,11 +342,12 @@ def prune_landmarks(
     """The landmarks a pivoted Cholesky of their Gram keeps, and its factor.
 
     LAPACK ``pstrf`` factors Kpp with complete pivoting and stops at the
-    first pivot at or below ``PRUNE_TOL``, after r steps.  When r = p this
-    returns ``(landmarks, None)``: the draw, unchanged and in its order.
-    Otherwise it returns the r pivot rows ``landmarks[piv[:r]]`` and the
-    lower factor L (r x r) with L L^T = their Gram, which ``assemble``
-    whitens their pencil by.  The remaining pivots are the squared RKHS
+    first pivot at or below ``PRUNE_TOL``, after r steps.  When r = p and
+    the last pivot is at least ``WHITEN_PIVOT`` this returns
+    ``(landmarks, None)``: the draw, unchanged and in its order.  Otherwise
+    it returns the r pivot rows ``landmarks[piv[:r]]`` and the lower factor
+    L (r x r) with L L^T = their Gram, which ``assemble`` whitens their
+    pencil by.  The remaining pivots are the squared RKHS
     distances of the dropped landmarks' kernel functions from the span of
     the kept ones, all at most ``PRUNE_TOL`` (Harbrecht, Peters & Schneider,
     Appl. Numer. Math. 2012), so what is dropped is the pencil's numerical
@@ -357,7 +367,7 @@ def prune_landmarks(
     # overwrites without a copy
     c, piv, r, info = dpstrf(kpp.T, tol=PRUNE_TOL, lower=1, overwrite_a=1)
     lapack_info("pstrf", info)
-    if r == p:
+    if r == p and c[p - 1, p - 1] ** 2 >= WHITEN_PIVOT:
         return landmarks, None
     return idx[piv[:r] - 1], np.tril(c[:r, :r])
 

@@ -1,4 +1,4 @@
-"""Deterministic SVG rendering of benchmark record files.
+"""Deterministic SVG rendering of benchmark records.
 
 Draws one mean polyline plus a +/- one-standard-deviation band per method
 over a log-scaled n axis.  The output is built by plain string formatting
@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 
-from .bench import BenchRecord, load_records_csv
+from .bench import BenchRecord
 
 WIDTH, HEIGHT = 640, 420
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 64, 24, 24, 48
@@ -128,11 +128,3 @@ def render_svg(records: list[BenchRecord]) -> str:
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
-
-
-def plot_svg(records_csv_path, out_path) -> None:
-    """Render a records CSV to a standalone SVG file (byte-deterministic)."""
-    records = load_records_csv(records_csv_path)
-    svg = render_svg(records)
-    with open(out_path, "w", newline="") as fh:
-        fh.write(svg)

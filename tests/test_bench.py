@@ -1,11 +1,15 @@
 import math
 from dataclasses import fields, replace
+from typing import get_type_hints
 
 import numpy as np
 import pytest
 
 from kerlap import kernel as kernel_module
 from kerlap.bench import (
+    DATASETS,
+    FAMILIES,
+    FIELD_TYPES,
     METHODS,
     PRESETS,
     RECORD_HEADER,
@@ -13,6 +17,7 @@ from kerlap.bench import (
     ExperimentConfig,
     export_eigenvectors,
     fit_model,
+    generate_instance,
     load_records_csv,
     preset,
     run_error_curve,
@@ -20,11 +25,13 @@ from kerlap.bench import (
     trial_seed,
     write_records_csv,
 )
+from kerlap.cli import main
 from kerlap.errors import InvalidArgumentError
 from kerlap.kernel import GaussianKernel
-from kerlap.operators import SemiDataset
+from kerlap.operators import SemiDataset, save_dataset_csv, write_csv
 from kerlap.synthdata import (
-    ALLOCATIONS, ANGLES, CirclesSpec, GaussianMixSpec, gen_circles, gen_gaussian_mix,
+    ALLOCATIONS, ANGLES, CirclesSpec, GaussianMixSpec, gen_circles, gen_circles_with_truth,
+    gen_gaussian_mix, gen_gaussian_mix_with_truth,
 )
 
 
@@ -52,6 +59,29 @@ class TestConfig:
         cfg = preset("fig2")
         back = ExperimentConfig.from_json(cfg.to_json())
         assert back == cfg
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_dataset_fields_are_the_spec_parameters(self, family):
+        # a config field for every spec parameter a sweep does not set per draw
+        spec = DATASETS[family][0]
+        defaults = {f.name: f.default for f in fields(ExperimentConfig)}
+        for f in fields(spec):
+            if f.name not in ("n", "n_labeled", "seed"):
+                assert FIELD_TYPES[f.name] == get_type_hints(spec)[f.name]
+                assert defaults[f.name] == f.default
+
+    @pytest.mark.parametrize("family, spec, generate, params", [
+        ("circles", CirclesSpec, gen_circles_with_truth,
+         {"num_circles": 3, "inner_radius": 0.5, "radius_step": 0.7, "angles": "equispaced",
+          "allocation": "proportional"}),
+        ("gauss2", GaussianMixSpec, gen_gaussian_mix_with_truth, {"d": 3, "separation": 1.5}),
+    ], ids=["circles", "gauss2"])
+    def test_instance_is_the_generator_on_the_config_fields(self, family, spec, generate, params):
+        cfg = ExperimentConfig(family=family, n_labeled=7, label_ratio=None, **params)
+        ds, truth = generate_instance(cfg, 90, 11)
+        ref, ref_truth = generate(spec(n=90, n_labeled=7, seed=11, **params))
+        assert np.array_equal(ds.inputs, ref.inputs) and np.array_equal(ds.labels, ref.labels)
+        assert np.array_equal(truth, ref_truth)
 
     def test_unknown_fields_rejected(self):
         with pytest.raises(InvalidArgumentError, match="unknown config fields"):
@@ -251,13 +281,22 @@ class TestRecordsCsv:
             load_records_csv(path)
 
 
+def eigvecs_csv(tmp_path, ds, grid, sigma, p, mu, count):
+    """The file ``kerlap eigvecs`` writes for ``ds`` at the ``grid`` rows."""
+    data, points, out = tmp_path / "data.csv", tmp_path / "grid.csv", tmp_path / "eig.csv"
+    save_dataset_csv(ds, data)
+    write_csv(points, [f"x{j}" for j in range(ds.d)] + ["y"], [x + [""] for x in grid.tolist()])
+    assert main(["eigvecs", "--data", str(data), "--grid", str(points), "--sigma", str(sigma),
+                 "--p", str(p), "--mu", str(mu), "--count", str(count), "--out", str(out)]) == 0
+    return out
+
+
 class TestExportEigenvectors:
     def test_zero_count_header_only(self, tmp_path):
         ds = gen_gaussian_mix(GaussianMixSpec(n=30, n_labeled=3, d=2, seed=0))
-        path = tmp_path / "eig.csv"
-        out = export_eigenvectors(ds, GaussianKernel(1.0), p=10, mu=0.1, count=0,
-                                  grid=ds.inputs, path=path)
+        out = export_eigenvectors(ds, GaussianKernel(1.0), p=10, mu=0.1, count=0, grid=ds.inputs)
         assert out.shape == (30, 0)
+        path = eigvecs_csv(tmp_path, ds, ds.inputs, 1.0, p=10, mu=0.1, count=0)
         lines = path.read_text().strip().splitlines()
         assert lines == ["x0,x1"]
 
@@ -279,27 +318,30 @@ class TestExportEigenvectors:
     def test_empty_grid(self, tmp_path):
         # like predict on 0 queries: a (0, count) array, and a header-only CSV
         ds = gen_gaussian_mix(GaussianMixSpec(n=30, n_labeled=3, d=2, seed=0))
-        path = tmp_path / "eig.csv"
         out = export_eigenvectors(ds, GaussianKernel(1.0), p=10, mu=0.1, count=3,
-                                  grid=np.zeros((0, 2)), path=path)
+                                  grid=np.zeros((0, 2)))
         assert out.shape == (0, 3)
+        path = eigvecs_csv(tmp_path, ds, np.zeros((0, 2)), 1.0, p=10, mu=0.1, count=3)
         assert path.read_text().strip().splitlines() == ["x0,x1,e1,e2,e3"]
 
     def test_csv_shape(self, tmp_path):
         ds = gen_circles(CirclesSpec(n=60, n_labeled=4, seed=2))
-        path = tmp_path / "eig.csv"
-        export_eigenvectors(ds, GaussianKernel(0.3), p=20, mu=0.05, count=3,
-                            grid=ds.inputs, path=path)
+        path = eigvecs_csv(tmp_path, ds, ds.inputs, 0.3, p=20, mu=0.05, count=3)
+        values = export_eigenvectors(ds, GaussianKernel(0.3), p=20, mu=0.05, count=3,
+                                     grid=ds.inputs)
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "x0,x1,e1,e2,e3"
         assert len(lines) == 61
+        rows = np.array([line.split(",") for line in lines[1:]], dtype=float)
+        assert np.array_equal(rows, np.hstack([ds.inputs, values]))
 
     def test_bytes_of_one_export(self, tmp_path):
         # one point, p = 1, mu = 0.5: A = 1, B = 0.5, so the B-normalized
         # eigenfunction is 2^(1/2) k(x, 0), and k(100, 0) underflows to 0
-        path = tmp_path / "eig.csv"
-        export_eigenvectors(SemiDataset([[0.0]], [2.0]), GaussianKernel(1.0), p=1, mu=0.5,
-                            count=1, grid=np.array([[0.0], [100.0]]), path=path)
+        ds, grid = SemiDataset([[0.0]], [2.0]), np.array([[0.0], [100.0]])
+        values = export_eigenvectors(ds, GaussianKernel(1.0), p=1, mu=0.5, count=1, grid=grid)
+        assert values.tolist() == [[1.414213562373095], [0.0]]
+        path = eigvecs_csv(tmp_path, ds, grid, 1.0, p=1, mu=0.5, count=1)
         assert path.read_bytes() == b"x0,e1\r\n0.0,1.414213562373095\r\n100.0,0.0\r\n"
 
     def test_count_validation(self):

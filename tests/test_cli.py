@@ -1,3 +1,4 @@
+import hashlib
 import json
 import shlex
 import warnings
@@ -8,10 +9,12 @@ import numpy as np
 import pytest
 
 from kerlap import bench
-from kerlap.bench import ExperimentConfig, load_records_csv, preset
+from kerlap.bench import ExperimentConfig, export_eigenvectors, load_records_csv, preset
 from kerlap.cli import _bench_config, _config, _parser, main
 from kerlap.estimator import model_from_json, predict, schedule
-from kerlap.operators import load_dataset_csv, save_dataset_csv
+from kerlap.kernel import GaussianKernel
+from kerlap.operators import load_dataset_csv, read_points, save_dataset_csv
+from kerlap.svgplot import render_svg
 from kerlap.synthdata import CirclesSpec, gen_circles
 
 
@@ -84,6 +87,18 @@ class TestFitPredict:
         score, label = lines[1].split(",")
         float(score)
         assert label in ("-1", "1")
+
+    def test_predict_names_the_query_file_and_both_widths(self, tmp_path, capsys):
+        data, queries, model = tmp_path / "d.csv", tmp_path / "q.csv", tmp_path / "m.json"
+        data.write_text("x0,y\n0.0,1.0\n1.0,-1.0\n")
+        queries.write_text("x0,x1,y\n0.0,0.0,\n")
+        assert run(["fit", "--data", str(data), "--sigma", "1.0", "--p", "2",
+                    "--out", str(model)]) == 0
+        capsys.readouterr()
+        assert run(["predict", "--model", str(model), "--data", str(queries),
+                    "--out", str(tmp_path / "s.csv")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {queries}: queries must have the model's d=1 columns, got 2\n")
 
     def test_krr(self, dataset, tmp_path):
         model = tmp_path / "krr.json"
@@ -179,6 +194,69 @@ class TestEigvecs:
                     "--mu", "0.02", "--count", "2", "--grid", str(grid), "--out", str(out)]) == 0
         rows = [line.split(",")[:2] for line in out.read_text().splitlines()[1:]]
         assert rows == [["0.5", "0.0"], ["-1.0", "2.0"]]
+
+
+class TestWrittenBytes:
+    """The files ``kerlap eigvecs`` and ``kerlap plot`` write, byte for byte."""
+
+    @pytest.fixture
+    def data(self, tmp_path):
+        path = tmp_path / "data.csv"
+        run(["generate", "--family", "circles", "--n", "12", "--n-labeled", "4", "--seed", "3",
+             "--out", str(path)])
+        return path
+
+    @pytest.mark.parametrize("count, grid", [(2, None), (0, None), (2, "0.5,-0.25,\n3.0,1.0,1.0")],
+                             ids=["data", "count 0", "grid"])
+    def test_eigvecs(self, tmp_path, data, count, grid):
+        # the header, then each grid row's coordinates and values as their
+        # round-trip reprs, every line ending in \r\n; no rows when count = 0
+        points, out = tmp_path / "grid.csv", tmp_path / "eig.csv"
+        argv = ["eigvecs", "--data", str(data), "--sigma", "0.5", "--p", "6", "--mu", "0.1",
+                "--count", str(count), "--out", str(out)]
+        if grid:
+            points.write_text("x0,x1,y\n" + grid + "\n")
+            argv += ["--grid", str(points)]
+        assert run(argv) == 0
+        X = read_points(points)[0] if grid else load_dataset_csv(data).inputs
+        values = export_eigenvectors(load_dataset_csv(data), GaussianKernel(0.5), 6, 0.1, count, X)
+        header = ["x0", "x1"] + [f"e{j + 1}" for j in range(count)]
+        rows = [[repr(v) for v in x + e] for x, e in zip(X.tolist(), values.tolist())]
+        expected = "".join(",".join(row) + "\r\n" for row in [header] + (rows if count else []))
+        assert out.read_bytes() == expected.encode()
+        if count == 0:
+            assert out.read_bytes() == b"x0,x1\r\n"
+
+    def test_plot(self, tmp_path):
+        rec, out = tmp_path / "rec.csv", tmp_path / "rec.svg"
+        rec.write_text(
+            "method,n,n_labeled,trial,error,fit_seconds,predict_seconds,seed\n"
+            "krr,10,5,0,0.4,0.01,0.001,1\nkrr,10,5,1,0.5,0.01,0.001,2\n"
+            "krr,100,50,0,0.2,0.02,0.001,3\nkrr,100,50,1,nan,0.02,0.0,4\n"
+            "graph,10,5,0,0.45,0.01,0.0,5\ngraph,100,50,0,0.35,0.01,0.0,6\n")
+        assert run(["plot", "--records", str(rec), "--out", str(out)]) == 0
+        assert out.read_bytes() == render_svg(load_records_csv(rec)).encode()
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "be01997e8a916ab5510f0bf478ce428db62fcdb06dbe401080a7b943e4ebd9ce")
+
+
+class TestPlotRecords:
+    @pytest.mark.parametrize("row, problem", [
+        ("krr,0,1,0,0.4,0.01,0.001,1", "n must be >= 1, got 0"),
+        ("krr,10,0,0,0.4,0.01,0.001,1", "n_labeled must be in [1, n=10], got 0"),
+        ("krr,10,11,0,0.4,0.01,0.001,1", "n_labeled must be in [1, n=10], got 11"),
+        ("krr,10,5,-1,0.4,0.01,0.001,1", "trial must be >= 0, got -1"),
+        ("krr,10,5,0,inf,0.01,0.001,1", "error must be NaN or a finite value >= 0, got inf"),
+        ("krr,10,5,0,-0.1,0.01,0.001,1", "error must be NaN or a finite value >= 0, got -0.1"),
+        ("krr,10,5,0,0.4,-0.01,0.001,1", "fit_seconds must be finite and >= 0, got -0.01"),
+        ("krr,10,5,0,0.4,0.01,nan,1", "predict_seconds must be finite and >= 0, got nan"),
+    ])
+    def test_plot_refuses_a_record_no_sweep_writes(self, tmp_path, capsys, row, problem):
+        rec, out = tmp_path / "rec.csv", tmp_path / "rec.svg"
+        rec.write_text(",".join(bench.RECORD_HEADER) + "\nkrr,10,5,0,nan,0.01,0.0,1\n" + row + "\n")
+        assert run(["plot", "--records", str(rec), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {rec}:3: {problem}\n"
+        assert not out.exists()
 
 
 class TestBench:

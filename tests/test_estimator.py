@@ -10,7 +10,7 @@ from scipy.linalg.lapack import dpocon, dpotrf
 
 from kerlap import estimator, kernel as kernel_module, operators, pencil
 from kerlap.baselines import GraphConfig, harmonic_propagate, krr_fit
-from kerlap.bench import generate_instance, preset
+from kerlap.bench import generate_instance, preset, trial_seed
 from kerlap.errors import InvalidArgumentError, SingularPencilError
 from kerlap.estimator import (
     DENSE_REPRESENTER,
@@ -128,6 +128,29 @@ class TestFit:
         L, info = dpotrf(B, lower=1)
         assert info == 0
         rcond, info = dpocon(L, np.linalg.norm(B, 1), uplo="L")
+        assert info == 0 and 1.0 / rcond <= 1e6
+
+    def test_near_singular_full_rank_draw_is_whitened(self, monkeypatch):
+        # fig1-preset data, p = 200, landmark seed 0: pstrf keeps all 200
+        # landmarks with a last pivot of 3e-10, and the unwhitened B reads
+        # cond_1 2.2e13; whitened by the full factor it reads 1.7e3
+        pencils = []
+
+        def spy(A, B):
+            pencils.append(B)
+            return gevd(A, B)
+
+        monkeypatch.setattr(estimator, "gevd", spy)
+        cfg = preset("fig1")
+        ds, _ = generate_instance(cfg, 2000, trial_seed(0, 2000, 0))
+        model = fit(ds, GaussianKernel(cfg.kernel_sigma), 200, 1.0 / 2000, TIK, 0)
+        landmarks = select_landmarks(ds, 200, 0)
+        assert model.coefficients.size == 200
+        assert np.array_equal(np.sort(model.basis_coordinates, axis=0),
+                              np.sort(ds.inputs[landmarks], axis=0))
+        L, info = dpotrf(pencils[0], lower=1)
+        assert info == 0
+        rcond, info = dpocon(L, np.linalg.norm(pencils[0], 1), uplo="L")
         assert info == 0 and 1.0 / rcond <= 1e6
 
     def test_duplicate_rows_keep_one_landmark_each(self):
@@ -384,6 +407,14 @@ class TestPredict:
     def test_dimension_mismatch(self):
         m = FittedModel(GaussianKernel(1.0), [[0.0, 0.0]], [1.0], LANDMARK_KERNEL)
         with pytest.raises(InvalidArgumentError):
+            predict(m, np.zeros((2, 3)))
+
+    @pytest.mark.parametrize("kind", [LANDMARK_KERNEL, DENSE_REPRESENTER])
+    def test_query_width_names_both_values(self, kind):
+        coef = [1.0] if kind == LANDMARK_KERNEL else [1.0, 0.0, 0.0]
+        m = FittedModel(GaussianKernel(1.0), [[0.0, 0.0]], coef, kind)
+        with pytest.raises(InvalidArgumentError,
+                           match=r"^queries must have the model's d=2 columns, got 3$"):
             predict(m, np.zeros((2, 3)))
 
     def test_clipping(self):

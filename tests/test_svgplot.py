@@ -1,14 +1,20 @@
 import pytest
 
-from kerlap.bench import RECORD_HEADER
-from kerlap.errors import InvalidArgumentError
-from kerlap.svgplot import plot_svg, render_svg
+from kerlap.bench import RECORD_HEADER, load_records_csv
+from kerlap.cli import main
+from kerlap.errors import EXIT_INVALID_ARGUMENT, InvalidArgumentError
+from kerlap.svgplot import render_svg
 
 
 def write_records(path, rows):
     lines = [",".join(RECORD_HEADER)]
     lines += [",".join(str(v) for v in row) for row in rows]
     path.write_text("\n".join(lines) + "\n")
+
+
+def plot_svg(records, out):
+    """``kerlap plot --records records --out out``, which must succeed."""
+    assert main(["plot", "--records", str(records), "--out", str(out)]) == 0
 
 
 class TestPlotSvg:
@@ -76,13 +82,16 @@ class TestPlotSvg:
         plot_svg(rec, out)
         assert out.read_text().count("<polyline") == 1
 
-    def test_malformed_csv_reports_line(self, tmp_path):
+    def test_malformed_csv_reports_line(self, tmp_path, capsys):
         rec = tmp_path / "bad.csv"
         rec.write_text(
             ",".join(RECORD_HEADER) + "\nkrr,10,5,0,0.4,0.01,0.001,1\nkrr,zzz\n"
         )
         with pytest.raises(InvalidArgumentError, match=":3"):
-            plot_svg(rec, tmp_path / "plot.svg")
+            load_records_csv(rec)
+        out = tmp_path / "plot.svg"
+        assert main(["plot", "--records", str(rec), "--out", str(out)]) == EXIT_INVALID_ARGUMENT
+        assert ":3" in capsys.readouterr().err and not out.exists()
 
     def test_render_handles_single_n(self):
         from kerlap.bench import BenchRecord
