@@ -172,10 +172,15 @@ def _cmd_eigvecs(args) -> int:
     ds = load_dataset_csv(args.data)
     grid = read_points(args.grid)[0] if args.grid else ds.inputs
     cfg = _config(args, ExperimentConfig(n_grid=[ds.n]))
-    values = bench_mod.export_eigenvectors(
-        ds, GaussianKernel(cfg.kernel_sigma), _single_fit_p(cfg, ds.n), cfg.resolve_mu(ds.n),
-        args.count, grid, seed=cfg.seed,
-    )
+    try:
+        values = bench_mod.export_eigenvectors(
+            ds, GaussianKernel(cfg.kernel_sigma), _single_fit_p(cfg, ds.n), cfg.resolve_mu(ds.n),
+            args.count, grid, seed=cfg.seed,
+        )
+    except InvalidArgumentError as exc:
+        if args.grid and str(exc).startswith("grid "):  # the grid is the file's rows
+            raise InvalidArgumentError(f"{args.grid}: {exc}") from None
+        raise
     header = [f"x{j}" for j in range(ds.d)] + [f"e{j + 1}" for j in range(args.count)]
     # with no eigenvector columns the file is the header alone
     write_csv(args.out, header, np.hstack([grid, values]).tolist() if args.count else ())

@@ -4,11 +4,13 @@ theoretical hyperparameter schedule.
 
 The landmark fit runs:  select landmarks -> prune them by a pivoted
 Cholesky of their Gram Kpp -> assemble (A, B, b) over the kept ones ->
-generalized eigendecomposition of (A, B) -> spectral filtering of b,
-producing coefficients c that define g(x) = sum_i c_i k(x, M_i).  When the
-pruning drops landmarks, the pencil is assembled whitened by the Cholesky
-factor of the kept Kpp, which keeps it well-conditioned however redundant
-the draw was.
+reduce the pencil (A, B) to standard form -> spectral filtering of b,
+producing coefficients c that define g(x) = sum_i c_i k(x, M_i).  The
+Tikhonov filter is one Cholesky solve of the reduced pencil, O(r^3 / 3)
+work; only the cutoff filter eigensolves it, O(r^3).  When the pruning
+drops landmarks, or the draw is near singular, the pencil is assembled
+whitened by the Cholesky factor of the kept Kpp, which keeps it
+well-conditioned however redundant the draw was.
 
 The dense oracle minimizes the regularized empirical risk over the full
 n*(d+1) representer basis and is the quality/correctness reference for the
@@ -33,7 +35,7 @@ from .kernel import GaussianKernel
 from .operators import (
     DEFAULT_DENSE_CAP, SemiDataset, _extended_gram, assemble, prune_landmarks, select_landmarks,
 )
-from .pencil import PencilDecomposition, _spd_solve, gevd
+from .pencil import _spd_solve, gevd, reduce_pencil
 
 LANDMARK_KERNEL = "landmark_kernel"
 DENSE_REPRESENTER = "dense_representer"
@@ -128,15 +130,23 @@ def fit(
 
     Work is O(p^2 d) for the landmark Gram, O(p^2 r) for its pivoted
     Cholesky, O(n r d + n r^2) for the assembly over the r <= p landmarks it
-    keeps and O(r^3) for the eigensolve; memory is O(p^2) plus one row
-    chunk of ``GaussianKernel.blocks``.  The model stores one coefficient
-    per kept landmark.
+    keeps, and O(r^3 / 3) for each of the Cholesky factorizations that
+    reduce the pencil and solve it (the Tikhonov filter) or O(r^3) for an
+    eigensolve (the cutoff filter); memory is O(p^2) plus one row chunk of
+    ``GaussianKernel.blocks``.  The model stores one coefficient per kept
+    landmark.
     """
     instance("ds", ds, SemiDataset)
     instance("kernel", kernel, GaussianKernel)
     instance("filter_spec", filter_spec, FilterSpec)
-    kept, dec, b = _landmark_decomposition(ds, kernel, p, mu, seed, sigma_over_labeled)
-    coef = filter_coefficients(dec, filter_spec, b)
+    kept, A, B, b, factor = _landmark_pencil(ds, kernel, p, mu, seed, sigma_over_labeled)
+    pencil = reduce_pencil(A, B)
+    del A, B  # the pencil keeps what it reads
+    if factor is not None:  # the whitened pencil filters L^-1 b; c is L^-T of that
+        b = solve_triangular(factor, b, lower=True, check_finite=False)
+    coef = filter_coefficients(pencil, filter_spec, b)
+    if factor is not None:
+        coef = solve_triangular(factor, coef, lower=True, trans="T", check_finite=False)
     return FittedModel(
         kernel=kernel,
         basis_coordinates=ds.inputs[kept],
@@ -146,35 +156,42 @@ def fit(
     )
 
 
-def _landmark_decomposition(
+def _landmark_pencil(
     ds: SemiDataset,
     kernel: GaussianKernel,
     p: int,
     mu: float,
     seed: int,
     sigma_over_labeled: bool = False,
-) -> tuple[np.ndarray, PencilDecomposition, np.ndarray]:
-    """The kept landmark indices, the generalized eigenpairs of their pencil
-    and its moment vector b.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
+    """(kept, A, B, b, factor): the kept landmark indices, their pencil,
+    its moment vector b and the factor it is whitened by, if any.
 
     ``assemble`` builds the pencil over the kept landmarks.  When the drawn
     landmarks' Gram has full numerical rank and is not near singular (its
     last pivot is at least ``operators.WHITEN_PIVOT``), the kept ones are the
-    draw as it stands and ``gevd`` runs on that pencil.  Otherwise
-    ``assemble`` whitens it by the kept Gram's Cholesky factor L, and the
-    eigenvectors are mapped back by L^-T, so they are generalized
-    eigenvectors of the kept landmarks' pencil either way.
+    draw as it stands, factor is None and (A, B) is their pencil.
+    Otherwise ``assemble`` whitens it by the kept Gram's Cholesky factor L:
+    (A, B) is then L^-1 (A, B) L^-T, whose generalized eigenvectors map
+    back by L^-T to those of the kept landmarks' pencil, with the same
+    eigenvalues.  b is never whitened.
     """
     landmarks = select_landmarks(ds, p, seed)
     kept, factor = prune_landmarks(ds, kernel, landmarks)
     bundle = assemble(ds, kernel, kept, mu, sigma_over_labeled=sigma_over_labeled, factor=factor)
-    A, B, b = bundle.A, bundle.B, bundle.b
-    del bundle  # Kpp is freed before the eigensolve
-    dec = gevd(A, B)
-    if factor is None:
-        return kept, dec, b
-    V = solve_triangular(factor, dec.eigenvectors, lower=True, trans="T", check_finite=False)
-    return kept, PencilDecomposition(dec.eigenvalues, V, dec.jitter), b
+    return kept, bundle.A, bundle.B, bundle.b, factor  # Kpp is freed
+
+
+def _landmark_eigenvectors(
+    ds: SemiDataset, kernel: GaussianKernel, p: int, mu: float, seed: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The kept landmark indices and the generalized eigenvectors of their
+    pencil (``gevd``'s order and normalization)."""
+    kept, A, B, _, factor = _landmark_pencil(ds, kernel, p, mu, seed)
+    V = gevd(A, B).eigenvectors
+    if factor is not None:
+        V = solve_triangular(factor, V, lower=True, trans="T", check_finite=False)
+    return kept, V
 
 
 def fit_exact(

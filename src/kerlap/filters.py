@@ -3,7 +3,13 @@
 Two filters are provided: the Tikhonov filter x -> 1/(x + lam) and the
 eigenvalue cutoff x -> (1/x) * [x > lam] (strict inequality, so the value at
 exactly x = lam is 0).  The enum is closed; adding a filter means extending
-``apply`` and ``FILTER_KINDS`` together (the CLI takes its words from it).
+``apply``, ``filter_coefficients`` and ``FILTER_KINDS`` together (the CLI
+takes its words from it).
+
+Filtering b by Tikhonov is the closed form (A + lam*B)^-1 b (Cabannes et
+al., arXiv 2009.04324), so ``filter_coefficients`` solves it from the
+reduced pencil with one Cholesky factorization, O(p^3 / 3) work, and only
+the cutoff filter reads eigenpairs, O(p^3) work for the eigensolve.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ import numpy as np
 from scipy.linalg.blas import dgemv
 
 from .errors import InvalidArgumentError, array, instance, real
-from .pencil import PencilDecomposition
+from .pencil import ReducedPencil, eigensolve
 
 TIKHONOV = "tikhonov"
 CUTOFF = "cutoff"
@@ -49,13 +55,25 @@ def apply(f: FilterSpec, x) -> np.ndarray | float:
     return out if arr.ndim else float(out)
 
 
-def filter_coefficients(dec: PencilDecomposition, f: FilterSpec, b: np.ndarray) -> np.ndarray:
-    """c = sum_i psi(lambda_i) v_i (v_i^T b), linear in b."""
-    instance("dec", dec, PencilDecomposition)  # apply checks f
+def filter_coefficients(dec: ReducedPencil, f: FilterSpec, b: np.ndarray) -> np.ndarray:
+    """c = sum_i psi(lambda_i) v_i (v_i^T b) over the generalized eigenpairs of
+    the pencil (A, B), linear in b.
+
+    ``dec`` is the pencil reduced to standard form (``reduce_pencil``), or
+    also eigensolved (``gevd``).  For the Tikhonov filter c is
+    (A + lam*B)^-1 b, which ``ReducedPencil.solve`` returns without the
+    eigenpairs; the cutoff filter eigensolves ``dec`` unless it is a
+    ``PencilDecomposition`` already.
+    """
+    instance("dec", dec, ReducedPencil)
+    instance("f", f, FilterSpec)
     b = array("b", b, ndim=1)
-    p = dec.eigenvalues.size
+    p = dec.factor.shape[0]
     if b.shape != (p,):
         raise InvalidArgumentError(f"b has shape {b.shape}, expected ({p},)")
+    if f.kind == TIKHONOV:
+        return dec.solve(f.lam, b)
+    dec = eigensolve(dec)
     weights = apply(f, dec.eigenvalues)
     # on scipy's BLAS, as the fit's products; a C-order V goes in as its
     # Fortran-order transpose and an F-order one as itself, without a copy

@@ -222,12 +222,12 @@ def assemble(
     1 + ||L^-1 Znp^T Znp L^-T|| / (n mu) however close Kpp is to singular
     (the whitening of FALKON).  If V~ are generalized eigenvectors of
     (A~, B~), V = L^-T V~ are those of (A, B) with the same eigenvalues, so
-    ``filter_coefficients`` applies to V and b unchanged.  Whitening adds
-    O(m p^2 + p^3) work.
+    filtering L^-1 b over (A~, B~) and mapping the result back by L^-T
+    filters b over (A, B).  Whitening adds O(m p^2 + p^3) work.
 
     The whitening stays because the kept landmarks' Kpp is still near
     singular: pruning only stops at pivots of 1e-10.  Without it, cond_1(B)
-    as LAPACK ``pocon`` estimates it on the B that ``fit`` gives ``gevd``
+    as LAPACK ``pocon`` estimates it on the B that ``fit`` reduces
     went from 3.0e2-3.5e2 to 4.1e13-9.8e13 on the fig1 geometry at
     n = p = 400 (five draws), and from 1.5e3 to 6e14 on the fig1 preset
     (two draws).
@@ -329,7 +329,7 @@ def _gram_of_rows(a: np.ndarray) -> np.ndarray:
 
     numpy and scipy each load their own OpenBLAS, and a pool's threads spin
     for a while after each call; a numpy product right after scipy's
-    ``pstrf`` (or before ``gevd``) competes with them for the cores.  So the
+    ``pstrf`` (or before the pencil's reduction) competes with them for the cores.  So the
     fit's level-3 products use scipy's BLAS, as its LAPACK calls do.
     """
     m = a.shape[0]

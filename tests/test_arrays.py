@@ -23,6 +23,7 @@ from kerlap import (
     krr_fit,
     pencil_solve,
     predict,
+    reduce_pencil,
 )
 from kerlap.bench import export_eigenvectors
 
@@ -63,6 +64,8 @@ CALLS = {
     ("filter_coefficients", "b"): (1, lambda v: filter_coefficients(gevd(I2, I2), TIK, v)),
     ("gevd", "A"): (2, lambda v: gevd(v, I2)),
     ("gevd", "B"): (2, lambda v: gevd(I2, v)),
+    ("reduce_pencil", "A"): (2, lambda v: reduce_pencil(v, I2)),
+    ("reduce_pencil", "B"): (2, lambda v: reduce_pencil(I2, v)),
     ("pencil_solve", "A"): (2, lambda v: pencil_solve(v, I2, 1.0, np.ones(2))),
     ("pencil_solve", "B"): (2, lambda v: pencil_solve(I2, v, 1.0, np.ones(2))),
     ("pencil_solve", "rhs"): (1, lambda v: pencil_solve(I2, I2, 1.0, v)),

@@ -195,6 +195,21 @@ class TestEigvecs:
         rows = [line.split(",")[:2] for line in out.read_text().splitlines()[1:]]
         assert rows == [["0.5", "0.0"], ["-1.0", "2.0"]]
 
+    def test_grid_width_error_names_the_grid_file(self, tmp_path, capsys):
+        data, grid, out = tmp_path / "data.csv", tmp_path / "grid.csv", tmp_path / "eig.csv"
+        run(["generate", "--family", "circles", "--n", "60", "--n-labeled", "4",
+             "--seed", "3", "--out", str(data)])
+        grid.write_text("x0,x1,x2,y\n0.5,0.0,1.0,\n")
+        argv = ["eigvecs", "--data", str(data), "--sigma", "0.3", "--p", "20", "--mu", "0.02",
+                "--grid", str(grid), "--out", str(out)]
+        capsys.readouterr()
+        assert run(argv + ["--count", "2"]) == 2
+        assert capsys.readouterr().err == f"error: {grid}: grid must be (q, 2), got (1, 3)\n"
+        # the count is no row of the grid file, so its error names no file
+        grid.write_text("x0,x1,y\n0.5,0.0,\n")
+        assert run(argv + ["--count", "21"]) == 2
+        assert capsys.readouterr().err == "error: count must satisfy 0 <= count <= p, got 21\n"
+
 
 class TestWrittenBytes:
     """The files ``kerlap eigvecs`` and ``kerlap plot`` write, byte for byte."""

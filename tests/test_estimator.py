@@ -10,14 +10,14 @@ from scipy.linalg.lapack import dpocon, dpotrf
 
 from kerlap import estimator, kernel as kernel_module, operators, pencil
 from kerlap.baselines import GraphConfig, harmonic_propagate, krr_fit
-from kerlap.bench import generate_instance, preset, trial_seed
+from kerlap.bench import export_eigenvectors, generate_instance, preset, trial_seed
 from kerlap.errors import InvalidArgumentError, SingularPencilError
 from kerlap.estimator import (
     DENSE_REPRESENTER,
     LANDMARK_KERNEL,
     FittedModel,
     ScheduleParams,
-    _landmark_decomposition,
+    _landmark_pencil,
     decode_sign,
     fit,
     fit_exact,
@@ -29,7 +29,7 @@ from kerlap.estimator import (
 from kerlap.filters import FilterSpec, filter_coefficients
 from kerlap.kernel import GaussianKernel
 from kerlap.operators import SemiDataset, assemble, assemble_dense, select_landmarks
-from kerlap.pencil import gevd, pencil_solve
+from kerlap.pencil import gevd, pencil_solve, reduce_pencil
 from kerlap.synthdata import CirclesSpec, gen_circles
 
 TIK = FilterSpec("tikhonov", 1.0)
@@ -112,14 +112,15 @@ class TestFit:
     @pytest.mark.parametrize("seed", [0, 1])
     def test_pruned_fit_eigensolves_a_well_conditioned_pencil(self, seed, monkeypatch):
         # the whitening is what keeps B well-conditioned: on these circles
-        # cond_1(B) given to gevd is ~3e2 whitened and 4e13-1e14 without it
+        # cond_1(B) given to the reduction is ~3e2 whitened and 4e13-1e14
+        # without it
         pencils = []
 
         def spy(A, B):
             pencils.append(B)
-            return gevd(A, B)
+            return reduce_pencil(A, B)
 
-        monkeypatch.setattr(estimator, "gevd", spy)
+        monkeypatch.setattr(estimator, "reduce_pencil", spy)
         n = 400
         ds = gen_circles(CirclesSpec(n=n, n_labeled=4, angles="equispaced", seed=seed))
         model = fit(ds, GaussianKernel(0.2), n, 1.0 / n, TIK, seed)
@@ -138,9 +139,9 @@ class TestFit:
 
         def spy(A, B):
             pencils.append(B)
-            return gevd(A, B)
+            return reduce_pencil(A, B)
 
-        monkeypatch.setattr(estimator, "gevd", spy)
+        monkeypatch.setattr(estimator, "reduce_pencil", spy)
         cfg = preset("fig1")
         ds, _ = generate_instance(cfg, 2000, trial_seed(0, 2000, 0))
         model = fit(ds, GaussianKernel(cfg.kernel_sigma), 200, 1.0 / 2000, TIK, 0)
@@ -153,14 +154,29 @@ class TestFit:
         rcond, info = dpocon(L, np.linalg.norm(pencils[0], 1), uplo="L")
         assert info == 0 and 1.0 / rcond <= 1e6
 
+    def test_only_the_cutoff_filter_eigensolves(self, monkeypatch):
+        def no_eigensolve(*args, **kwargs):
+            raise RuntimeError("syevd called")
+
+        monkeypatch.setattr(pencil, "dsyevd", no_eigensolve)
+        rng = np.random.default_rng(6)
+        ds = SemiDataset(rng.standard_normal((30, 2)), rng.standard_normal(6))
+        k = GaussianKernel(1.0)
+        assert np.all(np.isfinite(fit(ds, k, 10, 0.1, TIK, 0).coefficients))
+        with pytest.raises(RuntimeError, match="syevd called"):
+            fit(ds, k, 10, 0.1, FilterSpec("cutoff", 0.1), 0)
+        with pytest.raises(RuntimeError, match="syevd called"):
+            export_eigenvectors(ds, k, 10, 0.1, 2, ds.inputs)
+
     def test_duplicate_rows_keep_one_landmark_each(self):
         # 12 points 1.5 apart, each repeated three times: p = n keeps one
         # landmark per distinct point, and the whitened pencil needs no jitter
         grid = np.array([[i, j] for i in range(4) for j in range(3)], dtype=float) * 1.5
         X = np.repeat(grid, 3, axis=0)
         ds = SemiDataset(X, np.linspace(-1.0, 1.0, 6))
-        kept, dec, _ = _landmark_decomposition(ds, GaussianKernel(0.7), X.shape[0], 0.1, 0)
+        kept, A, B, _, _ = _landmark_pencil(ds, GaussianKernel(0.7), X.shape[0], 0.1, 0)
         assert kept.size == len(grid) == np.unique(X[kept], axis=0).shape[0]
+        dec = gevd(A, B)
         assert dec.jitter == 0.0
         assert dec.eigenvectors.shape == (len(grid), len(grid))
 

@@ -1,9 +1,38 @@
 import numpy as np
 import pytest
 
+from kerlap.bench import generate_instance, preset, trial_seed
 from kerlap.errors import InvalidArgumentError
 from kerlap.filters import FilterSpec, apply, filter_coefficients
-from kerlap.pencil import gevd, pencil_solve
+from kerlap.kernel import GaussianKernel
+from kerlap.operators import assemble, select_landmarks
+from kerlap.pencil import gevd, pencil_solve, reduce_pencil
+
+
+def random_tikhonov_problems():
+    """(A, B, b, lam) of test_tikhonov_solve_equivalence's 100 random pencils."""
+    rng = np.random.default_rng(0)
+    for _ in range(100):
+        p = int(rng.integers(2, 101))
+        G = rng.standard_normal((p, p))
+        H = rng.standard_normal((p, p))
+        A = G.T @ G / p
+        B = H.T @ H / p + 0.1 * np.eye(p)
+        b = rng.standard_normal(p)
+        yield A, B, b, float(rng.uniform(0.05, 2.0))
+
+
+def fig2_tikhonov_problems():
+    """(A, B, b, lam) of fig2-preset draws, two trials per grid size."""
+    cfg = preset("fig2")
+    kernel = GaussianKernel(cfg.kernel_sigma)
+    for n in cfg.n_grid:
+        for trial in range(2):
+            seed = trial_seed(cfg.seed, n, trial)
+            ds, _ = generate_instance(cfg, n, seed)
+            bundle = assemble(ds, kernel, select_landmarks(ds, cfg.resolve_p(n), seed),
+                              cfg.resolve_mu(n))
+            yield bundle.A, bundle.B, bundle.b, cfg.lam
 
 
 class TestApply:
@@ -70,6 +99,31 @@ class TestFilterCoefficients:
             c = filter_coefficients(gevd(A, B), FilterSpec("tikhonov", lam), b)
             x = pencil_solve(A, B, lam, b)
             assert np.linalg.norm(c - x) <= 1e-6 * np.linalg.norm(x)
+
+    @pytest.mark.parametrize("problems", [random_tikhonov_problems, fig2_tikhonov_problems],
+                             ids=["random", "fig2"])
+    def test_tikhonov_is_the_eigenpair_expansion(self, problems):
+        # filter_coefficients solves Tikhonov without eigenpairs; gevd's
+        # eigenpairs must still give the same c = sum_i v_i v_i^T b / (t_i + lam)
+        for A, B, b, lam in problems():
+            dec = gevd(A, B)
+            V = dec.eigenvectors
+            expansion = V @ ((V.T @ b) / (dec.eigenvalues + lam))
+            c = filter_coefficients(dec, FilterSpec("tikhonov", lam), b)
+            x = pencil_solve(A, B, lam, b)
+            assert np.linalg.norm(expansion - c) <= 1e-6 * np.linalg.norm(c)
+            assert np.linalg.norm(expansion - x) <= 1e-6 * np.linalg.norm(x)
+
+    def test_reduced_pencil_filters_as_its_decomposition(self):
+        # both filters give the same coefficients from the reduction alone as
+        # from gevd's decomposition, which carries that reduction
+        rng = np.random.default_rng(5)
+        G, H = rng.standard_normal((2, 12, 12))
+        A, B, b = G.T @ G, H.T @ H / 12 + 0.1 * np.eye(12), rng.standard_normal(12)
+        reduced, dec = reduce_pencil(A, B), gevd(A, B)
+        for f in (FilterSpec("tikhonov", 0.4), FilterSpec("cutoff", 0.4)):
+            assert np.array_equal(filter_coefficients(reduced, f, b),
+                                  filter_coefficients(dec, f, b))
 
     def test_label_linearity_power_of_two(self):
         rng = np.random.default_rng(1)

@@ -7,9 +7,12 @@ from kerlap.errors import InvalidArgumentError, NumericalConsistencyError, Singu
 from kerlap.filters import FilterSpec, filter_coefficients
 from kerlap.pencil import (
     PencilDecomposition,
+    _check_symmetric,
     _cholesky_with_jitter,
+    eigensolve,
     gevd,
     pencil_solve,
+    reduce_pencil,
     spectral_norm_estimate,
 )
 from scipy.linalg.lapack import dpotrf, dsyevd
@@ -220,6 +223,71 @@ class TestGevd:
         A, B = random_pencil(np.random.default_rng(9), 6)
         with pytest.raises(error, match="syevd"):
             gevd(A, B)
+
+
+TIK = FilterSpec("tikhonov", 1.0)
+
+
+class TestReducedPencil:
+    def test_indefinite_a_raises_through_the_tikhonov_filter(self):
+        pencil = reduce_pencil(np.diag([1.0, -1.0]), np.eye(2))
+        with pytest.raises(NumericalConsistencyError,
+                           match="not positive semi-definite in the B-metric"):
+            filter_coefficients(pencil, TIK, np.ones(2))
+
+    def test_negative_definite_b_raises_with_pivot(self):
+        with pytest.raises(SingularPencilError) as info:
+            reduce_pencil(np.eye(3), -np.eye(3))
+        assert info.value.pivot == 1
+
+    @pytest.mark.parametrize("A, B", [
+        (np.diag([1.0, -1e-16]), np.diag([1.0, 1e-10])),
+        (np.diag([1.0, -1e-13]), np.diag([1.0, 1e-10])),
+        *[(np.diag([1.0, -e]), c * np.eye(2)) for e in (1e-9, 1e-6) for c in (1e-3, 1.0, 1e3)],
+        (np.diag([1.0, -1e-12]), np.eye(2)),
+        (np.zeros((2, 2)), 1e10 * np.eye(2)),
+    ])
+    def test_tikhonov_check_decides_as_the_eigenvalue_clamp(self, A, B):
+        # the Cholesky check of C + floor I, then of C + tol I, raises
+        # exactly where gevd's clamp of the smallest eigenvalue raises
+        try:
+            gevd(A, B)
+            clamped = True
+        except NumericalConsistencyError:
+            clamped = False
+        pencil = reduce_pencil(A, B)
+        if clamped:
+            assert np.all(np.isfinite(filter_coefficients(pencil, TIK, np.ones(2))))
+        else:
+            with pytest.raises(NumericalConsistencyError):
+                filter_coefficients(pencil, TIK, np.ones(2))
+
+    def test_no_argument_is_overwritten(self):
+        rng = np.random.default_rng(8)
+        A, B = random_pencil(rng, 20, rank=5)
+        copies = A.copy(), B.copy()
+        pencil = reduce_pencil(A, B)
+        C = pencil.reduced.copy()
+        dec = eigensolve(pencil)
+        assert eigensolve(dec) is dec
+        pencil.solve(0.5, np.ones(20))
+        assert np.array_equal(pencil.reduced, C) and np.array_equal(dec.reduced, C)
+        assert np.array_equal(A, copies[0]) and np.array_equal(B, copies[1])
+
+    def test_solve_checks_its_arguments(self):
+        pencil = reduce_pencil(np.eye(2), np.eye(2))
+        assert np.allclose(pencil.solve(1.0, np.array([2.0, 4.0])), [1.0, 2.0], atol=1e-12)
+        with pytest.raises(InvalidArgumentError, match="^lam "):
+            pencil.solve(0.0, np.ones(2))
+        with pytest.raises(InvalidArgumentError, match="^rhs has shape"):
+            pencil.solve(1.0, np.ones(3))
+
+    def test_symmetric_input_is_copied_as_it_stands(self):
+        # an exactly symmetric M skips (M + M^T) / 2, which is M itself, and
+        # so keeps entries whose doubling overflows
+        M = np.array([[1e308, 2.0], [2.0, 3.0]])
+        out = _check_symmetric(M, "M")
+        assert np.array_equal(out, M) and out is not M
 
 
 class TestSpectralNormEstimate:
