@@ -7,9 +7,10 @@ compressed covariance/penalty operator pencil.  Landmark (Nystrom-style)
 compression with p drawn landmarks, pruned by a pivoted Cholesky of their
 Gram to the r <= p numerically independent ones, keeps training at
 O(p^2 d + p^2 r) for the pruning, O(n r d + n r^2) for the assembly and
-O(r^3 / 3) for each Cholesky factorization of the Tikhonov filter's solve
-(O(r^3) for the cutoff filter's eigensolve); an exact dense-basis solver
-provides the reference the compressed path is checked against.
+O(r^3 / 3) for each Cholesky factorization that ``gevd`` makes to reduce
+and check the pencil and the Tikhonov filter makes to solve it (O(r^3) for
+the eigensolve, which only the cutoff filter reads); an exact dense-basis
+solver provides the reference the compressed path is checked against.
 """
 
 from .baselines import GraphConfig, HarmonicResult, graph_bandwidth, harmonic_propagate, krr_fit
@@ -45,7 +46,7 @@ from .operators import (
     save_dataset_csv,
     select_landmarks,
 )
-from .pencil import PencilDecomposition, ReducedPencil, gevd, pencil_solve, reduce_pencil
+from .pencil import PencilDecomposition, gevd, pencil_solve
 from .synthdata import (
     CirclesSpec,
     GaussianMixSpec,
@@ -74,7 +75,6 @@ __all__ = [
     "NumericalConsistencyError",
     "OperatorBundle",
     "PencilDecomposition",
-    "ReducedPencil",
     "ResourceLimitError",
     "ScheduleParams",
     "SemiDataset",
@@ -100,7 +100,6 @@ __all__ = [
     "model_to_json",
     "pencil_solve",
     "predict",
-    "reduce_pencil",
     "save_dataset_csv",
     "schedule",
     "select_landmarks",

@@ -4,13 +4,13 @@ theoretical hyperparameter schedule.
 
 The landmark fit runs:  select landmarks -> prune them by a pivoted
 Cholesky of their Gram Kpp -> assemble (A, B, b) over the kept ones ->
-reduce the pencil (A, B) to standard form -> spectral filtering of b,
-producing coefficients c that define g(x) = sum_i c_i k(x, M_i).  The
-Tikhonov filter is one Cholesky solve of the reduced pencil, O(r^3 / 3)
-work; only the cutoff filter eigensolves it, O(r^3).  When the pruning
-drops landmarks, or the draw is near singular, the pencil is assembled
-whitened by the Cholesky factor of the kept Kpp, which keeps it
-well-conditioned however redundant the draw was.
+``gevd``, which reduces the pencil (A, B) to standard form and checks it ->
+spectral filtering of b, producing coefficients c that define
+g(x) = sum_i c_i k(x, M_i).  The Tikhonov filter is one Cholesky solve of
+the reduced pencil, O(r^3 / 3) work; only the cutoff filter eigensolves it,
+O(r^3).  When the pruning drops landmarks, or the draw is near singular,
+the pencil is assembled whitened by the Cholesky factor of the kept Kpp,
+which keeps it well-conditioned however redundant the draw was.
 
 The dense oracle minimizes the regularized empirical risk over the full
 n*(d+1) representer basis and is the quality/correctness reference for the
@@ -35,7 +35,7 @@ from .kernel import GaussianKernel
 from .operators import (
     DEFAULT_DENSE_CAP, SemiDataset, _extended_gram, assemble, prune_landmarks, select_landmarks,
 )
-from .pencil import _spd_solve, gevd, reduce_pencil
+from .pencil import _spd_solve, gevd
 
 LANDMARK_KERNEL = "landmark_kernel"
 DENSE_REPRESENTER = "dense_representer"
@@ -131,20 +131,20 @@ def fit(
     Work is O(p^2 d) for the landmark Gram, O(p^2 r) for its pivoted
     Cholesky, O(n r d + n r^2) for the assembly over the r <= p landmarks it
     keeps, and O(r^3 / 3) for each of the Cholesky factorizations that
-    reduce the pencil and solve it (the Tikhonov filter) or O(r^3) for an
-    eigensolve (the cutoff filter); memory is O(p^2) plus one row chunk of
-    ``GaussianKernel.blocks``.  The model stores one coefficient per kept
-    landmark.
+    reduce the pencil, check it and solve it (the Tikhonov filter) or
+    O(r^3) for an eigensolve (the cutoff filter); memory is O(p^2) plus one
+    row chunk of ``GaussianKernel.blocks``.  The model stores one
+    coefficient per kept landmark.
     """
     instance("ds", ds, SemiDataset)
     instance("kernel", kernel, GaussianKernel)
     instance("filter_spec", filter_spec, FilterSpec)
     kept, A, B, b, factor = _landmark_pencil(ds, kernel, p, mu, seed, sigma_over_labeled)
-    pencil = reduce_pencil(A, B)
-    del A, B  # the pencil keeps what it reads
+    dec = gevd(A, B)
+    del A, B  # the decomposition keeps L and C, not A or B
     if factor is not None:  # the whitened pencil filters L^-1 b; c is L^-T of that
         b = solve_triangular(factor, b, lower=True, check_finite=False)
-    coef = filter_coefficients(pencil, filter_spec, b)
+    coef = filter_coefficients(dec, filter_spec, b)
     if factor is not None:
         coef = solve_triangular(factor, coef, lower=True, trans="T", check_finite=False)
     return FittedModel(

@@ -8,8 +8,9 @@ takes its words from it).
 
 Filtering b by Tikhonov is the closed form (A + lam*B)^-1 b (Cabannes et
 al., arXiv 2009.04324), so ``filter_coefficients`` solves it from the
-reduced pencil with one Cholesky factorization, O(p^3 / 3) work, and only
-the cutoff filter reads eigenpairs, O(p^3) work for the eigensolve.
+pencil's reduction to standard form with one Cholesky factorization,
+O(p^3 / 3) work, and only the cutoff filter reads eigenpairs, O(p^3) work
+for the eigensolve.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 from scipy.linalg.blas import dgemv
 
 from .errors import InvalidArgumentError, array, instance, real
-from .pencil import ReducedPencil, eigensolve
+from .pencil import PencilDecomposition
 
 TIKHONOV = "tikhonov"
 CUTOFF = "cutoff"
@@ -55,17 +56,15 @@ def apply(f: FilterSpec, x) -> np.ndarray | float:
     return out if arr.ndim else float(out)
 
 
-def filter_coefficients(dec: ReducedPencil, f: FilterSpec, b: np.ndarray) -> np.ndarray:
+def filter_coefficients(dec: PencilDecomposition, f: FilterSpec, b: np.ndarray) -> np.ndarray:
     """c = sum_i psi(lambda_i) v_i (v_i^T b) over the generalized eigenpairs of
-    the pencil (A, B), linear in b.
+    the pencil (A, B) that ``dec = gevd(A, B)`` decomposes, linear in b.
 
-    ``dec`` is the pencil reduced to standard form (``reduce_pencil``), or
-    also eigensolved (``gevd``).  For the Tikhonov filter c is
-    (A + lam*B)^-1 b, which ``ReducedPencil.solve`` returns without the
-    eigenpairs; the cutoff filter eigensolves ``dec`` unless it is a
-    ``PencilDecomposition`` already.
+    For the Tikhonov filter c is (A + lam*B)^-1 b, which
+    ``PencilDecomposition.solve`` returns without the eigenpairs; the cutoff
+    filter reads them, which eigensolves the pencil on the first read.
     """
-    instance("dec", dec, ReducedPencil)
+    instance("dec", dec, PencilDecomposition)
     instance("f", f, FilterSpec)
     b = array("b", b, ndim=1)
     p = dec.factor.shape[0]
@@ -73,7 +72,6 @@ def filter_coefficients(dec: ReducedPencil, f: FilterSpec, b: np.ndarray) -> np.
         raise InvalidArgumentError(f"b has shape {b.shape}, expected ({p},)")
     if f.kind == TIKHONOV:
         return dec.solve(f.lam, b)
-    dec = eigensolve(dec)
     weights = apply(f, dec.eigenvalues)
     # on scipy's BLAS, as the fit's products; a C-order V goes in as its
     # Fortran-order transpose and an F-order one as itself, without a copy

@@ -1,20 +1,22 @@
-"""Symmetric-definite pencils: reduction to standard form, eigensolve, solve.
+"""Symmetric-definite pencils: reduction to standard form, solve, eigenpairs.
 
 A v = lambda B v, for A symmetric positive semi-definite and B symmetric
 positive definite, is handled by the LAPACK sequence for the
 symmetric-definite problem (Golub & Van Loan, section 8.7), each step a
-direct call of scipy's LAPACK and BLAS wrappers.  ``reduce_pencil`` factors
-B = L L^T by ``potrf`` and reduces A to C = L^-1 A L^-T by ``sygst``; C has
-the pencil's eigenvalues.  From there ``eigensolve`` eigendecomposes C by
-``syevd`` and back-transforms the eigenvectors by L^-T with one ``trsm``
-(``gevd`` is the two in turn), while ``ReducedPencil.solve`` returns
+direct call of scipy's LAPACK and BLAS wrappers.  ``gevd`` factors
+B = L L^T by ``potrf``, reduces A to C = L^-1 A L^-T by ``sygst`` (C has the
+pencil's eigenvalues) and checks once, by a Cholesky factorization of C
+shifted by a small tolerance, that A is positive semi-definite in the
+B-metric.  The ``PencilDecomposition`` it returns solves
 (A + lam*B)^-1 rhs = L^-T (C + lam I)^-1 L^-1 rhs with one Cholesky
-factorization of C + lam I.  Calling the wrappers directly skips the
-argument checks and workspace query of ``scipy.linalg.eigh`` and
-``solve_triangular``, a fixed cost per call that shows on many small
-pencils (p = 50 in the fig2 preset), and staying within scipy's LAPACK
-keeps the whole solve on one BLAS thread pool.  The eigenvector basis is
-B-orthonormal and eigenvalues are sorted in non-increasing order.
+factorization of C + lam I, and computes its eigenpairs only when first
+read: ``syevd`` on C, and the eigenvectors back-transformed by L^-T with
+one ``trsm``.  Calling the wrappers directly skips the argument checks and
+workspace query of ``scipy.linalg.eigh`` and ``solve_triangular``, a fixed
+cost per call that shows on many small pencils (p = 50 in the fig2 preset),
+and staying within scipy's LAPACK keeps the whole solve on one BLAS thread
+pool.  The eigenvector basis is B-orthonormal and eigenvalues are sorted in
+non-increasing order.
 
 ``pencil_solve`` is the direct counterpart used as an oracle for Tikhonov
 filtering: x = (A + lam*B)^-1 rhs from a Cholesky factorization of
@@ -24,6 +26,7 @@ A + lam*B itself.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
@@ -31,14 +34,25 @@ from scipy.linalg.blas import dnrm2, dsymv, dtrsm, dtrsv
 from scipy.linalg.lapack import dpocon, dpotrf, dpotrs, dsyevd, dsygst
 
 from .errors import (
-    InvalidArgumentError, NumericalConsistencyError, SingularPencilError, array, instance,
-    lapack_info, real,
+    InvalidArgumentError, NumericalConsistencyError, SingularPencilError, array, lapack_info,
+    real,
 )
 
 _JITTER_EPS = 1e-10
 
 # column norms of A within which gevd may skip the clamp tolerance (see there)
 _NORM_RANGE = (1e-150, 1e150)
+
+
+def _scaled(M: np.ndarray) -> tuple[np.ndarray, int]:
+    """(M * 2^-e, e), 2^e the power of two just above max|M| (e = 0 for M = 0).
+
+    The scaled entries lie in (-1, 1), so the squares and products of norms
+    taken from them neither overflow nor, for a nonzero M, all underflow,
+    and scaling by a power of two is exact away from subnormal numbers.
+    """
+    e = int(np.frexp(max(M.max(initial=0.0), -M.min(initial=0.0)))[1])
+    return np.ldexp(M, -e), e
 
 
 def spectral_norm_estimate(M: np.ndarray) -> float:
@@ -49,73 +63,52 @@ def spectral_norm_estimate(M: np.ndarray) -> float:
     vector gives 0 when M 1 = 0) and never exceeds ||M||_2.  It is at least
     that largest column norm, up to rounding: ||M v|| never decreases from
     one step to the next, by Cauchy-Schwarz, which ``gevd``'s clamp floor
-    relies on.
+    relies on.  The iteration runs on M scaled by a power of two
+    (``_scaled``), which keeps it in range however large or small M is.
     """
-    norms = np.linalg.norm(M, axis=0)
+    S, e = _scaled(M)
+    norms = np.linalg.norm(S, axis=0)
     if not norms.any():
         return 0.0
     j = int(np.argmax(norms))
-    v = M[:, j] / norms[j]
-    # on scipy's BLAS, as gevd's LAPACK calls; M^T = M is Fortran-order for symv
-    Mf = np.asfortranarray(M.T, dtype=float)
+    v = S[:, j] / norms[j]
+    # on scipy's BLAS, as gevd's LAPACK calls; S^T = S is Fortran-order for symv
+    Sf = np.asfortranarray(S.T, dtype=float)
     est = 0.0
     for _ in range(12):
-        w = dsymv(1.0, Mf, v)
+        w = dsymv(1.0, Sf, v)
         est = float(dnrm2(w))
         if est == 0.0:
             return 0.0
         v = w / est
-    return est
+    return float(np.ldexp(est, e))
 
 
 @dataclass(frozen=True)
-class ReducedPencil:
-    """The pencil (A, B) in standard form: ``factor`` is the lower Cholesky
-    factor L of B + jitter*I, and the lower triangle of ``reduced`` (Fortran
-    order) holds C = L^-1 A L^-T, whose eigenvalues are the pencil's.
+class PencilDecomposition:
+    """The pencil (A, B) in standard form, as ``gevd`` returns it: ``factor``
+    is the lower Cholesky factor L of B + jitter*I, and the lower triangle of
+    ``reduced`` (Fortran order) holds C = L^-1 A L^-T, whose eigenvalues are
+    the pencil's.  ``jitter`` records the diagonal shift added to B when its
+    Cholesky factorization needed a retry (0.0 in the usual case).
 
-    ``jitter`` records the diagonal shift added to B when its Cholesky
-    factorization needed a retry (0.0 in the usual case).  ``A`` (as given)
-    and ``norm_b``, B's 1-norm, give the clamp tolerance: how far below 0 an
-    eigenvalue may be rounded to 0 before A counts as indefinite in the
-    B-metric.  No tolerance falls under ``floor``, so eigenvalues at or
-    above -floor need none (``floor`` is None where the norms are too
-    extreme for that bound to hold).
+    The eigenpairs are computed on first read of ``eigenvalues`` or
+    ``eigenvectors``: eigenvalues non-increasing, column i of
+    ``eigenvectors`` paired with ``eigenvalues[i]``, basis B-orthonormal.
     """
 
-    A: np.ndarray
     factor: np.ndarray
     reduced: np.ndarray
     jitter: float
-    norm_b: float
-    floor: float | None
-
-    def tolerance(self) -> float:
-        """The clamp tolerance (``_clamp_tolerance``)."""
-        return _clamp_tolerance(self.A, self.factor, self.norm_b)
 
     def solve(self, lam: float, rhs: np.ndarray) -> np.ndarray:
-        """x = (A + lam*B)^-1 rhs as L^-T (C + lam I)^-1 L^-1 rhs, for lam > 0.
-
-        First a Cholesky factorization of C + floor*I, or of C + tol*I with
-        tol the clamp tolerance when that one fails, checks what ``gevd``'s
-        clamp checks: that A is positive semi-definite in the B-metric up to
-        the tolerance.  Otherwise it raises ``NumericalConsistencyError``.
-        """
+        """x = (A + lam*B)^-1 rhs as L^-T (C + lam I)^-1 L^-1 rhs, for lam > 0,
+        by one Cholesky factorization of C + lam I: O(p^3 / 3) work."""
         lam = real("lam", lam)
         rhs = array("rhs", rhs, ndim=1)
         p = self.factor.shape[0]
         if rhs.shape != (p,):
             raise InvalidArgumentError(f"rhs has shape {rhs.shape}, expected ({p},)")
-        if self.floor is None or _shifted_cholesky(self.reduced, self.floor)[1] != 0:
-            # positive, so that a semi-definite C passes even where tol underflows
-            tol = max(self.tolerance(), np.finfo(float).tiny)
-            info = _shifted_cholesky(self.reduced, tol)[1]
-            if info != 0:
-                raise NumericalConsistencyError(
-                    f"C + {tol:.3e} I fails its Cholesky factorization at pivot {info}; "
-                    "A is not positive semi-definite in the B-metric"
-                )
         F, info = _shifted_cholesky(self.reduced, lam)
         if info != 0:
             raise SingularPencilError(
@@ -127,15 +120,33 @@ class ReducedPencil:
         lapack_info("potrs", info)
         return dtrsv(L, x, lower=1, trans=1, overwrite_x=1)
 
+    @cached_property
+    def _eigenpairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """(eigenvalues, eigenvectors), by LAPACK ``syevd`` on a copy of C and
+        one ``trsm`` by L^-T: O(p^3) work.  Eigenvalues below 0, which
+        ``gevd``'s check keeps within the clamp tolerance, are clamped to 0."""
+        # the wrapper's default workspace is LAPACK's minimum: what syevd's
+        # workspace query returns for p >= 14, and below that enough for the
+        # unblocked reduction that p < 32 takes either way
+        w, Q, info = dsyevd(self.reduced, compute_v=1, lower=1, overwrite_a=0)
+        if lapack_info("syevd", info) > 0:
+            raise NumericalConsistencyError(
+                f"syevd failed to converge on the reduced pencil (info {info})"
+            )
+        # syevd returns ascending order; reverse for non-increasing eigenvalues.
+        # trsm runs on the reversed columns, as solve_triangular's trtrs did:
+        # reversing after the solve changes OpenBLAS's blocking and the result
+        V = dtrsm(1.0, self.factor, np.asfortranarray(Q[:, ::-1]), lower=1, trans_a=1,
+                  overwrite_b=1)
+        return np.maximum(w[::-1], 0.0), np.ascontiguousarray(V)
 
-@dataclass(frozen=True)
-class PencilDecomposition(ReducedPencil):
-    """Generalized eigenpairs of (A, B), with the reduction they came from:
-    eigenvalues non-increasing, column i of ``eigenvectors`` paired with
-    ``eigenvalues[i]``, basis B-orthonormal."""
+    @property
+    def eigenvalues(self) -> np.ndarray:
+        return self._eigenpairs[0]
 
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+    @property
+    def eigenvectors(self) -> np.ndarray:
+        return self._eigenpairs[1]
 
 
 def _check_symmetric(M: np.ndarray, name: str) -> np.ndarray:
@@ -167,22 +178,19 @@ def _cholesky_with_jitter(M: np.ndarray, name: str) -> tuple[np.ndarray, float]:
     L, info = dpotrf(M, lower=1, clean=1, overwrite_a=0)
     if lapack_info("potrf", info) == 0:
         return L, 0.0
-    p = M.shape[0]
-    jitter = _JITTER_EPS * (np.trace(M) / p)
+    jitter = _JITTER_EPS * (np.trace(M) / M.shape[0])
     if jitter <= 0:
         raise SingularPencilError(
             f"{name} is not positive definite: Cholesky failed at pivot {info} "
             "and the matrix has non-positive trace",
             pivot=int(info),
         )
-    shifted = np.array(M, order="F")
-    shifted.flat[:: p + 1] += jitter
-    L, info2 = dpotrf(shifted, lower=1, clean=1, overwrite_a=1)
-    if info2 != 0:
+    L, info = _shifted_cholesky(M, jitter)
+    if info != 0:
         raise SingularPencilError(
             f"{name} is not positive definite even after jitter {jitter:.3e}: "
-            f"Cholesky failed at pivot {info2}",
-            pivot=int(info2),
+            f"Cholesky failed at pivot {info}",
+            pivot=int(info),
         )
     return L, float(jitter)
 
@@ -212,20 +220,28 @@ def _clamp_tolerance(A: np.ndarray, L: np.ndarray, norm_b: float) -> float:
 
 
 def _shifted_cholesky(C: np.ndarray, shift: float) -> tuple[np.ndarray, int]:
-    """LAPACK ``potrf`` of C + shift*I from C's lower triangle: (factor, info)."""
+    """LAPACK ``potrf`` of C + shift*I from C's lower triangle: (lower factor,
+    info), the factor's upper triangle zeroed."""
     M = np.array(C, order="F")
     M.flat[:: M.shape[0] + 1] += shift
-    F, info = dpotrf(M, lower=1, clean=0, overwrite_a=1)
+    F, info = dpotrf(M, lower=1, clean=1, overwrite_a=1)
     return F, lapack_info("potrf", info)
 
 
-def reduce_pencil(A: np.ndarray, B: np.ndarray) -> ReducedPencil:
-    """The symmetric-definite pencil (A, B) reduced to standard form.
+def gevd(A: np.ndarray, B: np.ndarray) -> PencilDecomposition:
+    """The symmetric-definite pencil (A, B) reduced to standard form, with A
+    checked positive semi-definite in the B-metric.
 
-    A must be symmetric (positive semi-definite, which ``eigensolve`` and
-    ``ReducedPencil.solve`` check), B symmetric positive definite up to one
-    jitter pass.  B is factored once (twice on the jitter retry) and LAPACK
-    ``sygst`` forms C: O(p^3 / 3) work each.
+    A must be symmetric positive semi-definite, B symmetric positive
+    definite up to one jitter pass.  B is factored once (twice on the jitter
+    retry), LAPACK ``sygst`` forms C, and a Cholesky factorization of C
+    shifted by the pencil's floor checks A: O(p^3 / 3) work each.  When
+    that one fails, C shifted by the clamp tolerance (``_clamp_tolerance``,
+    how far below 0 an eigenvalue may be rounded to 0) is factored instead,
+    and if that fails too, ``NumericalConsistencyError`` is raised.  The
+    eigenpairs are left to the first read of the decomposition's
+    ``eigenvalues`` or ``eigenvectors``, which clamps the eigenvalues below 0
+    that the check let pass.
     """
     C = _check_symmetric(A, "A")
     B = _check_symmetric(B, "B")
@@ -233,69 +249,34 @@ def reduce_pencil(A: np.ndarray, B: np.ndarray) -> ReducedPencil:
         raise InvalidArgumentError(f"shape mismatch: A {C.shape} vs B {B.shape}")
 
     norm_b = np.linalg.norm(B, 1)
-    col_max = np.linalg.norm(C, axis=0).max()  # before sygst overwrites C
+    # C's largest column norm, before sygst overwrites C: np.linalg.norm's
+    # sum of squares, taken in place on the scaled copy
+    S, e = _scaled(C)
+    col_max = float(np.ldexp(np.sqrt(np.add.reduce(np.square(S, out=S), axis=0).max()), e))
+    del S
     # B and C are the symmetrized copies made above, so their transposes are
     # the same matrices in the Fortran order LAPACK uses, and sygst may work
     # in place on C
     L, jitter = _cholesky_with_jitter(B.T, "B")
+    del B  # the symmetrized copy, freed before the check copies C
     C, info = dsygst(C.T, L, lower=1, overwrite_a=1)
     lapack_info("sygst", info)
     # Every clamp tolerance is at least col_max * 1e-8 / ||B||_1, since the
     # norm estimate is at least col_max, so half that is a floor no tolerance
-    # falls under.  The range keeps the norms clear of underflow and
+    # falls under, and a C that the floor's shift leaves positive definite
+    # needs no tolerance.  The range keeps the norms clear of underflow and
     # overflow, where rounding could undo the bound.
-    floor = 0.5e-8 * col_max / norm_b if _NORM_RANGE[0] <= col_max <= _NORM_RANGE[1] else None
-    return ReducedPencil(A, L, C, jitter, norm_b, floor)
-
-
-def eigensolve(pencil: ReducedPencil) -> PencilDecomposition:
-    """The generalized eigenpairs of a reduced pencil, by LAPACK ``syevd`` on
-    a copy of C and one ``trsm`` by L^-T: O(p^3) work.
-
-    Eigenvalues below 0 are clamped to 0 when they lie within the clamp
-    tolerance, and raise ``NumericalConsistencyError`` otherwise.  The
-    tolerance is computed only when the smallest eigenvalue lies below the
-    pencil's floor.  A ``PencilDecomposition`` is returned as it is.
-    """
-    if isinstance(instance("pencil", pencil, ReducedPencil), PencilDecomposition):
-        return pencil
-    L = pencil.factor
-    # the wrapper's default workspace is LAPACK's minimum: what syevd's
-    # workspace query returns for p >= 14, and below that enough for the
-    # unblocked reduction that p < 32 takes either way
-    w, Q, info = dsyevd(pencil.reduced, compute_v=1, lower=1, overwrite_a=0)
-    if lapack_info("syevd", info) > 0:
-        raise NumericalConsistencyError(
-            f"syevd failed to converge on the reduced pencil (info {info})"
-        )
-
-    # syevd returns ascending order; reverse for non-increasing eigenvalues.
-    # trsm runs on the reversed columns, as solve_triangular's trtrs did:
-    # reversing after the solve changes OpenBLAS's blocking and the result
-    w = w[::-1].copy()
-    V = dtrsm(1.0, L, np.asfortranarray(Q[:, ::-1]), lower=1, trans_a=1, overwrite_b=1)
-
-    if pencil.floor is None or w[-1] < -pencil.floor:
-        tol = pencil.tolerance()
-        if w[-1] < -tol:
+    in_range = _NORM_RANGE[0] <= col_max <= _NORM_RANGE[1]
+    if not in_range or _shifted_cholesky(C, 0.5e-8 * col_max / norm_b)[1] != 0:
+        # positive, so that a semi-definite C passes even where tol underflows
+        tol = max(_clamp_tolerance(A, L, norm_b), np.finfo(float).tiny)
+        info = _shifted_cholesky(C, tol)[1]
+        if info != 0:
             raise NumericalConsistencyError(
-                f"pencil eigenvalue {w[-1]:.6e} is negative beyond tolerance {tol:.3e}; "
+                f"C + {tol:.3e} I fails its Cholesky factorization at pivot {info}; "
                 "A is not positive semi-definite in the B-metric"
             )
-    np.maximum(w, 0.0, out=w)
-    return PencilDecomposition(
-        **vars(pencil), eigenvalues=w, eigenvectors=np.ascontiguousarray(V)
-    )
-
-
-def gevd(A: np.ndarray, B: np.ndarray) -> PencilDecomposition:
-    """Generalized eigendecomposition of the symmetric-definite pencil (A, B):
-    ``eigensolve(reduce_pencil(A, B))``.
-
-    A must be symmetric PSD (small negative eigenvalues are clamped to 0), B
-    symmetric positive definite up to one jitter pass.
-    """
-    return eigensolve(reduce_pencil(A, B))
+    return PencilDecomposition(L, C, jitter)
 
 
 def pencil_solve(A: np.ndarray, B: np.ndarray, lam: float, rhs: np.ndarray) -> np.ndarray:

@@ -23,7 +23,6 @@ from kerlap import (
     krr_fit,
     pencil_solve,
     predict,
-    reduce_pencil,
 )
 from kerlap.bench import export_eigenvectors
 
@@ -64,8 +63,7 @@ CALLS = {
     ("filter_coefficients", "b"): (1, lambda v: filter_coefficients(gevd(I2, I2), TIK, v)),
     ("gevd", "A"): (2, lambda v: gevd(v, I2)),
     ("gevd", "B"): (2, lambda v: gevd(I2, v)),
-    ("reduce_pencil", "A"): (2, lambda v: reduce_pencil(v, I2)),
-    ("reduce_pencil", "B"): (2, lambda v: reduce_pencil(I2, v)),
+    ("PencilDecomposition.solve", "rhs"): (1, lambda v: gevd(I2, I2).solve(1.0, v)),
     ("pencil_solve", "A"): (2, lambda v: pencil_solve(v, I2, 1.0, np.ones(2))),
     ("pencil_solve", "B"): (2, lambda v: pencil_solve(I2, v, 1.0, np.ones(2))),
     ("pencil_solve", "rhs"): (1, lambda v: pencil_solve(I2, I2, 1.0, v)),

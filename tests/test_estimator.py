@@ -29,7 +29,7 @@ from kerlap.estimator import (
 from kerlap.filters import FilterSpec, filter_coefficients
 from kerlap.kernel import GaussianKernel
 from kerlap.operators import SemiDataset, assemble, assemble_dense, select_landmarks
-from kerlap.pencil import gevd, pencil_solve, reduce_pencil
+from kerlap.pencil import gevd, pencil_solve
 from kerlap.synthdata import CirclesSpec, gen_circles
 
 TIK = FilterSpec("tikhonov", 1.0)
@@ -118,9 +118,9 @@ class TestFit:
 
         def spy(A, B):
             pencils.append(B)
-            return reduce_pencil(A, B)
+            return gevd(A, B)
 
-        monkeypatch.setattr(estimator, "reduce_pencil", spy)
+        monkeypatch.setattr(estimator, "gevd", spy)
         n = 400
         ds = gen_circles(CirclesSpec(n=n, n_labeled=4, angles="equispaced", seed=seed))
         model = fit(ds, GaussianKernel(0.2), n, 1.0 / n, TIK, seed)
@@ -139,9 +139,9 @@ class TestFit:
 
         def spy(A, B):
             pencils.append(B)
-            return reduce_pencil(A, B)
+            return gevd(A, B)
 
-        monkeypatch.setattr(estimator, "reduce_pencil", spy)
+        monkeypatch.setattr(estimator, "gevd", spy)
         cfg = preset("fig1")
         ds, _ = generate_instance(cfg, 2000, trial_seed(0, 2000, 0))
         model = fit(ds, GaussianKernel(cfg.kernel_sigma), 200, 1.0 / 2000, TIK, 0)
@@ -167,6 +167,12 @@ class TestFit:
             fit(ds, k, 10, 0.1, FilterSpec("cutoff", 0.1), 0)
         with pytest.raises(RuntimeError, match="syevd called"):
             export_eigenvectors(ds, k, 10, 0.1, 2, ds.inputs)
+        # the replay route: gevd leaves the eigenpairs to their first read
+        _, A, B, b, _ = _landmark_pencil(ds, k, 10, 0.1, 0)
+        dec = gevd(A, B)
+        assert np.all(np.isfinite(filter_coefficients(dec, TIK, b)))
+        with pytest.raises(RuntimeError, match="syevd called"):
+            dec.eigenvalues
 
     def test_duplicate_rows_keep_one_landmark_each(self):
         # 12 points 1.5 apart, each repeated three times: p = n keeps one

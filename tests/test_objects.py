@@ -29,7 +29,6 @@ from kerlap import (
 )
 from kerlap.bench import export_eigenvectors
 from kerlap.operators import prune_landmarks
-from kerlap.pencil import eigensolve
 
 DS = SemiDataset(np.random.default_rng(0).standard_normal((6, 2)), [1.0, -1.0])
 K = GaussianKernel(1.0)
@@ -57,7 +56,6 @@ CALLS = {
     ("model_to_json", "model"): model_to_json,
     ("filter_coefficients", "dec"): lambda v: filter_coefficients(v, TIK, np.ones(2)),
     ("filter_coefficients", "f"): lambda v: filter_coefficients(gevd(I2, I2), v, np.ones(2)),
-    ("eigensolve", "pencil"): eigensolve,
     ("apply_filter", "f"): lambda v: apply_filter(v, 1.0),
     ("export_eigenvectors", "ds"): lambda v: export_eigenvectors(v, K, 2, 0.1, 1, ROW),
     ("export_eigenvectors", "kernel"): lambda v: export_eigenvectors(DS, v, 2, 0.1, 1, ROW),

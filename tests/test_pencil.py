@@ -9,13 +9,12 @@ from kerlap.pencil import (
     PencilDecomposition,
     _check_symmetric,
     _cholesky_with_jitter,
-    eigensolve,
+    _clamp_tolerance,
     gevd,
     pencil_solve,
-    reduce_pencil,
     spectral_norm_estimate,
 )
-from scipy.linalg.lapack import dpotrf, dsyevd
+from scipy.linalg.lapack import dpotrf, dsyevd, dsygst
 
 
 def random_pencil(rng, p, rank=None):
@@ -110,8 +109,23 @@ class TestGevd:
         assert dec.eigenvalues[-1] == 0.0
 
     def test_indefinite_a_raises(self):
-        with pytest.raises(NumericalConsistencyError, match="negative beyond tolerance"):
+        with pytest.raises(NumericalConsistencyError,
+                           match="not positive semi-definite in the B-metric"):
             gevd(np.diag([1.0, -1.0]), np.eye(2))
+
+    @pytest.mark.parametrize("s", [1e-300, 1e160, 1e200])
+    def test_extreme_scale_of_a(self, s):
+        # the norms behind the clamp tolerance are taken of A scaled by a
+        # power of two, so they neither overflow nor underflow to 0: a PSD
+        # s*A clamps as A does, and an indefinite one still raises
+        G = np.random.default_rng(0).standard_normal((6, 3))
+        A = G @ G.T
+        want = gevd(A, np.eye(6)).eigenvalues
+        got = gevd(s * A, np.eye(6)).eigenvalues
+        assert np.all(got >= 0)
+        assert np.abs(got - s * want).max() <= 1e-12 * s * want[0]
+        with pytest.raises(NumericalConsistencyError):
+            gevd(s * np.diag([1.0, -1.0]), np.eye(2))
 
     def test_clamp_tolerance_widens_with_cond_b(self):
         # cond(B) = 1e10 scales the reduced eigenvalue of -1e-16 to -1e-6:
@@ -221,8 +235,9 @@ class TestGevd:
 
         monkeypatch.setattr(pencil_module, "dsyevd", failing_dsyevd)
         A, B = random_pencil(np.random.default_rng(9), 6)
+        dec = gevd(A, B)
         with pytest.raises(error, match="syevd"):
-            gevd(A, B)
+            dec.eigenvalues
 
 
 TIK = FilterSpec("tikhonov", 1.0)
@@ -230,14 +245,14 @@ TIK = FilterSpec("tikhonov", 1.0)
 
 class TestReducedPencil:
     def test_indefinite_a_raises_through_the_tikhonov_filter(self):
-        pencil = reduce_pencil(np.diag([1.0, -1.0]), np.eye(2))
+        # the check runs once, in gevd, before any filter reads the pencil
         with pytest.raises(NumericalConsistencyError,
                            match="not positive semi-definite in the B-metric"):
-            filter_coefficients(pencil, TIK, np.ones(2))
+            filter_coefficients(gevd(np.diag([1.0, -1.0]), np.eye(2)), TIK, np.ones(2))
 
     def test_negative_definite_b_raises_with_pivot(self):
         with pytest.raises(SingularPencilError) as info:
-            reduce_pencil(np.eye(3), -np.eye(3))
+            gevd(np.eye(3), -np.eye(3))
         assert info.value.pivot == 1
 
     @pytest.mark.parametrize("A, B", [
@@ -248,34 +263,35 @@ class TestReducedPencil:
         (np.zeros((2, 2)), 1e10 * np.eye(2)),
     ])
     def test_tikhonov_check_decides_as_the_eigenvalue_clamp(self, A, B):
-        # the Cholesky check of C + floor I, then of C + tol I, raises
-        # exactly where gevd's clamp of the smallest eigenvalue raises
-        try:
-            gevd(A, B)
-            clamped = True
-        except NumericalConsistencyError:
-            clamped = False
-        pencil = reduce_pencil(A, B)
+        # gevd's Cholesky check of C + floor I, then of C + tol I, raises
+        # exactly where a clamp of the smallest eigenvalue of C at -tol raises
+        L, info = dpotrf(B, lower=1, clean=1)
+        assert info == 0
+        C, info = dsygst(A, L, lower=1)
+        assert info == 0
+        smallest = dsyevd(C, compute_v=1, lower=1)[0][0]
+        clamped = smallest >= -_clamp_tolerance(A, L, np.linalg.norm(B, 1))
         if clamped:
-            assert np.all(np.isfinite(filter_coefficients(pencil, TIK, np.ones(2))))
+            dec = gevd(A, B)
+            assert np.all(np.isfinite(filter_coefficients(dec, TIK, np.ones(2))))
+            assert dec.eigenvalues[-1] == max(smallest, 0.0)
         else:
             with pytest.raises(NumericalConsistencyError):
-                filter_coefficients(pencil, TIK, np.ones(2))
+                gevd(A, B)
 
     def test_no_argument_is_overwritten(self):
         rng = np.random.default_rng(8)
         A, B = random_pencil(rng, 20, rank=5)
         copies = A.copy(), B.copy()
-        pencil = reduce_pencil(A, B)
-        C = pencil.reduced.copy()
-        dec = eigensolve(pencil)
-        assert eigensolve(dec) is dec
-        pencil.solve(0.5, np.ones(20))
-        assert np.array_equal(pencil.reduced, C) and np.array_equal(dec.reduced, C)
+        dec = gevd(A, B)
+        C = dec.reduced.copy()
+        dec.solve(0.5, np.ones(20))
+        assert dec.eigenvectors is dec.eigenvectors  # eigensolved once, when first read
+        assert np.array_equal(dec.reduced, C)
         assert np.array_equal(A, copies[0]) and np.array_equal(B, copies[1])
 
     def test_solve_checks_its_arguments(self):
-        pencil = reduce_pencil(np.eye(2), np.eye(2))
+        pencil = gevd(np.eye(2), np.eye(2))
         assert np.allclose(pencil.solve(1.0, np.array([2.0, 4.0])), [1.0, 2.0], atol=1e-12)
         with pytest.raises(InvalidArgumentError, match="^lam "):
             pencil.solve(0.0, np.ones(2))
