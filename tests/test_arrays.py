@@ -31,6 +31,7 @@ K = GaussianKernel(1.0)
 TIK = FilterSpec("tikhonov", 1.0)
 ROW = np.zeros((1, 2))
 I2 = np.eye(2)
+B2 = np.array([[2.0, 1.0], [1.0, 2.0]])
 MODEL = FittedModel(K, ROW, [1.0], LANDMARK_KERNEL)
 
 
@@ -63,6 +64,11 @@ CALLS = {
     ("filter_coefficients", "b"): (1, lambda v: filter_coefficients(gevd(I2, I2), TIK, v)),
     ("gevd", "A"): (2, lambda v: gevd(v, I2)),
     ("gevd", "B"): (2, lambda v: gevd(I2, v)),
+    # gevd's reduction to standard form, labelled reduce_pencil, on a pencil
+    # whose B factor and sygst are not the identity's: A and B are checked
+    # before either is used
+    ("reduce_pencil", "A"): (2, lambda v: gevd(v, B2)),
+    ("reduce_pencil", "B"): (2, lambda v: gevd(B2, v)),
     ("PencilDecomposition.solve", "rhs"): (1, lambda v: gevd(I2, I2).solve(1.0, v)),
     ("pencil_solve", "A"): (2, lambda v: pencil_solve(v, I2, 1.0, np.ones(2))),
     ("pencil_solve", "B"): (2, lambda v: pencil_solve(I2, v, 1.0, np.ones(2))),
