@@ -4,6 +4,10 @@ Gaussian-weighted graph, and kernel ridge regression on the labeled points.
 The graph baseline uses the classical formulation: all-pairs Gaussian edge
 weights with zero diagonal, unnormalized combinatorial Laplacian, and the
 harmonic solution f_u = (D_uu - W_uu)^-1 W_ul y_l on the unlabeled block.
+It evaluates only the weights to the unlabeled points and turns their
+unlabeled rows into D_uu - W_uu in place.  Both baselines solve their
+system by ``pencil._spd_solve``, the Cholesky factorization with one jitter
+retry that the dense oracle uses too, in place and on scipy's BLAS.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.blas import dgemv
 
 from .errors import InvalidArgumentError, array, instance, integer, real
 from .estimator import LANDMARK_KERNEL, FittedModel
@@ -50,6 +55,9 @@ def harmonic_propagate(ds: SemiDataset, config: GraphConfig) -> HarmonicResult:
 
     Weights W_ij = exp(-||X_i - X_j||^2 / (2 sigma^2)) for i != j, zero
     diagonal; D = diag of row sums.  Solves (D_uu - W_uu) f_u = W_ul y_l.
+    Only the columns of W at the unlabeled points are evaluated, as one
+    (n, n_u) Gram; its rows at the unlabeled points, W_uu, become D_uu -
+    W_uu in place, and its rows at the labeled ones are W_ul^T.
     """
     instance("ds", ds, SemiDataset)
     instance("config", config, GraphConfig)
@@ -57,13 +65,18 @@ def harmonic_propagate(ds: SemiDataset, config: GraphConfig) -> HarmonicResult:
     if n <= n_l:
         raise InvalidArgumentError("harmonic propagation needs at least one unlabeled point")
     X, y = ds.inputs, ds.labels
-    W = GaussianKernel(config.sigma).gram(X, X)
-    np.fill_diagonal(W, 0.0)
-    D = W.sum(axis=1)
-    L_uu = np.diag(D[n_l:]) - W[n_l:, n_l:]
-    rhs = W[n_l:, :n_l] @ y
-
-    f_u, jitter = _spd_solve(L_uu, rhs, "the unlabeled graph block")
+    W = GaussianKernel(config.sigma).gram(X, X[n_l:])
+    L_uu = W[n_l:]
+    diagonal = L_uu.reshape(-1)[:: n - n_l + 1]  # a view: W is C-contiguous
+    diagonal[:] = 0.0
+    # the full W is symmetric, so these column sums are its row sums
+    degrees = W.sum(axis=0)
+    # W_ul y on scipy's BLAS, as the solve (see operators._gram_of_rows)
+    rhs = dgemv(1.0, W[:n_l].T, y)
+    np.negative(L_uu, out=L_uu)
+    diagonal += degrees
+    # L_uu is symmetric: its transpose is the Fortran-order array potrf factors in place
+    f_u, jitter = _spd_solve(L_uu.T, rhs, "the unlabeled graph block")
     return HarmonicResult(values=f_u, jittered=jitter > 0)
 
 
@@ -79,7 +92,7 @@ def krr_fit(
     n_l = X.shape[0]
     M = kernel.gram(X, X)
     M.flat[:: n_l + 1] += n_l * ridge
-    coef, _ = _spd_solve(M, y, "the ridge system")
+    coef, _ = _spd_solve(M.T, y, "the ridge system")
     return FittedModel(
         kernel=kernel,
         basis_coordinates=X,

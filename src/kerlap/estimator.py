@@ -217,25 +217,24 @@ def fit_exact(
         (s G_SS s + lam*mu I) u = e_S / s,
 
     a symmetric positive definite system whose eigenvalues are all at least
-    lam*mu.  Only G_SS is built, and one Cholesky factorization solves it.
-    Work is O((n_l + n d)^3) and memory O((n_l + n d)^2).
+    lam*mu.  Only s G_SS s is built, in one array (``_extended_gram``), and
+    one Cholesky factorization solves it in place.  Work is
+    O((n_l + n d)^3) and memory O((n_l + n d)^2).
     """
     instance("ds", ds, SemiDataset)
     instance("kernel", kernel, GaussianKernel)
     lam = real("lam", lam)
     mu = real("mu", mu)
     n, n_l = ds.n, ds.n_labeled
-    M = _extended_gram(ds, kernel, n_l, dense_cap)  # G_SS
-    s = np.full(M.shape[0], math.sqrt(lam / n))
-    s[:n_l] = 1.0 / math.sqrt(n_l)
-    M *= s[:, None]
-    M *= s
+    s_l, s_d = 1.0 / math.sqrt(n_l), math.sqrt(lam / n)
+    M = _extended_gram(ds, kernel, n_l, dense_cap, s_l, s_d)  # s G_SS s
     M.flat[:: M.shape[0] + 1] += lam * mu
     rhs = np.zeros(M.shape[0])
     rhs[:n_l] = ds.labels / math.sqrt(n_l)
-    # M is symmetric: its transpose is the same matrix, in the Fortran order potrf takes
-    c = s * _spd_solve(M.T, rhs, "the dense representer system")[0]
-    coef = np.concatenate([c[:n_l], np.zeros(n - n_l), c[n_l:]])
+    # M is symmetric: its transpose is the same matrix, in the Fortran order
+    # that potrf factors in place
+    u = _spd_solve(M.T, rhs, "the dense representer system")[0]
+    coef = np.concatenate([s_l * u[:n_l], np.zeros(n - n_l), s_d * u[n_l:]])
     return FittedModel(
         kernel=kernel,
         basis_coordinates=ds.inputs,

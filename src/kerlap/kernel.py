@@ -9,8 +9,9 @@ one per argument).  A single pair is a batch of one row each.  ``blocks``
 yields ``gram`` and the squared distances behind it chunk by chunk: the
 pruning Gram, the landmark assembly and prediction all loop over it.
 
-Squared distances come from the expansion ||x||^2 + ||z||^2 - 2<x, z>, with
-X Z^T as one BLAS matrix product, so no (n, m, d) array is formed.  The
+Squared distances come from the expansion ||x||^2 + ||z||^2 - 2<x, z>, the
+whole block as one BLAS matrix product of rows augmented by their squared
+norms and a column of ones, so no (n, m, d) array is formed.  The
 expansion cancels where two points are close to each other but far from
 the origin: its rounding error is a few eps (||x||^2 + ||z||^2), not eps
 ||x - z||^2 (Higham, *Accuracy and Stability of Numerical Algorithms*,
@@ -19,7 +20,9 @@ mean of the second argument, which removes a common offset.  And a guard
 sums the squared coordinate differences (non-negative terms, so a
 well-conditioned sum) for every entry that is small against that rounding
 bound, as within two clusters far apart; coincident points then get
-exactly 0.  Only the derivative forms, which need the differences
+exactly 0.  The guard tests only the entries under one scalar bound, the
+largest squared norm on each side, so it costs one comparison pass over
+the block.  Only the derivative forms, which need the differences
 themselves, hold the (n, m, d) coordinate-difference array.
 """
 
@@ -78,38 +81,46 @@ def _sqdist_expanded(X: np.ndarray, Z: np.ndarray, out: np.ndarray | None = None
     not once per chunk).
 
     Both sides are centred on the mean of Z, so a row's distances do not
-    depend on the other rows of X it comes with.  The norms are laid out as
-    xn 1^T + 1 zn^T and BLAS ``gemm`` adds -2 Xc Zc^T in place.  Every entry
-    that is non-finite or at most ``_GUARD`` (xn_i + zn_j), negative ones
-    included, is then summed coordinate-wise from X and Z, so the result is
-    non-negative and exactly 0 for coincident rows.  The distances are
-    written into ``out`` when it is given, a C-contiguous (n, m) array that
-    ``blocks`` reuses from one chunk to the next.
+    depend on the other rows of X it comes with.  One BLAS ``gemm`` of the
+    augmented rows [Xc | xn | 1] and [-2 Zc | 1 | zn], xn and zn the squared
+    norms of the centred rows, gives every xn_i + zn_j - 2 <xc_i, zc_j>.
+    Every entry that is non-finite or at most ``_GUARD`` (xn_i + zn_j),
+    negative ones included, is then summed coordinate-wise from X and Z, so
+    the result is non-negative and exactly 0 for coincident rows.  Only the
+    entries at most the scalar bound ``_GUARD`` (max xn + max zn) are
+    candidates for that test, so no (n, m) array of bounds is formed.  The
+    distances are written into ``out`` when it is given, a C-contiguous
+    (n, m) array that ``blocks`` reuses from one chunk to the next.
     """
-    if X.size == 0 or Z.size == 0:
-        return np.zeros((X.shape[0], Z.shape[0]))
+    n, d = X.shape
+    m = Z.shape[0]
+    if n == 0 or m == 0:
+        return np.zeros((n, m))
     centre = Z.mean(axis=0)
-    Xc = X - centre
-    Zc = Z - centre
-    xn = np.einsum("ij,ij->i", Xc, Xc)
-    zn = np.einsum("ij,ij->i", Zc, Zc)
+    xa = np.ones((n, d + 2))
+    za = np.ones((m, d + 2))
+    Xc = np.subtract(X, centre, out=xa[:, :d])
+    Zc = np.subtract(Z, centre, out=za[:, :d])
+    xn = np.einsum("ij,ij->i", Xc, Xc, out=xa[:, d])
+    zn = np.einsum("ij,ij->i", Zc, Zc, out=za[:, d + 1])
+    Zc *= -2.0
     # einsum and gemm never warn; an overflow gives inf or NaN, which the
-    # guard recomputes
-    with np.errstate(over="ignore", invalid="ignore"):
-        # D - _GUARD (xn_i + zn_j) first, so the guard is a sign test and
-        # needs no (n, m) array of bounds
-        D = np.add.outer((1.0 - _GUARD) * xn, (1.0 - _GUARD) * zn, out=out)
-        # D.T is the Fortran-order (m, n) array gemm overwrites without a copy
-        D = dgemm(-2.0, Zc.T, Xc.T, beta=1.0, c=D.T, trans_a=1, overwrite_c=1).T
-        kept = np.greater(D, 0.0)
-        D += (_GUARD * xn)[:, None]
-        D += _GUARD * zn
-    # kept is C-contiguous; the flat nonzero is several times faster than
-    # the 2-d one at (400, 50)
-    flagged = np.logical_not(kept, out=kept).ravel().nonzero()[0]
+    # guard recomputes.  D.T is the Fortran-order (m, n) array gemm
+    # overwrites without a copy
+    c = None if out is None else out.T
+    D = dgemm(1.0, za.T, xa.T, trans_a=1, c=c, overwrite_c=1).T
+    # _GUARD is a power of two, so _GUARD xn + _GUARD zn is _GUARD (xn + zn),
+    # exactly away from subnormals, and cannot overflow where that sum would
+    bound = _GUARD * xn.max() + _GUARD * zn.max()
+    # not greater, so that NaN is a candidate; the flat nonzero is several
+    # times faster than the 2-d one at (400, 50)
+    kept = np.greater(D, bound)
+    candidates = np.logical_not(kept, out=kept).ravel().nonzero()[0]
     del kept
-    rows, cols = np.divmod(flagged, D.shape[1])
-    step = max(1, _GUARD_PIECE // X.shape[1])
+    rows, cols = np.divmod(candidates, m)
+    flagged = ~(D[rows, cols] > _GUARD * xn[rows] + _GUARD * zn[cols])
+    rows, cols = rows[flagged], cols[flagged]
+    step = max(1, _GUARD_PIECE // d)
     for start in range(0, rows.size, step):
         r, c = rows[start:start + step], cols[start:start + step]
         diff = X[r]
@@ -157,12 +168,16 @@ class GaussianKernel:
             out = np.divide(sq, -2.0 * self.sigma**2, out=out)
         # clamped, the exponent never takes exp into the subnormal range, and
         # every value at the floor is exactly _FLUSH; a masked store of -inf
-        # before exp took ten times as long.  The minimum costs a fifth of
-        # the zeroing pass, which most blocks of a wide kernel do not need.
-        np.maximum(out, _FLUSH_EXPONENT, out=out)
-        np.exp(out, out=out)
-        if out.min(initial=1.0) == _FLUSH:
+        # before exp took ten times as long.  A block whose exponents all lie
+        # a unit above the floor, as most blocks of a wide kernel do, has
+        # every value at least e * _FLUSH, and needs neither the clamp nor
+        # the zeroing pass; the minimum costs a fraction of either.
+        if out.min(initial=0.0) < _FLUSH_EXPONENT + 1.0:
+            np.maximum(out, _FLUSH_EXPONENT, out=out)
+            np.exp(out, out=out)
             np.multiply(out, out > _FLUSH, out=out)
+        else:
+            np.exp(out, out=out)
         return out
 
     def gram(self, X: np.ndarray, Z: np.ndarray) -> np.ndarray:
@@ -194,15 +209,29 @@ class GaussianKernel:
         out = diff * (K / -self.sigma**2)[:, :, None]
         return np.ascontiguousarray(out.transpose(0, 2, 1))  # (n, d, m)
 
-    def cross_hessian_gram(self, X: np.ndarray, Z: np.ndarray) -> np.ndarray:
-        """d^2 k / dX[l]_j dZ[i]_j' for all pairs, shape (n, d, m, d)."""
-        s2 = self.sigma**2
+    def cross_hessian_gram(
+        self, X: np.ndarray, Z: np.ndarray, out: np.ndarray | None = None, scale: float = 1.0
+    ) -> np.ndarray:
+        """scale * d^2 k / dX[l]_j dZ[i]_j' for all pairs, shape (n, d, m, d),
+        written into ``out`` when it is given (an array or view of that
+        shape, as ``operators._extended_gram`` passes a block of its Gram)."""
         diff = _differences(X, Z)  # (n, m, d)
         K = self._from_sqdist(np.einsum("ijk,ijk->ij", diff, diff))
-        # by sigma^2 twice, since sigma^4 leaves the double range beyond 1e77
-        out = np.einsum("lmi,lmj,lm->limj", diff, diff, K) / -s2 / s2
-        d = diff.shape[2]
+        n, m, d = diff.shape
+        # (diff_i / sigma) (diff_j / sigma) (scale K / sigma^2), as two
+        # broadcast products: K / sigma^4 leaves the double range beyond
+        # 1e77, and where K > 0, |diff| < 27 sigma, so no factor overflows.
+        # Where a far pair's diff / sigma does, K = 0 and the entry is NaN,
+        # which operators._extended_gram refuses
+        w = K / self.sigma**2
+        w *= scale
+        with np.errstate(over="ignore", invalid="ignore"):
+            diff /= self.sigma
+            right = diff * -w[:, :, None]
+            if out is None:
+                out = np.empty((n, d, m, d))
+            np.multiply(diff.transpose(0, 2, 1)[:, :, :, None], right[:, None], out=out)
         idx = np.arange(d)
         # advanced indexing on axes 1 and 3 yields a (d, n, m) view target
-        out[:, idx, :, idx] += (K / s2)[None, :, :]
+        out[:, idx, :, idx] += w
         return out

@@ -403,13 +403,25 @@ def assemble_dense(
 
 
 def _extended_gram(
-    ds: SemiDataset, kernel: GaussianKernel, n_points: int, dense_cap: int
+    ds: SemiDataset,
+    kernel: GaussianKernel,
+    n_points: int,
+    dense_cap: int,
+    point_scale: float = 1.0,
+    grad_scale: float = 1.0,
 ) -> np.ndarray:
-    """Gram of the kernel features k_{X_i}, i < n_points, followed by every
-    derivative feature d_j k_{X_l} (point-major, coordinate-minor).
+    """s G s, with G the Gram of the kernel features k_{X_i}, i < n_points,
+    followed by every derivative feature d_j k_{X_l} (point-major,
+    coordinate-minor), and s ``point_scale`` on the kernel features and
+    ``grad_scale`` on the derivative ones.
 
-    Refuses a dense basis whose full size n*(d+1) exceeds ``dense_cap``,
-    whatever ``n_points`` is.
+    It is built in place in one C-order array: s is constant within each of
+    the blocks K, Z and H of G, so each is scaled as it is stored, the
+    cross-derivative block H straight into its slice, and the upper
+    right block is the transpose of the lower left one.  Refuses a dense
+    basis whose full size n*(d+1) exceeds ``dense_cap``, whatever
+    ``n_points`` is; a non-finite entry of a block raises
+    ``NumericalConsistencyError``.
     """
     X = ds.inputs
     n, d = X.shape
@@ -420,13 +432,19 @@ def _extended_gram(
             "use the landmark assembly instead"
         )
     points = X[:n_points]
-    K = kernel.gram(points, points)
-    Z = kernel.grad1_gram(X, points).reshape(n * d, n_points)
-    H = kernel.cross_hessian_gram(X, X).reshape(n * d, n * d)
+    G = np.empty((n_points + n * d,) * 2)
+    K = np.multiply(kernel.gram(points, points), point_scale * point_scale,
+                    out=G[:n_points, :n_points])
+    Z = np.multiply(kernel.grad1_gram(X, points).reshape(n * d, n_points),
+                    point_scale * grad_scale, out=G[n_points:, :n_points])
+    G[:n_points, n_points:] = Z.T
+    H = G[n_points:, n_points:]
+    # splitting each axis of the slice in two gives a view, not a copy
+    kernel.cross_hessian_gram(X, X, out=H.reshape(n, d, n, d), scale=grad_scale * grad_scale)
     _check_block_finite(K, 0, "kernel")
     _check_block_finite(Z, 0, "kernel derivative")
     _check_block_finite(H, 0, "kernel cross derivative")
-    return np.block([[K, Z.T], [Z, H]])
+    return G
 
 
 # Dataset CSV format (shared repo-wide): header x0,...,x{d-1},y with the y

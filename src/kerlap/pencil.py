@@ -95,6 +95,7 @@ class PencilDecomposition:
     The eigenpairs are computed on first read of ``eigenvalues`` or
     ``eigenvectors``: eigenvalues non-increasing, column i of
     ``eigenvectors`` paired with ``eigenvalues[i]``, basis B-orthonormal.
+    Both arrays are read-only.
     """
 
     factor: np.ndarray
@@ -138,7 +139,11 @@ class PencilDecomposition:
         # reversing after the solve changes OpenBLAS's blocking and the result
         V = dtrsm(1.0, self.factor, np.asfortranarray(Q[:, ::-1]), lower=1, trans_a=1,
                   overwrite_b=1)
-        return np.maximum(w[::-1], 0.0), np.ascontiguousarray(V)
+        # read-only, as FittedModel's arrays: every later read shares them
+        values, vectors = np.maximum(w[::-1], 0.0), np.ascontiguousarray(V)
+        values.setflags(write=False)
+        vectors.setflags(write=False)
+        return values, vectors
 
     @property
     def eigenvalues(self) -> np.ndarray:
@@ -167,17 +172,26 @@ def _check_symmetric(M: np.ndarray, name: str) -> np.ndarray:
     return (M + M.T) / 2.0
 
 
-def _cholesky_with_jitter(M: np.ndarray, name: str) -> tuple[np.ndarray, float]:
+def _cholesky_with_jitter(
+    M: np.ndarray, name: str, overwrite: bool = False
+) -> tuple[np.ndarray, float]:
     """Lower Cholesky factor of M, retrying once with a small diagonal shift.
 
     The shift is 1e-10 times the mean diagonal of M.  Returns (L, jitter),
     jitter being 0.0 when no retry was needed.  Raises SingularPencilError
     naming ``name`` and the failing pivot if M is not positive definite even
-    after the jitter pass.
+    after the jitter pass.  With ``overwrite``, a symmetric M in Fortran
+    order is factored in place: L is M, its strict upper triangle still
+    that of M, from which the retry restores the lower one.
     """
-    L, info = dpotrf(M, lower=1, clean=1, overwrite_a=0)
+    diagonal = M.diagonal().copy() if overwrite else None
+    L, info = dpotrf(M, lower=1, clean=int(not overwrite), overwrite_a=int(overwrite))
     if lapack_info("potrf", info) == 0:
         return L, 0.0
+    if overwrite:  # potrf wrote the lower triangle only
+        lower = np.tri(M.shape[0], k=-1, dtype=bool)
+        M[lower] = M.T[lower]
+        np.fill_diagonal(M, diagonal)
     jitter = _JITTER_EPS * (np.trace(M) / M.shape[0])
     if jitter <= 0:
         raise SingularPencilError(
@@ -196,10 +210,13 @@ def _cholesky_with_jitter(M: np.ndarray, name: str) -> tuple[np.ndarray, float]:
 
 
 def _spd_solve(M: np.ndarray, rhs: np.ndarray, name: str) -> tuple[np.ndarray, float]:
-    """(x, jitter): M x = rhs for SPD M, by ``_cholesky_with_jitter`` and two
-    triangular solves."""
-    L, jitter = _cholesky_with_jitter(M, name)
-    return sla.cho_solve((L, True), rhs, check_finite=False), jitter
+    """(x, jitter): M x = rhs for a symmetric positive definite M in Fortran
+    order, by ``_cholesky_with_jitter`` in place and LAPACK ``potrs``.  M
+    is overwritten: its lower triangle holds the factor afterwards."""
+    L, jitter = _cholesky_with_jitter(M, name, overwrite=True)
+    x, info = dpotrs(L, rhs, lower=1)
+    lapack_info("potrs", info)
+    return x, jitter
 
 
 def _clamp_tolerance(A: np.ndarray, L: np.ndarray, norm_b: float) -> float:

@@ -87,6 +87,24 @@ class TestHarmonicPropagate:
         resid = np.linalg.norm(L[6:, 6:] @ res.values - rhs)
         assert resid <= 1e-8 * np.linalg.norm(rhs)
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_the_textbook_laplacian_solve(self, seed):
+        # the unlabeled block built in place against np.diag(D) - W over the
+        # full Gram, solved densely; one draw in two has a single unlabeled
+        # point (n_l = n - 1)
+        rng = np.random.default_rng(40 + seed)
+        n, d = int(rng.integers(3, 61)), int(rng.integers(1, 6))
+        n_l = n - 1 if seed % 2 else int(rng.integers(1, n))
+        X, y = rng.standard_normal((n, d)), rng.standard_normal(n_l)
+        sigma = float(rng.uniform(0.5, 2.0))
+        res = harmonic_propagate(SemiDataset(inputs=X, labels=y), GraphConfig(sigma))
+        W = GaussianKernel(sigma).gram(X, X)
+        np.fill_diagonal(W, 0.0)
+        L = np.diag(W.sum(axis=1)) - W
+        expected = np.linalg.solve(L[n_l:, n_l:], W[n_l:, :n_l] @ y)
+        assert not res.jittered
+        assert np.linalg.norm(res.values - expected) <= 1e-12 * np.linalg.norm(expected)
+
     def test_disconnected_jitter_flag(self):
         # an unlabeled pair connected to each other but not (numerically) to
         # any labeled point: the unlabeled block is singular and the

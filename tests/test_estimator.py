@@ -301,6 +301,22 @@ class TestFitExact:
             compared += 1
         assert compared >= 15
 
+    @pytest.mark.parametrize("n", [25, 50])
+    def test_matches_dense_pencil_solve_on_fig2_draws(self, n):
+        # the system built in place, on the benchmark's fig2 geometry (d = 10),
+        # against the direct solve of the full dense pencil
+        cfg = preset("fig2")
+        k = GaussianKernel(cfg.kernel_sigma)
+        mu = cfg.resolve_mu(n)
+        for trial in range(2):
+            ds, _ = generate_instance(cfg, n, trial_seed(cfg.seed, n, trial))
+            bundle = assemble_dense(ds, k, mu)
+            c = pencil_solve(bundle.A, bundle.B, cfg.lam, bundle.b)
+            Q = ds.inputs[ds.n_labeled:]
+            ref = predict(FittedModel(k, ds.inputs, c, DENSE_REPRESENTER), Q)
+            got = predict(fit_exact(ds, k, cfg.lam, mu), Q)
+            assert np.linalg.norm(got - ref) <= 1e-6 * np.linalg.norm(ref)
+
     def test_unlabeled_kernel_coefficients_are_zero(self):
         rng = np.random.default_rng(13)
         n, n_l, d = 12, 5, 2

@@ -194,6 +194,41 @@ class TestDerivatives:
             H_fd = fd_cross_hessian(k, x, y, h)
             assert np.linalg.norm(H - H_fd) <= 1e-4 * np.linalg.norm(H)
 
+    @pytest.mark.parametrize("sigma", [1.5e-154, 1e-100, 0.6, 3.0, 1e100, 9.4e153])
+    def test_cross_hessian_is_the_three_operand_formula(self, sigma):
+        # the broadcast products against diff_i diff_j K / -sigma^2 / sigma^2
+        # + delta_ij K / sigma^2, summed by einsum; at the ends of sigma's
+        # range on the points of test_sigma_at_the_ends_of_its_range
+        k = GaussianKernel(sigma)
+        if sigma < 1e-50 or sigma > 1e50:
+            X = Z = np.array([[0.0, 0.0], [1.0, -2.0], [1e100, 0.0]])
+        else:
+            rng = np.random.default_rng(11)
+            X, Z = sigma * rng.standard_normal((7, 4)), sigma * rng.standard_normal((5, 4))
+        diff = X[:, None, :] - Z[None, :, :]
+        K = k.gram(X, Z)
+        s2 = sigma**2
+        expected = np.einsum("lmi,lmj,lm->limj", diff, diff, K) / -s2 / s2
+        idx = np.arange(X.shape[1])
+        expected[:, idx, :, idx] += (K / s2)[None, :, :]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            H = k.cross_hessian_gram(X, Z)
+        assert np.all(np.isfinite(H))
+        assert np.abs(H - expected).max() <= 1e-14 * np.abs(expected).max()
+
+    def test_cross_hessian_into_a_block_of_a_larger_array(self):
+        # written scaled into the view it is given, and nowhere else
+        rng = np.random.default_rng(12)
+        k = GaussianKernel(0.8)
+        X, Z = rng.standard_normal((6, 3)), rng.standard_normal((4, 3))
+        G = np.full((20, 14), 7.0)
+        block = G[2:, 2:].reshape(6, 3, 4, 3)
+        assert k.cross_hessian_gram(X, Z, out=block, scale=0.25) is block
+        expected = 0.25 * k.cross_hessian_gram(X, Z)
+        assert np.abs(block - expected).max() <= 1e-15 * np.abs(expected).max()
+        assert np.all(G[:2] == 7.0) and np.all(G[:, :2] == 7.0)
+
 
 class TestGram:
     def test_psd(self):
@@ -269,6 +304,29 @@ class TestGram:
         far = ~coincident
         assert np.all(np.abs(D[far] - exact[far]) <= 1e-12 * exact[far])
         assert np.array_equal(K, np.exp(-D / (2.0 * 0.9**2)))
+
+    def test_guard_candidates_kept_by_the_exact_bound(self):
+        # a wide cluster near the centre and a tight one far from it: many
+        # entries lie under the scalar bound _GUARD (max xn + max zn) but over
+        # their own _GUARD (xn_i + zn_j).  Those keep the expanded value,
+        # within the guard's rounding bound of the coordinate-wise sum; the
+        # entries under their own bound are that sum exactly
+        rng = np.random.default_rng(8)
+        Z = np.vstack([100.0 * rng.standard_normal((30, 3)), 1e4 + rng.standard_normal((5, 3))])
+        X = Z[rng.permutation(35)]
+        centre = Z.mean(axis=0)
+        xn, zn = ((X - centre) ** 2).sum(axis=1), ((Z - centre) ** 2).sum(axis=1)
+        diff = X[:, None, :] - Z[None, :, :]
+        exact = np.einsum("ijk,ijk->ij", diff, diff)
+        own = kernel_module._GUARD * (xn[:, None] + zn[None, :])
+        scalar = kernel_module._GUARD * (xn.max() + zn.max())
+        flagged = exact <= own
+        kept = (exact > own) & (exact <= scalar)
+        assert flagged.sum() >= 35 and kept.sum() >= 100
+        [(_, _, K, D)] = GaussianKernel(50.0).blocks(X, Z)
+        assert np.array_equal(D[flagged], exact[flagged])
+        assert np.all(np.abs(D[kept] - exact[kept]) <= 1e-12 * exact[kept])
+        assert np.all(np.abs(D - exact) <= 1e-12 * exact)
 
     def test_compensated_high_dimension(self):
         # at d = 100 the kernel values must agree with those of an fsum distance

@@ -10,6 +10,7 @@ from kerlap.pencil import (
     _check_symmetric,
     _cholesky_with_jitter,
     _clamp_tolerance,
+    _spd_solve,
     gevd,
     pencil_solve,
     spectral_norm_estimate,
@@ -290,6 +291,15 @@ class TestReducedPencil:
         assert np.array_equal(dec.reduced, C)
         assert np.array_equal(A, copies[0]) and np.array_equal(B, copies[1])
 
+    def test_cached_eigenpairs_are_read_only(self):
+        # every read shares the cached arrays, so none may be written into
+        dec = gevd(np.diag([2.0, 1.0]), np.eye(2))
+        for values in (dec.eigenvalues, dec.eigenvectors):
+            with pytest.raises(ValueError, match="read-only"):
+                values[0] = 0.0
+        cutoff = FilterSpec("cutoff", 0.5)
+        assert np.array_equal(filter_coefficients(dec, cutoff, np.ones(2)), [0.5, 1.0])
+
     def test_solve_checks_its_arguments(self):
         pencil = gevd(np.eye(2), np.eye(2))
         assert np.allclose(pencil.solve(1.0, np.array([2.0, 4.0])), [1.0, 2.0], atol=1e-12)
@@ -347,6 +357,35 @@ class TestCholeskyWithJitter:
         expected, info = dpotrf(M + jitter * np.eye(30), lower=1, clean=1)
         assert info == 0 and np.array_equal(L, expected)
         assert np.array_equal(M, before)
+
+    def test_in_place_retry_matches_the_copying_one(self):
+        # potrf factors a Fortran-order M in place, over its lower triangle;
+        # the retry restores that from the upper one and shifts as the
+        # copying path does.  At 300 potrf is blocked, and its failure
+        # leaves the trailing block updated
+        rng = np.random.default_rng(5)
+        G = rng.standard_normal((300, 4))
+        M = G @ G.T
+        L, jitter = _cholesky_with_jitter(M, "M")
+        work = np.asfortranarray(M)
+        L_in_place, jitter_in_place = _cholesky_with_jitter(work, "M", overwrite=True)
+        assert jitter_in_place == jitter > 0.0
+        assert np.array_equal(np.tril(L_in_place), L)
+        assert np.array_equal(work, M)
+        P = np.asfortranarray(M + np.eye(300))
+        factor, jitter = _cholesky_with_jitter(P, "P", overwrite=True)
+        assert jitter == 0.0 and np.shares_memory(factor, P)
+        assert np.array_equal(np.tril(factor), dpotrf(M + np.eye(300), lower=1, clean=1)[0])
+
+    def test_spd_solve(self):
+        rng = np.random.default_rng(6)
+        G = rng.standard_normal((12, 12))
+        M, rhs = G @ G.T + np.eye(12), rng.standard_normal(12)
+        x, jitter = _spd_solve(np.asfortranarray(M), rhs, "M")
+        assert jitter == 0.0
+        assert np.linalg.norm(M @ x - rhs) <= 1e-12 * np.linalg.norm(rhs)
+        with pytest.raises(SingularPencilError, match="^M is not positive definite"):
+            _spd_solve(np.asfortranarray(-M), rhs, "M")
 
 
 class TestPencilSolve:
