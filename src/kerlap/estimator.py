@@ -128,13 +128,14 @@ def fit(
 ) -> FittedModel:
     """Landmark-compressed spectral-filtering fit.
 
-    Work is O(p^2 d) for the landmark Gram, O(p^2 r) for its pivoted
-    Cholesky, O(n r d + n r^2) for the assembly over the r <= p landmarks it
-    keeps, and O(r^3 / 3) for each of the Cholesky factorizations that
-    reduce the pencil, check it and solve it (the Tikhonov filter) or
-    O(r^3) for an eigensolve (the cutoff filter); memory is O(p^2) plus one
-    row chunk of ``GaussianKernel.blocks``.  The model stores one
-    coefficient per kept landmark.
+    Work is O(p^2 d / 2) for the triangle of the landmark Gram, O(p^2 r)
+    for its pivoted Cholesky, O(n r d + n r^2) for the assembly over the
+    r <= p landmarks it keeps (whitened, the landmark rows' share of A
+    comes from that Cholesky factor), and O(r^3 / 3) for each of the
+    Cholesky factorizations that reduce the pencil, check it and solve it
+    (the Tikhonov filter) or O(r^3) for an eigensolve (the cutoff filter);
+    memory is O(p^2) plus one row chunk of ``GaussianKernel.blocks``.  The
+    model stores one coefficient per kept landmark.
     """
     instance("ds", ds, SemiDataset)
     instance("kernel", kernel, GaussianKernel)
@@ -165,21 +166,27 @@ def _landmark_pencil(
     sigma_over_labeled: bool = False,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
     """(kept, A, B, b, factor): the kept landmark indices, their pencil,
-    its moment vector b and the factor it is whitened by, if any.
+    its moment vector b and the factor L it is whitened by, if any.
 
     ``assemble`` builds the pencil over the kept landmarks.  When the drawn
     landmarks' Gram has full numerical rank and is not near singular (its
     last pivot is at least ``operators.WHITEN_PIVOT``), the kept ones are the
     draw as it stands, factor is None and (A, B) is their pencil.
-    Otherwise ``assemble`` whitens it by the kept Gram's Cholesky factor L:
+    Otherwise ``assemble`` is given the pruning's partial factor, and
+    whitens the pencil by its first rows, the kept Gram's Cholesky factor L:
     (A, B) is then L^-1 (A, B) L^-T, whose generalized eigenvectors map
     back by L^-T to those of the kept landmarks' pencil, with the same
     eigenvalues.  b is never whitened.
     """
     landmarks = select_landmarks(ds, p, seed)
-    kept, factor = prune_landmarks(ds, kernel, landmarks)
-    bundle = assemble(ds, kernel, kept, mu, sigma_over_labeled=sigma_over_labeled, factor=factor)
-    return kept, bundle.A, bundle.B, bundle.b, factor  # Kpp is freed
+    drawn, factor = prune_landmarks(ds, kernel, landmarks)
+    bundle = assemble(ds, kernel, drawn, mu, sigma_over_labeled=sigma_over_labeled, factor=factor)
+    if factor is None:
+        return drawn, bundle.A, bundle.B, bundle.b, None  # Kpp is freed
+    r = factor.shape[1]
+    # L in C order, which solve_triangular reads without a copy; the rest
+    # of the partial factor is freed here
+    return drawn[:r], bundle.A, bundle.B, bundle.b, np.ascontiguousarray(factor[:r])
 
 
 def _landmark_eigenvectors(

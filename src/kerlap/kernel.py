@@ -7,7 +7,8 @@ of two (rows, d) arrays: ``gram`` (kernel values), ``grad1_gram`` (gradients
 in the first argument) and ``cross_hessian_gram`` (mixed second derivatives,
 one per argument).  A single pair is a batch of one row each.  ``blocks``
 yields ``gram`` and the squared distances behind it chunk by chunk: the
-pruning Gram, the landmark assembly and prediction all loop over it.
+landmark assembly and prediction loop over it, and the pruning Gram takes
+chunks of the same ``chunk_rows``.
 
 Squared distances come from the expansion ||x||^2 + ||z||^2 - 2<x, z>, the
 whole block as one BLAS matrix product of rows augmented by their squared
@@ -129,6 +130,13 @@ def _sqdist_expanded(X: np.ndarray, Z: np.ndarray, out: np.ndarray | None = None
     return D
 
 
+def chunk_rows(n: int, m: int) -> int:
+    """Rows in a chunk of n rows evaluated against m columns, max(1, min(n,
+    _CHUNK_BUDGET // m)): a chunk holds at most _CHUNK_BUDGET entries unless
+    one row alone is wider."""
+    return max(1, min(n, _CHUNK_BUDGET // max(m, 1)))
+
+
 def bandwidth(name: str, value) -> float:
     """``value`` as a bandwidth: a real whose sigma^2 is a normal double and
     2 sigma^2 finite, else ``InvalidArgumentError`` naming ``name``."""
@@ -180,20 +188,21 @@ class GaussianKernel:
             np.exp(out, out=out)
         return out
 
-    def gram(self, X: np.ndarray, Z: np.ndarray) -> np.ndarray:
-        """k(X[i], Z[j]) for all pairs, shape (n, m)."""
-        sq = _sqdist_expanded(*_checked(X, Z))
+    def gram(self, X: np.ndarray, Z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """k(X[i], Z[j]) for all pairs, shape (n, m), written into ``out``
+        when it is given, a C-contiguous (n, m) array."""
+        sq = _sqdist_expanded(*_checked(X, Z), out=out)
         return self._from_sqdist(sq, out=sq)
 
     def blocks(self, X: np.ndarray, Z: np.ndarray):
-        """Yield (start, stop, K, D) for chunks of min(n, max(1, _CHUNK_BUDGET
-        // len(Z))) rows of X: K = ``gram(X[start:stop], Z)`` and D the squared
+        """Yield (start, stop, K, D) for chunks of ``chunk_rows(len(X),
+        len(Z))`` rows of X: K = ``gram(X[start:stop], Z)`` and D the squared
         distances it is made from.  K and D are views of two C-contiguous
         buffers reused for every chunk, which saves page faults: a caller may
         overwrite them, and copies what it keeps."""
         X, Z = _checked(X, Z)
         n, m = X.shape[0], Z.shape[0]
-        chunk = max(1, min(n, _CHUNK_BUDGET // max(m, 1)))
+        chunk = chunk_rows(n, m)
         k_buf = np.empty((chunk, m))
         d_buf = np.empty((chunk, m))
         for start in range(0, n, chunk):

@@ -39,10 +39,13 @@ NeurIPS 2017).
 
 Before assembly, ``prune_landmarks`` drops the drawn landmarks whose kernel
 functions are numerically dependent on the others (a pivoted Cholesky of
-Kpp).  When it drops any, or keeps them all but its last pivot is below
-``WHITEN_PIVOT``, ``assemble`` is given the Cholesky factor L of the kept
-ones' Kpp and whitens the pencil by it in the same loop, so that B is
-well-conditioned however redundant the draw was.
+one triangle of Kpp).  When it drops any, or keeps them all but its last
+pivot is below ``WHITEN_PIVOT``, ``assemble`` is given the partial factor:
+its first rows are the Cholesky factor L of the kept ones' Kpp, and each
+of its rows is a drawn landmark's whitened feature vector.  ``assemble``
+whitens the pencil by L in the same loop, so that B is well-conditioned
+however redundant the draw was, and takes the landmark rows' share of A~
+from the factor instead of solving for it.
 
 ``assemble_dense`` builds the same objects over the exact n*(d+1)-dimensional
 representer basis {k_{X_i}} + {d_j k_{X_i}} instead of a landmark subset.
@@ -72,7 +75,7 @@ from .errors import (
     InvalidArgumentError, NumericalConsistencyError, ResourceLimitError, array, instance, integer,
     lapack_info, real,
 )
-from .kernel import GaussianKernel
+from .kernel import GaussianKernel, chunk_rows
 
 DEFAULT_DENSE_CAP = 2000
 
@@ -211,19 +214,27 @@ def assemble(
     default average over all m = n points to an average over the m = n_labeled
     labeled points only (the exact empirical-risk-minimization normalization).
 
-    ``factor`` is the lower Cholesky factor L of the landmarks' Gram, as
-    ``prune_landmarks`` returns it.  When it is given, the bundle's A and B
-    are the whitened pencil: A~ = Phi Phi^T / m with Phi = L^-1 K^T, summed
-    chunk by chunk, and B~ = L^-1 B L^-T by LAPACK ``sygst``; b and Kpp are
-    not whitened.  A~ is PSD by construction, whereas L^-1 A L^-T would be
-    left indefinite by rounding.  Since L L^T = Kpp, B~ is L^-1 (Znp^T Znp /
-    n) L^-T + mu I, so B~ >= mu I up to rounding (its smallest eigenvalue is
-    0.993-0.998 mu on the fig1 preset) and cond(B~) stays near
-    1 + ||L^-1 Znp^T Znp L^-T|| / (n mu) however close Kpp is to singular
-    (the whitening of FALKON).  If V~ are generalized eigenvectors of
-    (A~, B~), V = L^-T V~ are those of (A, B) with the same eigenvalues, so
-    filtering L^-1 b over (A~, B~) and mapping the result back by L^-T
-    filters b over (A, B).  Whitening adds O(m p^2 + p^3) work.
+    ``factor`` is the partial pivoted Cholesky factor F of the landmarks'
+    Gram, as ``prune_landmarks`` returns it with the landmarks in pivot
+    order: p x r, p the number of landmarks.  Its first r rows are the lower
+    factor L of the first r landmarks' Gram, and the pencil is then over
+    those r only.  Row i of F is the whitened feature vector phi(x) = L^-1
+    k(M, x) of landmark i, M the first r landmarks.  The bundle's A and B
+    are then the whitened pencil: A~ = sum phi(x) phi(x)^T / m over the m
+    rows A averages, and B~ = L^-1 B L^-T by LAPACK ``sygst``; b and Kpp are
+    not whitened.  The rows that are landmarks take phi from F, with one
+    ``syrk``; only the others are solved for, chunk by chunk, as
+    Phi = L^-1 K^T (none when every row is a landmark).  A~ is PSD by
+    construction, whereas L^-1 A L^-T would be left indefinite by rounding.
+    Since L L^T = Kpp, B~ is L^-1 (Znp^T Znp / n) L^-T + mu I, so
+    B~ >= mu I up to rounding (its smallest eigenvalue is 0.993-0.998 mu on
+    the fig1 preset) and cond(B~) stays near 1 + ||L^-1 Znp^T Znp L^-T|| /
+    (n mu) however close Kpp is to singular (the whitening of FALKON).  If
+    V~ are generalized eigenvectors of (A~, B~), V = L^-T V~ are those of
+    (A, B) with the same eigenvalues, so filtering L^-1 b over (A~, B~) and
+    mapping the result back by L^-T filters b over (A, B).  Whitening adds
+    O(p r^2 + r^3) work, plus O(r^2) for each row A averages that is not a
+    landmark.
 
     The whitening stays because the kept landmarks' Kpp is still near
     singular: pruning only stops at pivots of 1e-10.  Without it, cond_1(B)
@@ -238,45 +249,56 @@ def assemble(
     X, y = ds.inputs, ds.labels
     n, n_l = X.shape[0], ds.n_labeled
     idx = _landmark_indices(landmarks, n)
-    p = idx.size
-    if factor is not None:
-        # trsm and sygst take L^T (upper) in Fortran order, which is L in C
-        # order, as prune_landmarks returns it, without a copy
-        upper = np.ascontiguousarray(array("factor", factor, ndim=2)).T
-        if upper.shape != (p, p):
-            raise InvalidArgumentError(f"factor must be ({p}, {p}), got {upper.shape}")
-    coords = X[idx]
     m = n_l if sigma_over_labeled else n  # the rows A averages
+    # the rows A averages whose share is summed from their kernel values:
+    # all of them, less the landmarks when the factor holds their Phi
+    fresh = np.ones(m, dtype=bool)
+    if factor is not None:
+        factor = array("factor", factor, ndim=2)
+        r = factor.shape[1]
+        if factor.shape[0] != idx.size or not 1 <= r <= idx.size:
+            raise InvalidArgumentError(
+                f"factor must be ({idx.size}, r) with 1 <= r <= {idx.size}, got {factor.shape}"
+            )
+        averaged = idx < m
+        fresh[idx[averaged]] = False
+        idx = idx[:r]
+    p = idx.size
+    coords = X[idx]
 
     # the syrk accumulators hold upper triangles only
     ktk = np.zeros((p, p), order="F")  # K^T K
     pk = np.zeros((p, p), order="F")  # P^T K
     # the Gram A averages, when it is not K^T K: K_l^T K_l or Phi Phi^T
     shared = m == n and factor is None
-    gm = None if shared else np.zeros((p, p), order="F")
+    gm = None if shared or not fresh.any() else np.zeros((p, p), order="F")
+    # trsm and sygst take L^T (upper) in Fortran order, which is L in C
+    # order; it is copied out of F before the loop only if the loop solves
+    # with it, since at p = n the copy would add to the fit's peak memory
+    whiten_rows = factor is not None and gm is not None
+    upper = np.ascontiguousarray(factor[:p]).T if whiten_rows else None
     q = np.empty((p, p))
     kpp = np.empty((p, p))
     b = np.zeros(p)
     for start, stop, kb, db in kernel.blocks(X, coords):
-        _check_block_finite(kb, start, "kernel")
-        # an infinite distance has k = 0 and would make P = inf * 0 = NaN
+        # every distance is in [0, inf], whose kernel values are finite; an
+        # infinite one has k = 0 and would make P = inf * 0 = NaN
         _check_block_finite(db, start, "kernel derivative")
         here = (idx >= start) & (idx < stop)
-        chunk_rows = idx[here] - start
-        kpp[here] = kb[chunk_rows]
-        q[here] = db[chunk_rows]
+        at = idx[here] - start
+        kpp[here] = kb[at]
+        q[here] = db[at]
         if start < n_l:
             labeled = kb[:n_l - start]
             b = dgemv(1.0, labeled.T, y[start:stop], beta=1.0, y=b, overwrite_y=1)
         ktk = dsyrk(1.0, kb.T, beta=1.0, c=ktk, overwrite_c=1)
         db *= kb
         pk = dgemm(1.0, db.T, kb.T, beta=1.0, c=pk, trans_b=1, overwrite_c=1)
-        if not shared and start < m:
+        if gm is not None and start < m:
             rows = kb[:m - start].T
-            if factor is not None:
-                # Phi = (L^T)^-T rows, over the chunk's kernel values, which
-                # are not read again
-                rows = dtrsm(1.0, upper, rows, trans_a=1, overwrite_b=1)
+            if whiten_rows:
+                # Phi = (L^T)^-T K^T over the chunk's rows that are not landmarks
+                rows = dtrsm(1.0, upper, rows[:, fresh[start:stop]], trans_a=1, overwrite_b=1)
             gm = dsyrk(1.0, rows, beta=1.0, c=gm, overwrite_c=1)
     del kb, db
 
@@ -296,9 +318,16 @@ def assemble(
         A = ktk
     else:
         del ktk
+        if factor is not None:
+            # the landmarks' Phi Phi^T from their rows of F; at p = n these
+            # are all the rows A averages
+            phi = factor if averaged.all() else factor[averaged]
+            gm = dsyrk(1.0, phi, trans=1, beta=1.0, c=gm, overwrite_c=1)
         A = _mirror_upper(gm)
     A /= m
     if factor is not None:
+        if upper is None:
+            upper = np.ascontiguousarray(factor[:p]).T
         # sygst overwrites the upper triangle of B with that of
         # (L^T)^-T B (L^T)^-1 = L^-1 B L^-T
         C, info = dsygst(B, upper, itype=1, lower=0, overwrite_a=1)
@@ -339,37 +368,56 @@ def _gram_of_rows(a: np.ndarray) -> np.ndarray:
 def prune_landmarks(
     ds: SemiDataset, kernel: GaussianKernel, landmarks: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """The landmarks a pivoted Cholesky of their Gram keeps, and its factor.
+    """The landmarks in the order a pivoted Cholesky of their Gram keeps
+    them, and its partial factor.
 
     LAPACK ``pstrf`` factors Kpp with complete pivoting and stops at the
     first pivot at or below ``PRUNE_TOL``, after r steps.  When r = p and
     the last pivot is at least ``WHITEN_PIVOT`` this returns
     ``(landmarks, None)``: the draw, unchanged and in its order.  Otherwise
-    it returns the r pivot rows ``landmarks[piv[:r]]`` and the lower factor
-    L (r x r) with L L^T = their Gram, which ``assemble`` whitens their
-    pencil by.  The remaining pivots are the squared RKHS
-    distances of the dropped landmarks' kernel functions from the span of
-    the kept ones, all at most ``PRUNE_TOL`` (Harbrecht, Peters & Schneider,
-    Appl. Numer. Math. 2012), so what is dropped is the pencil's numerical
-    null space.  Work is O(p^2 d) for the Gram plus O(p^2 r).  ``landmarks``
-    is checked as ``assemble`` checks it.
+    it returns the draw in pivot order, ``landmarks[piv]``, and the p x r
+    partial factor F (Fortran order), rows in that order: the first r
+    landmarks are kept, and F's first r rows are the lower factor L with
+    L L^T = their Gram, which ``assemble`` whitens their pencil by.  Row i
+    of F is L^-1 k(M, x_i), M the kept landmarks: the whitened feature
+    vector of landmark i, which ``assemble`` sums A~ from.  The remaining
+    pivots are the squared RKHS distances of the dropped landmarks' kernel
+    functions from the span of the kept ones, all at most ``PRUNE_TOL``
+    (Harbrecht, Peters & Schneider, Appl. Numer. Math. 2012), so what is
+    dropped is the pencil's numerical null space.  ``pstrf`` reads one
+    triangle of Kpp, and only that one is evaluated.  Work is O(p^2 d / 2)
+    for the Gram plus O(p^2 r).  ``landmarks`` is checked as ``assemble``
+    checks it.
     """
     instance("ds", ds, SemiDataset)
     instance("kernel", kernel, GaussianKernel)
     idx = _landmark_indices(landmarks, ds.n)
     coords = ds.inputs[idx]
     p = coords.shape[0]
+    # each row chunk against the columns from its first row onward, in one
+    # reused buffer: the upper triangle of Kpp in C order, which is the
+    # lower one of the Fortran-order Kpp^T that pstrf reads and overwrites
+    # without a copy
     kpp = np.empty((p, p))
-    for start, stop, block, _ in kernel.blocks(coords, coords):
-        kpp[start:stop] = block
-    del block, _
-    # Kpp is symmetric, so its transpose is the Fortran-order array pstrf
-    # overwrites without a copy
+    step = chunk_rows(p, p)
+    buf = np.empty(step * p)
+    for start in range(0, p, step):
+        stop = min(p, start + step)
+        block = buf[:(stop - start) * (p - start)].reshape(stop - start, p - start)
+        kpp[start:stop, start:] = kernel.gram(coords[start:stop], coords[start:], out=block)
+    del buf, block
     c, piv, r, info = dpstrf(kpp.T, tol=PRUNE_TOL, lower=1, overwrite_a=1)
     lapack_info("pstrf", info)
     if r == p and c[p - 1, p - 1] ** 2 >= WHITEN_PIVOT:
         return landmarks, None
-    return idx[piv[:r] - 1], np.tril(c[:r, :r])
+    del c
+    # F is the first r columns of Kpp^T, so the first r rows of Kpp: keep
+    # them and give back the rest in place, since a copy would be made
+    # while all of Kpp is held.  No view of Kpp is left to dangle
+    kpp.resize((r, p), refcheck=False)
+    factor = kpp.T
+    factor[:r][~np.tri(r, dtype=bool)] = 0.0  # pstrf writes no entry above L's diagonal
+    return idx[piv - 1], factor
 
 
 def assemble_dense(

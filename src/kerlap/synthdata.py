@@ -107,6 +107,13 @@ def bayes_error(separation: float) -> float:
     return 0.5 * (1.0 + math.erf(-separation / (2.0 * math.sqrt(2.0))))
 
 
+def _complement(n: int, chosen: np.ndarray) -> np.ndarray:
+    """The indices in [0, n) not in ``chosen``, ascending."""
+    free = np.ones(n, dtype=bool)
+    free[chosen] = False
+    return np.flatnonzero(free)
+
+
 def gen_circles_with_truth(spec: CirclesSpec) -> tuple[SemiDataset, np.ndarray]:
     rng = np.random.default_rng(spec.seed)
     c = spec.num_circles
@@ -152,7 +159,7 @@ def gen_circles_with_truth(spec: CirclesSpec) -> tuple[SemiDataset, np.ndarray]:
         ci += 1
     labeled_idx = np.array(labeled_idx, dtype=np.int64)
     rng.shuffle(labeled_idx)
-    rest = np.setdiff1d(np.arange(spec.n), labeled_idx)
+    rest = _complement(spec.n, labeled_idx)
     rng.shuffle(rest)
     order = np.concatenate([labeled_idx, rest])
     ds = SemiDataset(inputs=points[order], labels=truth[labeled_idx].astype(float))
@@ -172,17 +179,18 @@ def gen_gaussian_mix_with_truth(spec: GaussianMixSpec) -> tuple[SemiDataset, np.
     chosen = None
     for _ in range(_BALANCE_RETRIES):
         candidate = rng.choice(spec.n, size=spec.n_labeled, replace=False)
-        if spec.n_labeled < 2 or np.unique(classes[candidate]).size == 2:
+        picked = classes[candidate]
+        if spec.n_labeled < 2 or picked.min() != picked.max():
             chosen = candidate
             break
-        if np.unique(classes).size < 2:
+        if classes.min() == classes.max():
             break  # a single-class sample can never balance
     if chosen is None:
         raise InvalidArgumentError(
             "could not draw a labeled subset containing both classes "
             f"after {_BALANCE_RETRIES} attempts"
         )
-    rest = np.setdiff1d(np.arange(spec.n), chosen)
+    rest = _complement(spec.n, chosen)
     order = np.concatenate([chosen, rest])
     ds = SemiDataset(inputs=points[order], labels=classes[chosen].astype(float))
     return ds, classes[order].astype(np.int64)

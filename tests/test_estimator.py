@@ -490,8 +490,9 @@ class TestDistanceExpansionPath:
         assert np.all(np.isfinite(harmonic_propagate(ds, GraphConfig(0.8)).values))
 
     def test_pruned_fit_evaluates_each_kernel_value_once(self, monkeypatch):
-        # the landmark Gram of the draw for the pruning, then the n x r data
-        # to kept-landmark values once, whitened in the same pass
+        # the triangle of the draw's landmark Gram that the pruning reads,
+        # each 7-row chunk against the columns from its first row onward,
+        # then the n x r data to kept-landmark values once
         counted = []
         expand = kernel_module._sqdist_expanded
 
@@ -505,7 +506,8 @@ class TestDistanceExpansionPath:
         ds = SemiDataset(np.repeat(rng.standard_normal((30, 3)), 2, axis=0),
                          rng.standard_normal(10))
         r = fit(ds, GaussianKernel(0.8), 40, 0.1, TIK, seed=2).coefficients.size
-        assert r < 40 and sum(counted) == 40 * 40 + ds.n * r
+        triangle = sum(min(7, 40 - start) * (40 - start) for start in range(0, 40, 7))
+        assert r < 40 and sum(counted) == triangle + ds.n * r
 
 
 class TestDecodeSign:

@@ -232,12 +232,17 @@ class TestAssemble:
         X = np.vstack([np.repeat(grid, 2, axis=0), rng.uniform(0, 2, (10, 2))])
         ds = SemiDataset(inputs=X, labels=rng.standard_normal(7))
         k, mu = GaussianKernel(0.6), 0.3
-        kept, L = prune_landmarks(ds, k, np.arange(18))
-        assert L is not None
-        p = kept.size
-        single = [assemble(ds, k, kept, mu, over_labeled, factor) for factor in (None, L)]
-        monkeypatch.setattr(kernel_module, "_CHUNK_BUDGET", 4 * p)
-        chunked = [assemble(ds, k, kept, mu, over_labeled, factor) for factor in (None, L)]
+        drawn, F = prune_landmarks(ds, k, np.arange(18))
+        assert F is not None
+        r = F.shape[1]
+
+        def both():
+            return [assemble(ds, k, drawn[:r], mu, over_labeled),
+                    assemble(ds, k, drawn, mu, over_labeled, F)]
+
+        single = both()
+        monkeypatch.setattr(kernel_module, "_CHUNK_BUDGET", 4 * r)
+        chunked = both()
         for one, four in zip(single, chunked):
             for name in ("A", "b", "kpp"):
                 assert np.abs(getattr(four, name) - getattr(one, name)).max() <= 1e-15, name
@@ -383,20 +388,44 @@ class TestPruneAndWhiten:
     @pytest.mark.parametrize("budget", [None, 7 * 60])
     def test_factor_of_kept_gram(self, budget, monkeypatch):
         # 60 points on a 1-d interval at sigma = 0.5: Kpp of all of them has
-        # numerical rank below 60; the kept rows' Gram is L L^T, in one chunk
-        # and in 7-row chunks
+        # numerical rank below 60.  The draw comes back in pivot order with
+        # the 60 x r partial factor F: the first r are kept and their Gram is
+        # L L^T, L the first r rows of F, in one chunk and in 7-row chunks.
+        # F F^T is the whole draw's Gram up to the dropped pivots
         if budget:
             monkeypatch.setattr(kernel_module, "_CHUNK_BUDGET", budget)
         rng = np.random.default_rng(22)
         ds = SemiDataset(inputs=rng.uniform(-2, 2, (60, 1)), labels=[1.0])
         k = GaussianKernel(0.5)
         lm = select_landmarks(ds, 60, seed=23)
-        kept, L = prune_landmarks(ds, k, lm)
-        r = kept.size
-        assert r < 60 and np.isin(kept, lm).all() and np.unique(kept).size == r
-        assert L.shape == (r, r) and np.array_equal(L, np.tril(L))
-        M = ds.inputs[kept]
+        drawn, F = prune_landmarks(ds, k, lm)
+        r = F.shape[1]
+        assert r < 60 and np.array_equal(np.sort(drawn), np.sort(lm))
+        L = F[:r]
+        assert F.shape == (60, r) and np.array_equal(L, np.tril(L))
+        M = ds.inputs[drawn[:r]]
         assert np.abs(L @ L.T - k.gram(M, M)).max() <= 1e-12
+        G = k.gram(ds.inputs[drawn], ds.inputs[drawn])
+        assert np.abs(F @ F.T - G).max() <= operators.PRUNE_TOL + 1e-12
+
+    def test_one_chunk_triangle_matches_the_full_gram(self, monkeypatch):
+        # p <= 724 is one chunk: the triangle pstrf reads is bit for bit
+        # that of the whole Gram the kernel gives
+        rng = np.random.default_rng(28)
+        X = rng.standard_normal((40, 3)) + 1e3
+        inputs = []
+
+        def recording_dpstrf(a, **kwargs):
+            inputs.append(np.tril(a))
+            return dpstrf(a, **kwargs)
+
+        monkeypatch.setattr(operators, "dpstrf", recording_dpstrf)
+        ds = SemiDataset(inputs=X, labels=[1.0])
+        k = GaussianKernel(0.7)
+        lm = select_landmarks(ds, 30, seed=29)
+        prune_landmarks(ds, k, lm)
+        M = ds.inputs[lm]
+        assert len(inputs) == 1 and np.array_equal(inputs[0], np.tril(k.gram(M, M).T))
 
     @pytest.mark.parametrize("case", ["gaussian", "offset 1e8", "two clusters 1e6", "duplicates"])
     def test_gram_diagonal_is_exactly_one_into_pstrf(self, case, monkeypatch):
@@ -426,26 +455,37 @@ class TestPruneAndWhiten:
     def test_whitened_pencil_is_congruent_to_assembled(self, over_labeled):
         # duplicated rows make the drawn Gram singular, while the kept one is
         # well-conditioned: then L A~ L^T = A and L B~ L^T = B, and A~ is
-        # Phi Phi^T / m with Phi = L^-1 K^T over the rows A averages
+        # Phi Phi^T / m with Phi = L^-1 K^T over the rows A averages.  The
+        # p < n draw leaves labeled and unlabeled rows out, whose Phi is
+        # solved for; at p = n every row's Phi is a row of the factor
         grid = np.array([[i, j] for i in range(3) for j in range(3)], dtype=float)
         rng = np.random.default_rng(24)
         X = np.vstack([np.repeat(grid, 2, axis=0), rng.uniform(0, 2, (10, 2))])
         ds = SemiDataset(inputs=X, labels=rng.standard_normal(5))
         k, mu = GaussianKernel(0.6), 0.3
-        kept, L = prune_landmarks(ds, k, np.arange(18))
-        assert kept.size == 9
-        bun = assemble(ds, k, kept, mu, sigma_over_labeled=over_labeled)
-        white = assemble(ds, k, kept, mu, sigma_over_labeled=over_labeled, factor=L)
-        A, B = white.A, white.B
-        assert np.abs(L @ A @ L.T - bun.A).max() <= 1e-12 * np.abs(bun.A).max()
-        assert np.abs(L @ B @ L.T - bun.B).max() <= 1e-12 * np.abs(bun.B).max()
-        rows = ds.inputs[: ds.n_labeled] if over_labeled else ds.inputs
-        phi = np.linalg.solve(L, k.gram(rows, ds.inputs[kept]).T)
-        assert np.abs(A - phi @ phi.T / rows.shape[0]).max() <= 1e-12 * np.abs(A).max()
-        assert np.array_equal(white.b, bun.b) and np.array_equal(white.kpp, bun.kpp)
-        assert np.array_equal(A, A.T) and np.array_equal(B, B.T)
-        assert np.linalg.eigvalsh(B).min() >= mu * (1 - 1e-12)
+        for draw in (np.arange(2, 20), np.arange(28)):
+            drawn, F = prune_landmarks(ds, k, draw)
+            r = F.shape[1]
+            assert r < drawn.size
+            kept, L = drawn[:r], F[:r]
+            bun = assemble(ds, k, kept, mu, sigma_over_labeled=over_labeled)
+            white = assemble(ds, k, drawn, mu, sigma_over_labeled=over_labeled, factor=F)
+            A, B = white.A, white.B
+            assert np.abs(L @ A @ L.T - bun.A).max() <= 1e-12 * np.abs(bun.A).max()
+            assert np.abs(L @ B @ L.T - bun.B).max() <= 1e-12 * np.abs(bun.B).max()
+            rows = ds.inputs[: ds.n_labeled] if over_labeled else ds.inputs
+            phi = np.linalg.solve(L, k.gram(rows, ds.inputs[kept]).T)
+            assert np.abs(A - phi @ phi.T / rows.shape[0]).max() <= 1e-12 * np.abs(A).max()
+            assert np.array_equal(white.b, bun.b) and np.array_equal(white.kpp, bun.kpp)
+            assert np.array_equal(A, A.T) and np.array_equal(B, B.T)
+            assert np.linalg.eigvalsh(B).min() >= mu * (1 - 1e-12)
 
+    @pytest.mark.parametrize("shape", [(2, 2), (3, 4), (3, 0)])
+    def test_factor_shape_must_follow_the_landmarks(self, shape):
+        # one row per landmark and at most as many columns
+        ds = SemiDataset(inputs=[[0.0], [1.0], [2.0]], labels=[1.0])
+        with pytest.raises(InvalidArgumentError, match=r"factor must be \(3, r\)"):
+            assemble(ds, GaussianKernel(1.0), [0, 1, 2], 0.1, factor=np.ones(shape))
 
     @pytest.mark.parametrize("pruned", [False, True])
     def test_assembly_memory_does_not_grow_with_n(self, pruned, monkeypatch):
