@@ -23,7 +23,7 @@ import numpy as np
 from .baselines import GraphConfig, graph_bandwidth, harmonic_propagate, krr_fit
 from .errors import InvalidArgumentError, KerlapError, array, instance, integer, real
 from .estimator import (
-    FittedModel, _kernel_expansion, _landmark_eigenvectors, clip_bound, decode_sign, fit,
+    FittedModel, _kernel_expansion, _landmark_decomposition, clip_bound, decode_sign, fit,
     fit_exact, predict, schedule,
 )
 from .filters import FILTER_KINDS, FilterSpec
@@ -379,12 +379,12 @@ def export_eigenvectors(
     if integer("count", count, low=0) > integer("p", p):
         raise InvalidArgumentError(f"count must satisfy 0 <= count <= p, got {count}")
 
-    kept, V = _landmark_eigenvectors(ds, kernel, p, mu, seed)
+    kept, dec, _ = _landmark_decomposition(ds, kernel, p, mu, seed)
     if count > kept.size:
         raise InvalidArgumentError(
             f"count {count} exceeds the {kept.size} landmarks kept from the {p} drawn"
         )
-    values = _kernel_expansion(kernel, grid, ds.inputs[kept], V[:, :count])
+    values = _kernel_expansion(kernel, grid, ds.inputs[kept], dec.eigenvectors[:, :count])
     for j in range(count):
         col = values[:, j]
         nz = np.flatnonzero(np.abs(col) > 1e-12 * np.abs(col).max(initial=1e-300))

@@ -9,8 +9,10 @@ spectral filtering of b, producing coefficients c that define
 g(x) = sum_i c_i k(x, M_i).  The Tikhonov filter is one Cholesky solve of
 the reduced pencil, O(r^3 / 3) work; only the cutoff filter eigensolves it,
 O(r^3).  When the pruning drops landmarks, or the draw is near singular,
-the pencil is assembled whitened by the Cholesky factor of the kept Kpp,
-which keeps it well-conditioned however redundant the draw was.
+the pencil is assembled whitened by the Cholesky factor L of the kept Kpp,
+which keeps it well-conditioned however redundant the draw was, and L is
+composed into ``gevd``'s factor of B, so that the filter and the
+eigenvectors read the decomposition of the kept landmarks' own pencil.
 
 The dense oracle minimizes the regularized empirical risk over the full
 n*(d+1) representer basis and is the quality/correctness reference for the
@@ -23,11 +25,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import solve_triangular
-from scipy.linalg.blas import dgemm, dgemv
+from scipy.linalg.blas import dgemm, dgemv, dtrmm
 
 from .errors import InvalidArgumentError, array, instance, integer, real
 from .filters import FilterSpec, filter_coefficients
@@ -35,7 +36,7 @@ from .kernel import GaussianKernel
 from .operators import (
     DEFAULT_DENSE_CAP, SemiDataset, _extended_gram, assemble, prune_landmarks, select_landmarks,
 )
-from .pencil import _spd_solve, gevd
+from .pencil import PencilDecomposition, _spd_solve, gevd
 
 LANDMARK_KERNEL = "landmark_kernel"
 DENSE_REPRESENTER = "dense_representer"
@@ -133,72 +134,61 @@ def fit(
     r <= p landmarks it keeps (whitened, the landmark rows' share of A
     comes from that Cholesky factor), and O(r^3 / 3) for each of the
     Cholesky factorizations that reduce the pencil, check it and solve it
-    (the Tikhonov filter) or O(r^3) for an eigensolve (the cutoff filter);
-    memory is O(p^2) plus one row chunk of ``GaussianKernel.blocks``.  The
-    model stores one coefficient per kept landmark.
+    (the Tikhonov filter) or O(r^3) for an eigensolve (the cutoff filter),
+    plus O(r^3) on a whitened draw to compose the whitening into the
+    pencil's factor; memory is O(p^2) plus one row chunk of
+    ``GaussianKernel.blocks``.  The model stores one coefficient per kept
+    landmark.
     """
     instance("ds", ds, SemiDataset)
     instance("kernel", kernel, GaussianKernel)
     instance("filter_spec", filter_spec, FilterSpec)
-    kept, A, B, b, factor = _landmark_pencil(ds, kernel, p, mu, seed, sigma_over_labeled)
-    dec = gevd(A, B)
-    del A, B  # the decomposition keeps L and C, not A or B
-    if factor is not None:  # the whitened pencil filters L^-1 b; c is L^-T of that
-        b = solve_triangular(factor, b, lower=True, check_finite=False)
-    coef = filter_coefficients(dec, filter_spec, b)
-    if factor is not None:
-        coef = solve_triangular(factor, coef, lower=True, trans="T", check_finite=False)
+    kept, dec, b = _landmark_decomposition(ds, kernel, p, mu, seed, sigma_over_labeled)
     return FittedModel(
         kernel=kernel,
         basis_coordinates=ds.inputs[kept],
-        coefficients=coef,
+        coefficients=filter_coefficients(dec, filter_spec, b),
         basis_kind=LANDMARK_KERNEL,
         clip_bound=clip_bound(ds.labels, clip),
     )
 
 
-def _landmark_pencil(
+def _landmark_decomposition(
     ds: SemiDataset,
     kernel: GaussianKernel,
     p: int,
     mu: float,
     seed: int,
     sigma_over_labeled: bool = False,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
-    """(kept, A, B, b, factor): the kept landmark indices, their pencil,
-    its moment vector b and the factor L it is whitened by, if any.
+) -> tuple[np.ndarray, PencilDecomposition, np.ndarray]:
+    """(kept, dec, b): the kept landmark indices, the decomposition of their
+    pencil (A, B) and its moment vector b.
 
     ``assemble`` builds the pencil over the kept landmarks.  When the drawn
     landmarks' Gram has full numerical rank and is not near singular (its
     last pivot is at least ``operators.WHITEN_PIVOT``), the kept ones are the
-    draw as it stands, factor is None and (A, B) is their pencil.
-    Otherwise ``assemble`` is given the pruning's partial factor, and
-    whitens the pencil by its first rows, the kept Gram's Cholesky factor L:
-    (A, B) is then L^-1 (A, B) L^-T, whose generalized eigenvectors map
-    back by L^-T to those of the kept landmarks' pencil, with the same
-    eigenvalues.  b is never whitened.
+    draw as it stands and dec is ``gevd`` of their pencil.  Otherwise
+    ``assemble`` is given the pruning's partial factor, and whitens the
+    pencil by its first rows, the kept Gram's Cholesky factor L, to
+    (A~, B~) = L^-1 (A, B) L^-T.  ``gevd`` of that gives a factor L~ with
+    L~ L~^T = B~, so (L L~)(L L~)^T = B, and both pencils reduce to the
+    same C = L~^-1 A~ L~^-T: with L L~ (BLAS ``trmm``) for its factor, the
+    decomposition is that of (A, B) itself.  b is never whitened.
     """
     landmarks = select_landmarks(ds, p, seed)
     drawn, factor = prune_landmarks(ds, kernel, landmarks)
     bundle = assemble(ds, kernel, drawn, mu, sigma_over_labeled=sigma_over_labeled, factor=factor)
+    A, B, b = bundle.A, bundle.B, bundle.b
+    del bundle  # Kpp is freed before gevd
     if factor is None:
-        return drawn, bundle.A, bundle.B, bundle.b, None  # Kpp is freed
+        return drawn, gevd(A, B), b
     r = factor.shape[1]
-    # L in C order, which solve_triangular reads without a copy; the rest
-    # of the partial factor is freed here
-    return drawn[:r], bundle.A, bundle.B, bundle.b, np.ascontiguousarray(factor[:r])
-
-
-def _landmark_eigenvectors(
-    ds: SemiDataset, kernel: GaussianKernel, p: int, mu: float, seed: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """The kept landmark indices and the generalized eigenvectors of their
-    pencil (``gevd``'s order and normalization)."""
-    kept, A, B, _, factor = _landmark_pencil(ds, kernel, p, mu, seed)
-    V = gevd(A, B).eigenvectors
-    if factor is not None:
-        V = solve_triangular(factor, V, lower=True, trans="T", check_finite=False)
-    return kept, V
+    # L in the Fortran order trmm reads; the rest of the partial factor is
+    # freed before gevd
+    L = np.asfortranarray(factor[:r])
+    del factor
+    dec = gevd(A, B)
+    return drawn[:r], replace(dec, factor=dtrmm(1.0, L, dec.factor, lower=1, overwrite_b=1)), b
 
 
 def fit_exact(

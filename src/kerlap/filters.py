@@ -73,8 +73,7 @@ def filter_coefficients(dec: PencilDecomposition, f: FilterSpec, b: np.ndarray) 
     if f.kind == TIKHONOV:
         return dec.solve(f.lam, b)
     weights = apply(f, dec.eigenvalues)
-    # on scipy's BLAS, as the fit's products; a C-order V goes in as its
-    # Fortran-order transpose and an F-order one as itself, without a copy
-    V = dec.eigenvectors
-    Vf, t = (V.T, 0) if V.flags.c_contiguous else (V, 1)  # op_t(Vf) = V^T
-    return dgemv(1.0, Vf, weights * dgemv(1.0, Vf, b, trans=t), trans=1 - t)
+    # on scipy's BLAS, as the fit's products; the C-order V goes in as its
+    # Fortran-order transpose, without a copy
+    Vt = dec.eigenvectors.T
+    return dgemv(1.0, Vt, weights * dgemv(1.0, Vt, b), trans=1)

@@ -230,9 +230,9 @@ def assemble(
     B~ >= mu I up to rounding (its smallest eigenvalue is 0.993-0.998 mu on
     the fig1 preset) and cond(B~) stays near 1 + ||L^-1 Znp^T Znp L^-T|| /
     (n mu) however close Kpp is to singular (the whitening of FALKON).  If
-    V~ are generalized eigenvectors of (A~, B~), V = L^-T V~ are those of
-    (A, B) with the same eigenvalues, so filtering L^-1 b over (A~, B~) and
-    mapping the result back by L^-T filters b over (A, B).  Whitening adds
+    L~ L~^T = B~, then (L L~)(L L~)^T = B and both pencils reduce to the
+    same C = L~^-1 A~ L~^-T, so a decomposition of (A~, B~) with L L~ for
+    its factor is one of (A, B), which the fit filters b over.  Whitening adds
     O(p r^2 + r^3) work, plus O(r^2) for each row A averages that is not a
     landmark.
 

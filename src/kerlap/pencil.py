@@ -86,11 +86,16 @@ def spectral_norm_estimate(M: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class PencilDecomposition:
-    """The pencil (A, B) in standard form, as ``gevd`` returns it: ``factor``
-    is the lower Cholesky factor L of B + jitter*I, and the lower triangle of
-    ``reduced`` (Fortran order) holds C = L^-1 A L^-T, whose eigenvalues are
-    the pencil's.  ``jitter`` records the diagonal shift added to B when its
-    Cholesky factorization needed a retry (0.0 in the usual case).
+    """The pencil (A, B) in standard form: ``factor`` is any lower-triangular
+    L with L L^T = B, and the lower triangle of ``reduced``
+    (Fortran order) holds C = L^-1 A L^-T, whose eigenvalues are the
+    pencil's.  ``gevd`` gives the Cholesky factor of B + jitter*I, ``jitter``
+    recording the diagonal shift added to B when its Cholesky factorization
+    needed a retry (0.0 in the usual case).  For a whitened fit
+    (``estimator._landmark_decomposition``) the factor is W L~: W is the
+    Cholesky factor of the kept landmarks' Gram Kpp, which whitened the
+    pencil to (A~, B~) = W^-1 (A, B) W^-T, and L~ is ``gevd``'s factor of
+    B~, so a jitter on B~ means B + jitter*Kpp.
 
     The eigenpairs are computed on first read of ``eigenvalues`` or
     ``eigenvectors``: eigenvalues non-increasing, column i of

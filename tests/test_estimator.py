@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 from scipy.linalg.lapack import dpocon, dpotrf
 
 from kerlap import estimator, kernel as kernel_module, operators, pencil
@@ -17,7 +18,7 @@ from kerlap.estimator import (
     LANDMARK_KERNEL,
     FittedModel,
     ScheduleParams,
-    _landmark_pencil,
+    _landmark_decomposition,
     decode_sign,
     fit,
     fit_exact,
@@ -28,7 +29,9 @@ from kerlap.estimator import (
 )
 from kerlap.filters import FilterSpec, filter_coefficients
 from kerlap.kernel import GaussianKernel
-from kerlap.operators import SemiDataset, assemble, assemble_dense, select_landmarks
+from kerlap.operators import (
+    SemiDataset, assemble, assemble_dense, prune_landmarks, select_landmarks,
+)
 from kerlap.pencil import gevd, pencil_solve
 from kerlap.synthdata import CirclesSpec, gen_circles
 
@@ -154,6 +157,43 @@ class TestFit:
         rcond, info = dpocon(L, np.linalg.norm(pencils[0], 1), uplo="L")
         assert info == 0 and 1.0 / rcond <= 1e6
 
+    @pytest.mark.parametrize("draw", ["circles-0", "circles-1", "fig1-p200"])
+    def test_whitened_decomposition_is_the_kept_pencils(self, draw):
+        # on whitened draws (circles n = p = 400 at sigma 0.2, which prune,
+        # and the full-rank, near-singular fig1 draw above) the decomposition
+        # with the whitening composed into its factor decomposes the kept
+        # landmarks' own pencil: it filters b and gives eigenvectors as the
+        # whitened pencil's do, filtering L^-1 b and mapping back by L^-T
+        if draw == "fig1-p200":
+            cfg = preset("fig1")
+            ds, _ = generate_instance(cfg, 2000, trial_seed(0, 2000, 0))
+            k, p, mu, seed = GaussianKernel(cfg.kernel_sigma), 200, 1.0 / 2000, 0
+        else:
+            seed = int(draw[-1])
+            ds = gen_circles(CirclesSpec(n=400, n_labeled=4, angles="equispaced", seed=seed))
+            k, p, mu = GaussianKernel(0.2), 400, 1.0 / 400
+        kept, dec, b = _landmark_decomposition(ds, k, p, mu, seed)
+        B = assemble(ds, k, kept, mu).B
+        W = dec.factor
+        assert np.linalg.norm(W @ W.T - B) <= 1e-12 * np.linalg.norm(B)
+
+        drawn, F = prune_landmarks(ds, k, select_landmarks(ds, p, seed))
+        assert F is not None
+        r = F.shape[1]
+        assert np.array_equal(drawn[:r], kept)
+        whitened = assemble(ds, k, drawn, mu, factor=F)
+        L = F[:r]
+        two_step = gevd(whitened.A, whitened.B)
+        for spec, bound in ((TIK, 1e-10), (FilterSpec("cutoff", 1e-3), 1e-8)):
+            c = solve_triangular(L, b, lower=True)
+            c = solve_triangular(L, filter_coefficients(two_step, spec, c), lower=True, trans="T")
+            ref = predict(FittedModel(k, ds.inputs[kept], c, LANDMARK_KERNEL), ds.inputs)
+            got = predict(FittedModel(k, ds.inputs[kept], filter_coefficients(dec, spec, b),
+                                      LANDMARK_KERNEL), ds.inputs)
+            assert np.linalg.norm(got - ref) <= bound * np.linalg.norm(ref)
+        V = solve_triangular(L, two_step.eigenvectors, lower=True, trans="T")
+        assert np.linalg.norm(dec.eigenvectors - V) <= 1e-12 * np.linalg.norm(V)
+
     def test_only_the_cutoff_filter_eigensolves(self, monkeypatch):
         def no_eigensolve(*args, **kwargs):
             raise RuntimeError("syevd called")
@@ -168,8 +208,7 @@ class TestFit:
         with pytest.raises(RuntimeError, match="syevd called"):
             export_eigenvectors(ds, k, 10, 0.1, 2, ds.inputs)
         # the replay route: gevd leaves the eigenpairs to their first read
-        _, A, B, b, _ = _landmark_pencil(ds, k, 10, 0.1, 0)
-        dec = gevd(A, B)
+        _, dec, b = _landmark_decomposition(ds, k, 10, 0.1, 0)
         assert np.all(np.isfinite(filter_coefficients(dec, TIK, b)))
         with pytest.raises(RuntimeError, match="syevd called"):
             dec.eigenvalues
@@ -180,9 +219,8 @@ class TestFit:
         grid = np.array([[i, j] for i in range(4) for j in range(3)], dtype=float) * 1.5
         X = np.repeat(grid, 3, axis=0)
         ds = SemiDataset(X, np.linspace(-1.0, 1.0, 6))
-        kept, A, B, _, _ = _landmark_pencil(ds, GaussianKernel(0.7), X.shape[0], 0.1, 0)
+        kept, dec, _ = _landmark_decomposition(ds, GaussianKernel(0.7), X.shape[0], 0.1, 0)
         assert kept.size == len(grid) == np.unique(X[kept], axis=0).shape[0]
-        dec = gevd(A, B)
         assert dec.jitter == 0.0
         assert dec.eigenvectors.shape == (len(grid), len(grid))
 
