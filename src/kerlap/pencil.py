@@ -6,8 +6,11 @@ symmetric-definite problem (Golub & Van Loan, section 8.7), each step a
 direct call of scipy's LAPACK and BLAS wrappers.  ``gevd`` factors
 B = L L^T by ``potrf``, reduces A to C = L^-1 A L^-T by ``sygst`` (C has the
 pencil's eigenvalues) and checks once, by a Cholesky factorization of C
-shifted by a small tolerance, that A is positive semi-definite in the
-B-metric.  The ``PencilDecomposition`` it returns solves
+shifted by one tolerance, that A is positive semi-definite in the
+B-metric: tol = ||A||_F / ||B||_1 * max(1e-8, 64 eps cond_1(B)), a
+rounding bound for the reduction (``_clamp_tolerance``).  ||A||_F is at
+least ||A||_2, so the check is never stricter than the same rule in the
+2-norm.  The ``PencilDecomposition`` it returns solves
 (A + lam*B)^-1 rhs = L^-T (C + lam I)^-1 L^-1 rhs with one Cholesky
 factorization of C + lam I, and computes its eigenpairs only when first
 read: ``syevd`` on C, and the eigenvectors back-transformed by L^-T with
@@ -29,7 +32,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg as sla
 from scipy.linalg.blas import dnrm2, dsymv, dtrsm, dtrsv
 from scipy.linalg.lapack import dpocon, dpotrf, dpotrs, dsyevd, dsygst
 
@@ -40,58 +42,29 @@ from .errors import (
 
 _JITTER_EPS = 1e-10
 
-# column norms of A within which gevd may skip the clamp tolerance (see there)
-_NORM_RANGE = (1e-150, 1e150)
 
+def _frobenius_norm(M: np.ndarray) -> float:
+    """||M||_F by BLAS ``nrm2`` on M * 2^-e, 2^e the power of two just above
+    max|M| (e = 0 for M = 0).
 
-def _scaled(M: np.ndarray) -> tuple[np.ndarray, int]:
-    """(M * 2^-e, e), 2^e the power of two just above max|M| (e = 0 for M = 0).
-
-    The scaled entries lie in (-1, 1), so the squares and products of norms
-    taken from them neither overflow nor, for a nonzero M, all underflow,
-    and scaling by a power of two is exact away from subnormal numbers.
+    The scaled entries lie in (-1, 1), so their squares neither overflow
+    nor, for a nonzero M, all underflow, and scaling by a power of two is
+    exact away from subnormal numbers.
     """
-    e = int(np.frexp(max(M.max(initial=0.0), -M.min(initial=0.0)))[1])
-    return np.ldexp(M, -e), e
-
-
-def spectral_norm_estimate(M: np.ndarray) -> float:
-    """Power-iteration estimate of ||M||_2 for symmetric M.
-
-    The start is M's column of largest norm, which lies in M's range, so the
-    estimate is positive for any nonzero M (a fixed start such as the ones
-    vector gives 0 when M 1 = 0) and never exceeds ||M||_2.  It is at least
-    that largest column norm, up to rounding: ||M v|| never decreases from
-    one step to the next, by Cauchy-Schwarz, which ``gevd``'s clamp floor
-    relies on.  The iteration runs on M scaled by a power of two
-    (``_scaled``), which keeps it in range however large or small M is.
-    """
-    S, e = _scaled(M)
-    norms = np.linalg.norm(S, axis=0)
-    if not norms.any():
-        return 0.0
-    j = int(np.argmax(norms))
-    v = S[:, j] / norms[j]
-    # on scipy's BLAS, as gevd's LAPACK calls; S^T = S is Fortran-order for symv
-    Sf = np.asfortranarray(S.T, dtype=float)
-    est = 0.0
-    for _ in range(12):
-        w = dsymv(1.0, Sf, v)
-        est = float(dnrm2(w))
-        if est == 0.0:
-            return 0.0
-        v = w / est
-    return float(np.ldexp(est, e))
+    e = int(np.frexp(max(M.max(), -M.min()))[1])
+    return float(np.ldexp(dnrm2(np.ldexp(M, -e).ravel()), e))
 
 
 @dataclass(frozen=True)
 class PencilDecomposition:
     """The pencil (A, B) in standard form: ``factor`` is any lower-triangular
-    L with L L^T = B, and the lower triangle of ``reduced``
-    (Fortran order) holds C = L^-1 A L^-T, whose eigenvalues are the
-    pencil's.  ``gevd`` gives the Cholesky factor of B + jitter*I, ``jitter``
-    recording the diagonal shift added to B when its Cholesky factorization
-    needed a retry (0.0 in the usual case).  For a whitened fit
+    L with L L^T = B, its strict upper triangle zero, and the lower triangle
+    of ``reduced`` (Fortran order) holds C = L^-1 A L^-T, whose eigenvalues
+    are the pencil's.  ``gevd`` gives the Cholesky factor of B + jitter*I,
+    ``jitter`` recording the diagonal shift added to B when its Cholesky
+    factorization needed a retry (0.0 in the usual case), and returns a
+    decomposition only when C + tol*I has a Cholesky factor, tol being the
+    clamp tolerance (``_clamp_tolerance``).  For a whitened fit
     (``estimator._landmark_decomposition``) the factor is W L~: W is the
     Cholesky factor of the kept landmarks' Gram Kpp, which whitened the
     pencil to (A~, B~) = W^-1 (A, B) W^-T, and L~ is ``gevd``'s factor of
@@ -100,7 +73,8 @@ class PencilDecomposition:
     The eigenpairs are computed on first read of ``eigenvalues`` or
     ``eigenvectors``: eigenvalues non-increasing, column i of
     ``eigenvectors`` paired with ``eigenvalues[i]``, basis B-orthonormal.
-    Both arrays are read-only.
+    Eigenvalues below 0, at most tol below, are clamped to 0.  Both arrays
+    are read-only.
     """
 
     factor: np.ndarray
@@ -177,26 +151,25 @@ def _check_symmetric(M: np.ndarray, name: str) -> np.ndarray:
     return (M + M.T) / 2.0
 
 
-def _cholesky_with_jitter(
-    M: np.ndarray, name: str, overwrite: bool = False
-) -> tuple[np.ndarray, float]:
-    """Lower Cholesky factor of M, retrying once with a small diagonal shift.
+def _cholesky_with_jitter(M: np.ndarray, name: str) -> tuple[np.ndarray, float]:
+    """Lower Cholesky factor of a symmetric M in Fortran order, factored in
+    place, retrying once with a small diagonal shift.
 
     The shift is 1e-10 times the mean diagonal of M.  Returns (L, jitter),
-    jitter being 0.0 when no retry was needed.  Raises SingularPencilError
-    naming ``name`` and the failing pivot if M is not positive definite even
-    after the jitter pass.  With ``overwrite``, a symmetric M in Fortran
-    order is factored in place: L is M, its strict upper triangle still
-    that of M, from which the retry restores the lower one.
+    jitter being 0.0 when no retry was needed.  L is M: its lower triangle
+    holds the factor and its strict upper triangle is still M's, from which
+    a retry restores the lower one.  Raises SingularPencilError naming
+    ``name`` and the failing pivot if M is not positive definite even after
+    the jitter pass.
     """
-    diagonal = M.diagonal().copy() if overwrite else None
-    L, info = dpotrf(M, lower=1, clean=int(not overwrite), overwrite_a=int(overwrite))
+    diagonal = M.diagonal().copy()
+    L, info = dpotrf(M, lower=1, clean=0, overwrite_a=1)
     if lapack_info("potrf", info) == 0:
         return L, 0.0
-    if overwrite:  # potrf wrote the lower triangle only
-        lower = np.tri(M.shape[0], k=-1, dtype=bool)
-        M[lower] = M.T[lower]
-        np.fill_diagonal(M, diagonal)
+    # potrf wrote the lower triangle only
+    lower = np.tri(M.shape[0], k=-1, dtype=bool)
+    M[lower] = M.T[lower]
+    np.fill_diagonal(M, diagonal)
     jitter = _JITTER_EPS * (np.trace(M) / M.shape[0])
     if jitter <= 0:
         raise SingularPencilError(
@@ -204,8 +177,9 @@ def _cholesky_with_jitter(
             "and the matrix has non-positive trace",
             pivot=int(info),
         )
-    L, info = _shifted_cholesky(M, jitter)
-    if info != 0:
+    M.flat[:: M.shape[0] + 1] += jitter
+    L, info = dpotrf(M, lower=1, clean=0, overwrite_a=1)
+    if lapack_info("potrf", info) != 0:
         raise SingularPencilError(
             f"{name} is not positive definite even after jitter {jitter:.3e}: "
             f"Cholesky failed at pivot {info}",
@@ -216,26 +190,30 @@ def _cholesky_with_jitter(
 
 def _spd_solve(M: np.ndarray, rhs: np.ndarray, name: str) -> tuple[np.ndarray, float]:
     """(x, jitter): M x = rhs for a symmetric positive definite M in Fortran
-    order, by ``_cholesky_with_jitter`` in place and LAPACK ``potrs``.  M
-    is overwritten: its lower triangle holds the factor afterwards."""
-    L, jitter = _cholesky_with_jitter(M, name, overwrite=True)
+    order, by ``_cholesky_with_jitter`` and LAPACK ``potrs``.  M is
+    overwritten: its lower triangle holds the factor afterwards."""
+    L, jitter = _cholesky_with_jitter(M, name)
     x, info = dpotrs(L, rhs, lower=1)
     lapack_info("potrs", info)
     return x, jitter
 
 
-def _clamp_tolerance(A: np.ndarray, L: np.ndarray, norm_b: float) -> float:
-    """How far below 0 an eigenvalue of the pencil (A, B) may be rounded to 0.
+def _clamp_tolerance(norm_a: float, L: np.ndarray, norm_b: float) -> float:
+    """How far below 0 an eigenvalue of the pencil (A, B) may be rounded to 0:
+    ||A||_F / ||B||_1 * max(1e-8, 64 eps cond_1(B)), for norm_a = ||A||_F,
+    norm_b = ||B||_1 and L the Cholesky factor of B.
 
     The Cholesky reduction perturbs eigenvalues by about eps * cond(B) *
-    ||A|| / ||B||, so the PSD check must widen with B's conditioning; the
-    1e-8 * ||A|| / ||B|| floor applies for well-behaved B.  Eigenvalues carry
-    the units of A / B, so the tolerance does too.  ||A|| is the power-
-    iteration estimate on A symmetrized, and cond(B) LAPACK's 1-norm
-    estimate from B's factor L; for symmetric B the 1-norm condition number
-    is at least the 2-norm one.
+    ||A|| / ||B|| (Higham, Accuracy and Stability of Numerical Algorithms,
+    ch. 10), so the PSD check must widen with B's conditioning; the
+    1e-8 ||A|| / ||B|| floor applies for well-behaved B.  Eigenvalues carry
+    the units of A / B, so the tolerance does too.  ||A||_F lies between
+    ||A||_2 and sqrt(rank A) ||A||_2, so the tolerance is never narrower
+    than the rule in the 2-norm, nor than one from any lower estimate of
+    ||A||_2, and is at most sqrt(rank A) times wider.  cond_1(B) is
+    LAPACK's estimate from L; for symmetric B the 1-norm condition number is
+    at least the 2-norm one.
     """
-    norm_a = max(spectral_norm_estimate(_check_symmetric(A, "A")), np.finfo(float).tiny)
     rcond, _ = dpocon(L, norm_b, uplo="L")
     cond_b = 1.0 / rcond if rcond > 0 else np.inf
     return norm_a / norm_b * max(1e-8, 64.0 * np.finfo(float).eps * cond_b)
@@ -257,41 +235,38 @@ def gevd(A: np.ndarray, B: np.ndarray) -> PencilDecomposition:
     A must be symmetric positive semi-definite, B symmetric positive
     definite up to one jitter pass.  B is factored once (twice on the jitter
     retry), LAPACK ``sygst`` forms C, and a Cholesky factorization of C
-    shifted by the pencil's floor checks A: O(p^3 / 3) work each.  When
-    that one fails, C shifted by the clamp tolerance (``_clamp_tolerance``,
-    how far below 0 an eigenvalue may be rounded to 0) is factored instead,
-    and if that fails too, ``NumericalConsistencyError`` is raised.  The
-    eigenpairs are left to the first read of the decomposition's
-    ``eigenvalues`` or ``eigenvectors``, which clamps the eigenvalues below 0
-    that the check let pass.
+    shifted by the clamp tolerance's 1e-8 ||A||_F / ||B||_1 floor checks A:
+    O(p^3 / 3) work each.  Only when that one fails is cond_1(B) estimated
+    and C shifted by the whole clamp tolerance (``_clamp_tolerance``, how
+    far below 0 an eigenvalue may be rounded to 0) factored instead; if that
+    fails too, ``NumericalConsistencyError`` is raised.  So an A is accepted
+    exactly when C + tol*I has a Cholesky factor, one rule whichever
+    factorization decides.  The eigenpairs are left to the first read of
+    the decomposition's ``eigenvalues`` or ``eigenvectors``, which clamps
+    the eigenvalues below 0 that the check let pass.
     """
     C = _check_symmetric(A, "A")
     B = _check_symmetric(B, "B")
     if C.shape != B.shape:
         raise InvalidArgumentError(f"shape mismatch: A {C.shape} vs B {B.shape}")
 
-    norm_b = np.linalg.norm(B, 1)
-    # C's largest column norm, before sygst overwrites C: np.linalg.norm's
-    # sum of squares, taken in place on the scaled copy
-    S, e = _scaled(C)
-    col_max = float(np.ldexp(np.sqrt(np.add.reduce(np.square(S, out=S), axis=0).max()), e))
-    del S
+    # both norms before the factorizations below overwrite B and C
+    norm_a, norm_b = _frobenius_norm(C), np.linalg.norm(B, 1)
     # B and C are the symmetrized copies made above, so their transposes are
-    # the same matrices in the Fortran order LAPACK uses, and sygst may work
-    # in place on C
+    # the same matrices in the Fortran order LAPACK uses: potrf factors B
+    # and sygst reduces C in place
     L, jitter = _cholesky_with_jitter(B.T, "B")
-    del B  # the symmetrized copy, freed before the check copies C
+    # zero B's strict upper triangle left in L: the estimator's trmm reads
+    # the whole factor
+    np.copyto(L.T, 0.0, where=np.tri(L.shape[0], k=-1, dtype=bool))
     C, info = dsygst(C.T, L, lower=1, overwrite_a=1)
     lapack_info("sygst", info)
-    # Every clamp tolerance is at least col_max * 1e-8 / ||B||_1, since the
-    # norm estimate is at least col_max, so half that is a floor no tolerance
-    # falls under, and a C that the floor's shift leaves positive definite
-    # needs no tolerance.  The range keeps the norms clear of underflow and
-    # overflow, where rounding could undo the bound.
-    in_range = _NORM_RANGE[0] <= col_max <= _NORM_RANGE[1]
-    if not in_range or _shifted_cholesky(C, 0.5e-8 * col_max / norm_b)[1] != 0:
-        # positive, so that a semi-definite C passes even where tol underflows
-        tol = max(_clamp_tolerance(A, L, norm_b), np.finfo(float).tiny)
+    # the floor and the tolerance are positive, so that a semi-definite C
+    # passes even where they underflow; the floor is the tolerance at
+    # cond_1(B) <= 1e-8 / (64 eps) and never above it
+    tiny = np.finfo(float).tiny
+    if _shifted_cholesky(C, max(norm_a / norm_b * 1e-8, tiny))[1] != 0:
+        tol = max(_clamp_tolerance(norm_a, L, norm_b), tiny)
         info = _shifted_cholesky(C, tol)[1]
         if info != 0:
             raise NumericalConsistencyError(
@@ -324,7 +299,9 @@ def pencil_solve(A: np.ndarray, B: np.ndarray, lam: float, rhs: np.ndarray) -> n
             pivot=int(info),
         )
     def solve(v):
-        return sla.cho_solve((L, True), v, check_finite=False)
+        x, info = dpotrs(L, v, lower=1)
+        lapack_info("potrs", info)
+        return x
 
     # the residuals rhs - M x on scipy's BLAS, as the solves; M is exactly
     # symmetric, and its transpose is the Fortran-order array symv reads

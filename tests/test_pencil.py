@@ -10,10 +10,10 @@ from kerlap.pencil import (
     _check_symmetric,
     _cholesky_with_jitter,
     _clamp_tolerance,
+    _frobenius_norm,
     _spd_solve,
     gevd,
     pencil_solve,
-    spectral_norm_estimate,
 )
 from scipy.linalg.lapack import dpotrf, dsyevd, dsygst
 
@@ -30,7 +30,8 @@ def check_invariants(A, B, dec: PencilDecomposition):
     p = A.shape[0]
     assert np.all(dec.eigenvalues >= 0)
     assert np.all(np.diff(dec.eigenvalues) <= 1e-12 * max(dec.eigenvalues.max(), 1))
-    scale = spectral_norm_estimate(A) + spectral_norm_estimate(B)
+    # the largest column norms: at most ||A||_2 + ||B||_2
+    scale = np.linalg.norm(A, axis=0).max() + np.linalg.norm(B, axis=0).max()
     resid = np.linalg.norm(A @ dec.eigenvectors - (B @ dec.eigenvectors) * dec.eigenvalues, axis=0)
     assert resid.max() <= 1e-8 * scale
     gram = dec.eigenvectors.T @ B @ dec.eigenvectors
@@ -96,6 +97,11 @@ class TestGevd:
         dec = gevd(np.eye(8), B)
         assert dec.jitter > 0
         assert np.all(np.isfinite(dec.eigenvalues))
+        # B's copy is factored in place, with or without the retry, and the
+        # upper triangle it leaves in the factor is zeroed
+        for B, dec in ((B, dec), (B + np.eye(8), gevd(np.eye(8), B + np.eye(8)))):
+            want, info = dpotrf(B + dec.jitter * np.eye(8), lower=1, clean=1)
+            assert info == 0 and np.array_equal(dec.factor, want)
 
     def test_negative_definite_b_raises_with_pivot(self):
         with pytest.raises(SingularPencilError) as info:
@@ -184,47 +190,48 @@ class TestGevd:
         got = gevd(A, B).eigenvalues
         assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
 
-    def test_clamp_decision_same_with_and_without_the_floor(self, monkeypatch):
-        # gevd computes the clamp tolerance only below a floor it cannot
-        # exceed; with that shortcut disabled every decision and every
-        # output stays the same, while the shortcut spares most of these
-        # rank-deficient pencils the norm estimate
+    def test_two_step_check_decides_as_the_eigenvalue_clamp(self, monkeypatch):
+        # gevd factors C + floor I and, only where that fails, C + tol I: on
+        # graded pencils it accepts exactly those whose smallest eigenvalue
+        # is at least -tol, and most of these rank-deficient pencils pass at
+        # the floor, with no condition estimate of B
         rng = np.random.default_rng(11)
-        estimates = []
+        widened = []
 
-        def counting_estimate(M):
-            estimates.append(1)
-            return spectral_norm_estimate(M)
+        def counting_tolerance(*args):
+            widened.append(1)
+            return _clamp_tolerance(*args)
 
-        monkeypatch.setattr(pencil_module, "spectral_norm_estimate", counting_estimate)
-        cases = []
+        monkeypatch.setattr(pencil_module, "_clamp_tolerance", counting_tolerance)
+        decisions = []
         for shift in [0.0, 1e-14, 1e-10, 3e-9, 1e-8, 3e-8, 1e-6, 1e-3]:
             for _ in range(5):
                 p = int(rng.integers(2, 30))
                 A, B = random_pencil(rng, p, rank=int(rng.integers(1, p + 1)))
-                cases.append((A - shift * np.abs(A).max() * B, B * rng.uniform(0.1, 10.0)))
-
-        def outcomes():
-            out = []
-            for A, B in cases:
+                A, B = A - shift * np.abs(A).max() * B, B * rng.uniform(0.1, 10.0)
+                L, info = dpotrf(B, lower=1, clean=1)
+                assert info == 0
+                smallest = dsyevd(dsygst(A, L, lower=1)[0], lower=1)[0][0]
+                tol = _clamp_tolerance(_frobenius_norm(A), L, np.linalg.norm(B, 1))
                 try:
-                    dec = gevd(A, B)
-                    out.append((dec.eigenvalues, dec.eigenvectors))
-                except NumericalConsistencyError as exc:
-                    out.append(str(exc))
-            return out
+                    gevd(A, B)
+                    accepted = True
+                except NumericalConsistencyError:
+                    accepted = False
+                assert accepted == (smallest >= -tol)
+                decisions.append(accepted)
+        assert any(decisions) and not all(decisions)
+        assert len(widened) < 0.75 * len(decisions)
 
-        fast = outcomes()
-        fast_estimates = len(estimates)
-        monkeypatch.setattr(pencil_module, "_NORM_RANGE", (np.inf, np.inf))
-        full = outcomes()
-        assert len(estimates) - fast_estimates == len(cases) and fast_estimates < 0.75 * len(cases)
-        assert any(isinstance(f, str) for f in full) and not all(isinstance(f, str) for f in full)
-        for f, g in zip(fast, full):
-            if isinstance(g, str):
-                assert f == g
-            else:
-                assert np.array_equal(f[0], g[0]) and np.array_equal(f[1], g[1])
+    def test_tolerance_is_in_the_frobenius_norm(self):
+        # ||A||_F = 10 here against ||A||_2 = 1, so the floor is 1e-7: an
+        # eigenvalue of -5e-8 clamps, where a 2-norm rule would raise, and
+        # -2e-7 still raises
+        ones = np.ones(100)
+        dec = gevd(np.diag(np.append(ones, -5e-8)), np.eye(101))
+        assert dec.eigenvalues[-1] == 0.0
+        with pytest.raises(NumericalConsistencyError):
+            gevd(np.diag(np.append(ones, -2e-7)), np.eye(101))
 
     @pytest.mark.parametrize("info, error", [
         (-3, InvalidArgumentError), (7, NumericalConsistencyError)])
@@ -271,7 +278,7 @@ class TestReducedPencil:
         C, info = dsygst(A, L, lower=1)
         assert info == 0
         smallest = dsyevd(C, compute_v=1, lower=1)[0][0]
-        clamped = smallest >= -_clamp_tolerance(A, L, np.linalg.norm(B, 1))
+        clamped = smallest >= -_clamp_tolerance(_frobenius_norm(A), L, np.linalg.norm(B, 1))
         if clamped:
             dec = gevd(A, B)
             assert np.all(np.isfinite(filter_coefficients(dec, TIK, np.ones(2))))
@@ -316,64 +323,36 @@ class TestReducedPencil:
         assert np.array_equal(out, M) and out is not M
 
 
-class TestSpectralNormEstimate:
-    def test_positive_when_ones_is_in_the_null_space(self):
-        # I - 11^T/4 is a projector with ||M||_2 = 1 and M 1 = 0
-        M = np.eye(4) - np.ones((4, 4)) / 4
-        assert spectral_norm_estimate(M) == pytest.approx(1.0, rel=1e-12)
-
-    def test_at_least_the_largest_column_norm(self):
-        # gevd's clamp floor rests on this: from the largest column, each
-        # power step's estimate is at least the last one's
-        rng = np.random.default_rng(12)
-        for _ in range(200):
-            p = int(rng.integers(1, 40))
-            G = rng.standard_normal((p, int(rng.integers(1, p + 1))))
-            M = G * rng.choice([-1.0, 1.0], G.shape[1]) @ G.T  # PSD or indefinite
-            M = (M + M.T) / 2
-            assert spectral_norm_estimate(M) >= np.linalg.norm(M, axis=0).max() * (1 - 1e-12)
-
-    def test_bounded_by_the_norm(self):
-        rng = np.random.default_rng(7)
-        for _ in range(20):
-            G = rng.standard_normal((8, 8))
-            M = G + G.T
-            est = spectral_norm_estimate(M)
-            assert 0 < est <= np.linalg.norm(M, 2) * (1 + 1e-12)
-        assert spectral_norm_estimate(np.zeros((3, 3))) == 0.0
-        assert spectral_norm_estimate(np.zeros((0, 0))) == 0.0
-
-
 class TestCholeskyWithJitter:
     def test_retry_matches_shifted_factor(self):
-        # singular PSD input: the retry factors M + jitter * I and leaves M alone
+        # singular PSD input: the retry factors M + jitter * I, in M
         rng = np.random.default_rng(5)
         G = rng.standard_normal((30, 4))
         M = G @ G.T
         M[-1, :] = M[:, -1] = 0.0
-        before = M.copy()
-        L, jitter = _cholesky_with_jitter(M, "M")
+        work = np.asfortranarray(M)
+        L, jitter = _cholesky_with_jitter(work, "M")
         assert jitter == 1e-10 * (np.trace(M) / 30)
         expected, info = dpotrf(M + jitter * np.eye(30), lower=1, clean=1)
-        assert info == 0 and np.array_equal(L, expected)
-        assert np.array_equal(M, before)
+        assert info == 0 and np.array_equal(np.tril(L), expected)
+        assert np.shares_memory(L, work)
 
     def test_in_place_retry_matches_the_copying_one(self):
         # potrf factors a Fortran-order M in place, over its lower triangle;
-        # the retry restores that from the upper one and shifts as the
-        # copying path does.  At 300 potrf is blocked, and its failure
-        # leaves the trailing block updated
+        # the retry restores that from the upper one and shifts it, and
+        # equals potrf of a shifted copy.  At 300 potrf is blocked, and its
+        # failure leaves the trailing block updated
         rng = np.random.default_rng(5)
         G = rng.standard_normal((300, 4))
         M = G @ G.T
-        L, jitter = _cholesky_with_jitter(M, "M")
         work = np.asfortranarray(M)
-        L_in_place, jitter_in_place = _cholesky_with_jitter(work, "M", overwrite=True)
-        assert jitter_in_place == jitter > 0.0
-        assert np.array_equal(np.tril(L_in_place), L)
-        assert np.array_equal(work, M)
+        L, jitter = _cholesky_with_jitter(work, "M")
+        assert jitter == 1e-10 * (np.trace(M) / 300) > 0.0
+        assert np.shares_memory(L, work)
+        assert np.array_equal(np.tril(L), dpotrf(M + jitter * np.eye(300), lower=1, clean=1)[0])
+        assert np.array_equal(np.triu(L, 1), np.triu(M, 1))
         P = np.asfortranarray(M + np.eye(300))
-        factor, jitter = _cholesky_with_jitter(P, "P", overwrite=True)
+        factor, jitter = _cholesky_with_jitter(P, "P")
         assert jitter == 0.0 and np.shares_memory(factor, P)
         assert np.array_equal(np.tril(factor), dpotrf(M + np.eye(300), lower=1, clean=1)[0])
 
