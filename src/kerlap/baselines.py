@@ -75,8 +75,7 @@ def harmonic_propagate(ds: SemiDataset, config: GraphConfig) -> HarmonicResult:
     rhs = dgemv(1.0, W[:n_l].T, y)
     np.negative(L_uu, out=L_uu)
     diagonal += degrees
-    # L_uu is symmetric: its transpose is the Fortran-order array potrf factors in place
-    f_u, jitter = _spd_solve(L_uu.T, rhs, "the unlabeled graph block")
+    f_u, jitter = _spd_solve(L_uu, rhs, "the unlabeled graph block")
     return HarmonicResult(values=f_u, jittered=jitter > 0)
 
 
@@ -92,7 +91,7 @@ def krr_fit(
     n_l = X.shape[0]
     M = kernel.gram(X, X)
     M.flat[:: n_l + 1] += n_l * ridge
-    coef, _ = _spd_solve(M.T, y, "the ridge system")
+    coef, _ = _spd_solve(M, y, "the ridge system")
     return FittedModel(
         kernel=kernel,
         basis_coordinates=X,

@@ -172,8 +172,11 @@ def _landmark_decomposition(
     pencil by its first rows, the kept Gram's Cholesky factor L, to
     (A~, B~) = L^-1 (A, B) L^-T.  ``gevd`` of that gives a factor L~ with
     L~ L~^T = B~, so (L L~)(L L~)^T = B, and both pencils reduce to the
-    same C = L~^-1 A~ L~^-T: with L L~ (BLAS ``trmm``) for its factor, the
-    decomposition is that of (A, B) itself.  b is never whitened.
+    same C = L~^-1 A~ L~^-T: with L L~ for its factor, the decomposition is
+    that of (A, B) itself, and a jitter on B~ means B + jitter*Kpp.  BLAS
+    ``trmm`` forms L L~ in L, which ``prune_landmarks`` zeroed above its
+    diagonal, and reads only the lower triangle of ``gevd``'s factor.  b is
+    never whitened.
     """
     landmarks = select_landmarks(ds, p, seed)
     drawn, factor = prune_landmarks(ds, kernel, landmarks)
@@ -183,12 +186,13 @@ def _landmark_decomposition(
     if factor is None:
         return drawn, gevd(A, B), b
     r = factor.shape[1]
-    # L in the Fortran order trmm reads; the rest of the partial factor is
-    # freed before gevd
+    # L in the Fortran order trmm overwrites; the rest of the partial factor
+    # is freed before gevd
     L = np.asfortranarray(factor[:r])
     del factor
     dec = gevd(A, B)
-    return drawn[:r], replace(dec, factor=dtrmm(1.0, L, dec.factor, lower=1, overwrite_b=1)), b
+    return drawn[:r], replace(dec, factor=dtrmm(1.0, dec.factor, L, side=1, lower=1,
+                                                 overwrite_b=1)), b
 
 
 def fit_exact(
@@ -228,9 +232,7 @@ def fit_exact(
     M.flat[:: M.shape[0] + 1] += lam * mu
     rhs = np.zeros(M.shape[0])
     rhs[:n_l] = ds.labels / math.sqrt(n_l)
-    # M is symmetric: its transpose is the same matrix, in the Fortran order
-    # that potrf factors in place
-    u = _spd_solve(M.T, rhs, "the dense representer system")[0]
+    u = _spd_solve(M, rhs, "the dense representer system")[0]
     coef = np.concatenate([s_l * u[:n_l], np.zeros(n - n_l), s_d * u[n_l:]])
     return FittedModel(
         kernel=kernel,

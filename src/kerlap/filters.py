@@ -62,7 +62,8 @@ def filter_coefficients(dec: PencilDecomposition, f: FilterSpec, b: np.ndarray) 
 
     For the Tikhonov filter c is (A + lam*B)^-1 b, which
     ``PencilDecomposition.solve`` returns without the eigenpairs; the cutoff
-    filter reads them, which eigensolves the pencil on the first read.
+    filter reads them, which eigensolves the pencil on the first read, and
+    applies them by two BLAS ``gemv`` on the Fortran-order eigenvectors.
     """
     instance("dec", dec, PencilDecomposition)
     instance("f", f, FilterSpec)
@@ -73,7 +74,5 @@ def filter_coefficients(dec: PencilDecomposition, f: FilterSpec, b: np.ndarray) 
     if f.kind == TIKHONOV:
         return dec.solve(f.lam, b)
     weights = apply(f, dec.eigenvalues)
-    # on scipy's BLAS, as the fit's products; the C-order V goes in as its
-    # Fortran-order transpose, without a copy
-    Vt = dec.eigenvectors.T
-    return dgemv(1.0, Vt, weights * dgemv(1.0, Vt, b), trans=1)
+    V = dec.eigenvectors
+    return dgemv(1.0, V, weights * dgemv(1.0, V, b, trans=1))

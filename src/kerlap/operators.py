@@ -468,8 +468,9 @@ def _extended_gram(
     cross-derivative block H straight into its slice, and the upper
     right block is the transpose of the lower left one.  Refuses a dense
     basis whose full size n*(d+1) exceeds ``dense_cap``, whatever
-    ``n_points`` is; a non-finite entry of a block raises
-    ``NumericalConsistencyError``.
+    ``n_points`` is; a non-finite entry of a derivative block raises
+    ``NumericalConsistencyError``.  K needs no check: kernel values lie in
+    [0, 1] and the scale is finite.
     """
     X = ds.inputs
     n, d = X.shape
@@ -481,15 +482,14 @@ def _extended_gram(
         )
     points = X[:n_points]
     G = np.empty((n_points + n * d,) * 2)
-    K = np.multiply(kernel.gram(points, points), point_scale * point_scale,
-                    out=G[:n_points, :n_points])
+    np.multiply(kernel.gram(points, points), point_scale * point_scale,
+                out=G[:n_points, :n_points])
     Z = np.multiply(kernel.grad1_gram(X, points).reshape(n * d, n_points),
                     point_scale * grad_scale, out=G[n_points:, :n_points])
     G[:n_points, n_points:] = Z.T
     H = G[n_points:, n_points:]
     # splitting each axis of the slice in two gives a view, not a copy
     kernel.cross_hessian_gram(X, X, out=H.reshape(n, d, n, d), scale=grad_scale * grad_scale)
-    _check_block_finite(K, 0, "kernel")
     _check_block_finite(Z, 0, "kernel derivative")
     _check_block_finite(H, 0, "kernel cross derivative")
     return G

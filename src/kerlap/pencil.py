@@ -21,6 +21,10 @@ and staying within scipy's LAPACK keeps the whole solve on one BLAS thread
 pool.  The eigenvector basis is B-orthonormal and eigenvalues are sorted in
 non-increasing order.
 
+Only this module knows how LAPACK stores its operands: ``_check_symmetric``
+copies A and B into the Fortran order that ``potrf``, ``sygst`` and ``symv``
+take as it stands, and every result stays as LAPACK leaves it.
+
 ``pencil_solve`` is the direct counterpart used as an oracle for Tikhonov
 filtering: x = (A + lam*B)^-1 rhs from a Cholesky factorization of
 A + lam*B itself.
@@ -52,23 +56,20 @@ def _frobenius_norm(M: np.ndarray) -> float:
     exact away from subnormal numbers.
     """
     e = int(np.frexp(max(M.max(), -M.min()))[1])
-    return float(np.ldexp(dnrm2(np.ldexp(M, -e).ravel()), e))
+    return float(np.ldexp(dnrm2(np.ldexp(M, -e).ravel(order="K")), e))
 
 
 @dataclass(frozen=True)
 class PencilDecomposition:
-    """The pencil (A, B) in standard form: ``factor`` is any lower-triangular
-    L with L L^T = B, its strict upper triangle zero, and the lower triangle
-    of ``reduced`` (Fortran order) holds C = L^-1 A L^-T, whose eigenvalues
-    are the pencil's.  ``gevd`` gives the Cholesky factor of B + jitter*I,
-    ``jitter`` recording the diagonal shift added to B when its Cholesky
-    factorization needed a retry (0.0 in the usual case), and returns a
-    decomposition only when C + tol*I has a Cholesky factor, tol being the
-    clamp tolerance (``_clamp_tolerance``).  For a whitened fit
-    (``estimator._landmark_decomposition``) the factor is W L~: W is the
-    Cholesky factor of the kept landmarks' Gram Kpp, which whitened the
-    pencil to (A~, B~) = W^-1 (A, B) W^-T, and L~ is ``gevd``'s factor of
-    B~, so a jitter on B~ means B + jitter*Kpp.
+    """The pencil (A, B) in standard form, every array in Fortran order:
+    the lower triangle of ``factor`` holds a lower-triangular L with
+    L L^T = B, and that of ``reduced`` holds C = L^-1 A L^-T, whose
+    eigenvalues are the pencil's; neither strict upper triangle is read.
+    ``gevd`` gives the Cholesky factor of B + jitter*I, ``jitter`` recording
+    the diagonal shift added to B when its Cholesky factorization needed a
+    retry (0.0 in the usual case), and returns a decomposition only when
+    C + tol*I has a Cholesky factor, tol being the clamp tolerance
+    (``_clamp_tolerance``).
 
     The eigenpairs are computed on first read of ``eigenvalues`` or
     ``eigenvectors``: eigenvalues non-increasing, column i of
@@ -119,10 +120,10 @@ class PencilDecomposition:
         V = dtrsm(1.0, self.factor, np.asfortranarray(Q[:, ::-1]), lower=1, trans_a=1,
                   overwrite_b=1)
         # read-only, as FittedModel's arrays: every later read shares them
-        values, vectors = np.maximum(w[::-1], 0.0), np.ascontiguousarray(V)
+        values = np.maximum(w[::-1], 0.0)
         values.setflags(write=False)
-        vectors.setflags(write=False)
-        return values, vectors
+        V.setflags(write=False)
+        return values, V
 
     @property
     def eigenvalues(self) -> np.ndarray:
@@ -135,20 +136,20 @@ class PencilDecomposition:
 
 def _check_symmetric(M: np.ndarray, name: str) -> np.ndarray:
     """Validate a non-empty, square, nearly symmetric M that ``errors.array``
-    passes as 2-d; return (M + M^T)/2 as a new array."""
+    passes as 2-d; return (M + M^T)/2 as a new Fortran-order array."""
     M = array(name, M, ndim=2)
     if M.shape[0] != M.shape[1] or M.shape[0] < 1:
         raise InvalidArgumentError(f"{name} must be square and non-empty, got shape {M.shape}")
     if (M == M.T).all():  # as every assembled pencil is: (M + M^T)/2 is M
-        return M.copy()
+        return np.array(M, order="F")
     # on scipy's BLAS: numpy's pool would spin against the solvers' next
-    scale = dnrm2(M.ravel())
-    asym = dnrm2((M - M.T).ravel())
+    scale = dnrm2(M.ravel(order="K"))
+    asym = dnrm2((M - M.T).ravel(order="K"))
     if asym > 1e-8 * max(scale, np.finfo(float).tiny):
         raise InvalidArgumentError(
             f"{name} is asymmetric beyond tolerance: ||M-M^T||={asym:.3e}, ||M||={scale:.3e}"
         )
-    return (M + M.T) / 2.0
+    return np.divide(M + M.T, 2.0, order="F")
 
 
 def _cholesky_with_jitter(M: np.ndarray, name: str) -> tuple[np.ndarray, float]:
@@ -189,10 +190,10 @@ def _cholesky_with_jitter(M: np.ndarray, name: str) -> tuple[np.ndarray, float]:
 
 
 def _spd_solve(M: np.ndarray, rhs: np.ndarray, name: str) -> tuple[np.ndarray, float]:
-    """(x, jitter): M x = rhs for a symmetric positive definite M in Fortran
-    order, by ``_cholesky_with_jitter`` and LAPACK ``potrs``.  M is
-    overwritten: its lower triangle holds the factor afterwards."""
-    L, jitter = _cholesky_with_jitter(M, name)
+    """(x, jitter): M x = rhs for a symmetric positive definite M, C- or
+    Fortran-contiguous (a C-order M's transpose is M in Fortran order), by
+    ``_cholesky_with_jitter``, which overwrites M, and LAPACK ``potrs``."""
+    L, jitter = _cholesky_with_jitter(M if M.flags.f_contiguous else M.T, name)
     x, info = dpotrs(L, rhs, lower=1)
     lapack_info("potrs", info)
     return x, jitter
@@ -243,23 +244,18 @@ def gevd(A: np.ndarray, B: np.ndarray) -> PencilDecomposition:
     exactly when C + tol*I has a Cholesky factor, one rule whichever
     factorization decides.  The eigenpairs are left to the first read of
     the decomposition's ``eigenvalues`` or ``eigenvectors``, which clamps
-    the eigenvalues below 0 that the check let pass.
+    the eigenvalues below 0 that the check let pass.  The factor is
+    ``potrf``'s: L below the diagonal, B's copy above it.
     """
     C = _check_symmetric(A, "A")
     B = _check_symmetric(B, "B")
     if C.shape != B.shape:
         raise InvalidArgumentError(f"shape mismatch: A {C.shape} vs B {B.shape}")
 
-    # both norms before the factorizations below overwrite B and C
+    # both norms before potrf factors B and sygst reduces C, in place
     norm_a, norm_b = _frobenius_norm(C), np.linalg.norm(B, 1)
-    # B and C are the symmetrized copies made above, so their transposes are
-    # the same matrices in the Fortran order LAPACK uses: potrf factors B
-    # and sygst reduces C in place
-    L, jitter = _cholesky_with_jitter(B.T, "B")
-    # zero B's strict upper triangle left in L: the estimator's trmm reads
-    # the whole factor
-    np.copyto(L.T, 0.0, where=np.tri(L.shape[0], k=-1, dtype=bool))
-    C, info = dsygst(C.T, L, lower=1, overwrite_a=1)
+    L, jitter = _cholesky_with_jitter(B, "B")
+    C, info = dsygst(C, L, lower=1, overwrite_a=1)
     lapack_info("sygst", info)
     # the floor and the tolerance are positive, so that a semi-definite C
     # passes even where they underflow; the floor is the tolerance at
@@ -303,12 +299,10 @@ def pencil_solve(A: np.ndarray, B: np.ndarray, lam: float, rhs: np.ndarray) -> n
         lapack_info("potrs", info)
         return x
 
-    # the residuals rhs - M x on scipy's BLAS, as the solves; M is exactly
-    # symmetric, and its transpose is the Fortran-order array symv reads
-    Mf = M.T
+    # the residuals rhs - M x on scipy's BLAS, as the solves
     x = solve(rhs)
-    x = x + solve(dsymv(-1.0, Mf, x, beta=1.0, y=rhs))  # one refinement step
-    resid = dnrm2(dsymv(-1.0, Mf, x, beta=1.0, y=rhs))
+    x = x + solve(dsymv(-1.0, M, x, beta=1.0, y=rhs))  # one refinement step
+    resid = dnrm2(dsymv(-1.0, M, x, beta=1.0, y=rhs))
     bound = 1e-8 * dnrm2(rhs)
     if resid > bound and bound > 0:
         raise NumericalConsistencyError(

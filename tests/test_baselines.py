@@ -151,6 +151,10 @@ class TestKrr:
         q = rng.standard_normal((3, 2))
         assert np.allclose(predict(m2, q), 4.0 * predict(m1, q), rtol=1e-12)
 
+    def test_label_count_must_match_inputs(self):
+        with pytest.raises(InvalidArgumentError, match=r"^labels must match the 3 inputs, got 2$"):
+            krr_fit(np.zeros((3, 2)), np.ones(2), GaussianKernel(1.0), ridge=0.1)
+
     def test_ridge_validation(self):
         with pytest.raises(InvalidArgumentError):
             krr_fit(np.array([[0.0]]), np.array([1.0]), GaussianKernel(1.0), ridge=0.0)

@@ -87,6 +87,10 @@ class TestConfig:
         with pytest.raises(InvalidArgumentError, match="unknown config fields"):
             ExperimentConfig.from_json('{"nonsense": 1}')
 
+    def test_malformed_json(self):
+        with pytest.raises(InvalidArgumentError, match="^malformed config JSON: "):
+            ExperimentConfig.from_json('{"trials": ')
+
     def test_unknown_preset(self):
         with pytest.raises(InvalidArgumentError):
             preset("fig9")

@@ -2,11 +2,13 @@ import importlib.util
 import json
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.linalg import solve_triangular
+from scipy.linalg.blas import dtrmm
 from scipy.linalg.lapack import dpocon, dpotrf
 
 from kerlap import estimator, kernel as kernel_module, operators, pencil
@@ -193,6 +195,30 @@ class TestFit:
             assert np.linalg.norm(got - ref) <= bound * np.linalg.norm(ref)
         V = solve_triangular(L, two_step.eigenvectors, lower=True, trans="T")
         assert np.linalg.norm(dec.eigenvectors - V) <= 1e-12 * np.linalg.norm(V)
+
+    @pytest.mark.parametrize("draw", ["circles", "fig2"])
+    def test_readme_route_is_fit(self, draw):
+        # README's "run the steps of fit yourself" route, on a whitened draw
+        # (circles n = p = 400) and an unwhitened one (fig2 at n = 200)
+        if draw == "circles":
+            seed, sol = 0, False
+            ds = gen_circles(CirclesSpec(n=400, n_labeled=4, angles="equispaced", seed=seed))
+            k, p, mu = GaussianKernel(0.2), 400, 1.0 / 400
+        else:
+            cfg = preset("fig2")
+            seed, sol = trial_seed(1, 200, 0), cfg.sigma_over_labeled
+            ds, _ = generate_instance(cfg, 200, seed)
+            k, p, mu = GaussianKernel(cfg.kernel_sigma), cfg.resolve_p(200), cfg.resolve_mu(200)
+        for spec in (TIK, FilterSpec("cutoff", 1e-3)):
+            drawn, F = prune_landmarks(ds, k, select_landmarks(ds, p, seed))
+            bundle = assemble(ds, k, drawn, mu, sigma_over_labeled=sol, factor=F)
+            dec = gevd(bundle.A, bundle.B)
+            if F is not None:
+                L = F[:F.shape[1]]
+                dec = replace(dec, factor=dtrmm(1.0, dec.factor, L, side=1, lower=1))
+            want = fit(ds, k, p, mu, spec, seed, sigma_over_labeled=sol).coefficients
+            assert np.array_equal(filter_coefficients(dec, spec, bundle.b), want)
+        assert (F is None) == (draw == "fig2")
 
     def test_only_the_cutoff_filter_eigensolves(self, monkeypatch):
         def no_eigensolve(*args, **kwargs):
@@ -413,6 +439,17 @@ class TestFitExact:
         got = predict(fit_exact(ds, k, lam, mu), Q)
         assert jitters == [0.0]
         assert np.linalg.norm(got - ref) <= 1e-6 * np.linalg.norm(ref)
+
+
+class TestFittedModel:
+    def test_unknown_basis_kind(self):
+        with pytest.raises(InvalidArgumentError, match="^unknown basis kind 'spline'$"):
+            FittedModel(GaussianKernel(1.0), [[0.0]], [1.0], "spline")
+
+    def test_coefficient_count(self):
+        # a dense model carries m*(d+1) coefficients
+        with pytest.raises(InvalidArgumentError, match="^coefficients number 1, expected 3$"):
+            FittedModel(GaussianKernel(1.0), [[0.0, 0.0]], [1.0], DENSE_REPRESENTER)
 
 
 class TestPredict:

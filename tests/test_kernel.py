@@ -231,6 +231,12 @@ class TestDerivatives:
 
 
 class TestGram:
+    def test_empty_block(self):
+        # no rows on either side: an empty Gram of the right shape
+        k = GaussianKernel(1.0)
+        assert k.gram(np.zeros((0, 2)), np.ones((3, 2))).shape == (0, 3)
+        assert k.gram(np.ones((3, 2)), np.zeros((0, 2))).shape == (3, 0)
+
     def test_psd(self):
         rng = np.random.default_rng(3)
         for trial in range(5):

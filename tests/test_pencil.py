@@ -97,17 +97,25 @@ class TestGevd:
         dec = gevd(np.eye(8), B)
         assert dec.jitter > 0
         assert np.all(np.isfinite(dec.eigenvalues))
-        # B's copy is factored in place, with or without the retry, and the
-        # upper triangle it leaves in the factor is zeroed
+        # B's copy is factored in place, with or without the retry: the
+        # factor's lower triangle is potrf's
         for B, dec in ((B, dec), (B + np.eye(8), gevd(np.eye(8), B + np.eye(8)))):
             want, info = dpotrf(B + dec.jitter * np.eye(8), lower=1, clean=1)
-            assert info == 0 and np.array_equal(dec.factor, want)
+            assert info == 0 and np.array_equal(np.tril(dec.factor), want)
 
     def test_negative_definite_b_raises_with_pivot(self):
         with pytest.raises(SingularPencilError) as info:
             gevd(np.eye(3), -np.eye(3))
         assert info.value.pivot == 1
         assert "pivot 1" in str(info.value)
+
+    def test_indefinite_b_raises_after_the_jitter(self):
+        # the jitter, 1e-10 of B's mean diagonal, cannot lift -0.5
+        with pytest.raises(SingularPencilError, match=(
+                r"^B is not positive definite even after jitter 2\.500e-11: "
+                r"Cholesky failed at pivot 2$")) as info:
+            gevd(np.eye(2), np.diag([1.0, -0.5]))
+        assert info.value.pivot == 2
 
     def test_eigenvalue_clamp(self):
         # tiny negative eigenvalue within tolerance is clamped to zero
@@ -307,6 +315,14 @@ class TestReducedPencil:
         cutoff = FilterSpec("cutoff", 0.5)
         assert np.array_equal(filter_coefficients(dec, cutoff, np.ones(2)), [0.5, 1.0])
 
+    def test_solve_below_a_clamped_eigenvalue_raises(self):
+        # -1e-9 passes the check, but C + 1e-12 I is still indefinite
+        dec = gevd(np.diag([1.0, -1e-9]), np.eye(2))
+        with pytest.raises(SingularPencilError, match=(
+                r"^C \+ lam\*I is not positive definite: Cholesky failed at pivot 2$")) as info:
+            dec.solve(1e-12, np.ones(2))
+        assert info.value.pivot == 2
+
     def test_solve_checks_its_arguments(self):
         pencil = gevd(np.eye(2), np.eye(2))
         assert np.allclose(pencil.solve(1.0, np.array([2.0, 4.0])), [1.0, 2.0], atol=1e-12)
@@ -399,6 +415,20 @@ class TestPencilSolve:
         with pytest.raises(SingularPencilError):
             pencil_solve(-np.eye(2), np.zeros((2, 2)), 1.0, np.array([1.0, 1.0]))
 
+    def test_residual_bound(self):
+        # A's eigenvalues run down to 1e-15 and lam = 1e-300 adds nothing,
+        # so A + lam*B factors but the refined solve misses rhs by ~1e-2
+        rng = np.random.default_rng(0)
+        Q = np.linalg.qr(rng.standard_normal((40, 40)))[0]
+        A = Q @ np.diag(np.logspace(0, -15, 40)) @ Q.T
+        rhs = rng.standard_normal(40)
+        bound = 1e-8 * np.linalg.norm(rhs)
+        with pytest.raises(NumericalConsistencyError,
+                           match=r"^pencil solve residual \S+ exceeds bound \S+$") as info:
+            pencil_solve(A, np.eye(40), 1e-300, rhs)
+        resid, got_bound = (float(v) for v in str(info.value).split()[3::3])
+        assert got_bound == pytest.approx(bound, rel=1e-3) and resid > 1e3 * bound
+
     def test_bad_lambda(self):
         with pytest.raises(InvalidArgumentError):
             pencil_solve(np.eye(2), np.eye(2), -1.0, np.array([1.0, 1.0]))
@@ -417,3 +447,34 @@ class TestPencilSolve:
             pencil_solve(np.eye(2), np.eye(2), 1.0, np.array([1.0, 1.0, 1.0]))
         with pytest.raises(InvalidArgumentError, match="shape mismatch"):
             pencil_solve(np.eye(2), np.eye(3), 1.0, np.array([1.0, 1.0]))
+        with pytest.raises(InvalidArgumentError,
+                           match=r"^shape mismatch: A \(2, 2\) vs B \(3, 3\)$"):
+            gevd(np.eye(2), np.eye(3))
+
+
+class TestLayout:
+    """The pencil module takes C- and Fortran-order inputs alike and leaves its
+    results in the Fortran order LAPACK writes."""
+
+    def test_c_and_fortran_inputs_give_identical_results(self):
+        rng = np.random.default_rng(12)
+        A, B = random_pencil(rng, 30, rank=10)
+        # an asymmetry within tolerance takes the symmetrizing branch
+        B = B + 1e-12 * np.triu(rng.standard_normal((30, 30)), 1)
+        G = rng.standard_normal((30, 4))
+        singular = G @ G.T  # needs the jitter retry
+        rhs = rng.standard_normal(30)
+        results = []
+        for order in "CF":
+            a, b = np.array(A, order=order), np.array(B, order=order)
+            dec = gevd(a, b)
+            for out in (dec.factor, dec.reduced, dec.eigenvectors):
+                assert out.flags.f_contiguous
+            spd = [_spd_solve(np.array(M, order=order), rhs, "M")
+                   for M in (A + np.eye(30), singular)]
+            assert spd[0][1] == 0.0 and spd[1][1] > 0.0
+            results.append([dec.factor, dec.reduced, dec.eigenvalues, dec.eigenvectors,
+                            dec.solve(0.5, rhs), pencil_solve(a, b, 0.5, rhs),
+                            *(x for x, _ in spd)])
+        for c_order, f_order in zip(*results):
+            assert np.array_equal(c_order, f_order)

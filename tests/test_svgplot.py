@@ -98,3 +98,14 @@ class TestPlotSvg:
 
         svg = render_svg([BenchRecord("krr", 10, 5, 0, 0.4, 0.01, 0.001, 7)])
         assert "<polyline" in svg
+
+    def test_render_all_zero_errors(self):
+        # a zero-height error range is widened to [0, 1], then padded
+        from kerlap.bench import BenchRecord
+
+        svg = render_svg([BenchRecord("krr", 10, 5, 0, 0.0, 0.01, 0.001, 7),
+                          BenchRecord("krr", 100, 50, 0, 0.0, 0.02, 0.001, 8)])
+        ticks = [line.split(">")[1].split("<")[0] for line in svg.splitlines()
+                 if 'text-anchor="end"' in line]
+        assert ticks == ["0", "0.21", "0.42", "0.63", "0.84", "1.05"]
+        assert 'points="64,372 616,372"' in svg  # the line lies on the x axis
