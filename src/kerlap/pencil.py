@@ -190,10 +190,10 @@ def _cholesky_with_jitter(M: np.ndarray, name: str) -> tuple[np.ndarray, float]:
 
 
 def _spd_solve(M: np.ndarray, rhs: np.ndarray, name: str) -> tuple[np.ndarray, float]:
-    """(x, jitter): M x = rhs for a symmetric positive definite M, C- or
-    Fortran-contiguous (a C-order M's transpose is M in Fortran order), by
-    ``_cholesky_with_jitter``, which overwrites M, and LAPACK ``potrs``."""
-    L, jitter = _cholesky_with_jitter(M if M.flags.f_contiguous else M.T, name)
+    """(x, jitter): M x = rhs for a symmetric positive definite M in C order,
+    by ``_cholesky_with_jitter`` on M's transpose, which is M in Fortran
+    order and is factored in place, and LAPACK ``potrs``."""
+    L, jitter = _cholesky_with_jitter(M.T, name)
     x, info = dpotrs(L, rhs, lower=1)
     lapack_info("potrs", info)
     return x, jitter
