@@ -7,7 +7,15 @@ has the wrong number of dimensions or holds a non-finite entry, and an
 object of the wrong class raise ``InvalidArgumentError`` naming the
 parameter, which exits with code 2.  Checks that compare one argument with
 another (matching lengths or dimensions) stay with the call that needs them.
-``lapack_info`` is the one check of a LAPACK call's illegal-argument code."""
+``lapack_info`` is the one check of a LAPACK call's illegal-argument code.
+
+Each array is checked once, where it enters the library: every public
+entry checks its arguments, and ``fit`` calls its five steps through their
+public entries.  Below that layer, the private cores
+``GaussianKernel._gram``, ``GaussianKernel._blocks`` and
+``PencilDecomposition._solve`` check nothing.  They are given only arrays
+that a ``SemiDataset``, a ``FittedModel`` or the entry that calls them has
+checked."""
 
 import math
 import numbers

@@ -281,7 +281,8 @@ def _kernel_expansion(
     Fortran-order transpose, which f2py passes without a copy.
     """
     out = np.empty((queries.shape[0],) + coef.shape[1:])
-    for start, stop, kb, _ in kernel.blocks(queries, coords):
+    # predict checked the queries, and FittedModel the coordinates
+    for start, stop, kb, _ in kernel._blocks(queries, coords):
         if coef.ndim == 1:
             out[start:stop] = dgemv(1.0, kb.T, coef, trans=1)
         else:

@@ -72,7 +72,8 @@ def filter_coefficients(dec: PencilDecomposition, f: FilterSpec, b: np.ndarray) 
     if b.shape != (p,):
         raise InvalidArgumentError(f"b has shape {b.shape}, expected ({p},)")
     if f.kind == TIKHONOV:
-        return dec.solve(f.lam, b)
+        # b is checked above and lam by FilterSpec
+        return dec._solve(f.lam, b)
     weights = apply(f, dec.eigenvalues)
     V = dec.eigenvectors
     return dgemv(1.0, V, weights * dgemv(1.0, V, b, trans=1))

@@ -8,7 +8,9 @@ in the first argument) and ``cross_hessian_gram`` (mixed second derivatives,
 one per argument).  A single pair is a batch of one row each.  ``blocks``
 yields ``gram`` and the squared distances behind it chunk by chunk: the
 landmark assembly and prediction loop over it, and the pruning Gram takes
-chunks of the same ``chunk_rows``.
+chunks of the same ``chunk_rows``.  ``gram`` and ``blocks`` check their
+arguments; the library calls their unchecked cores ``_gram`` and
+``_blocks`` on arrays it has already checked (see ``errors``).
 
 Squared distances come from the expansion ||x||^2 + ||z||^2 - 2<x, z>, the
 whole block as one BLAS matrix product of rows augmented by their squared
@@ -97,9 +99,12 @@ def _sqdist_expanded(X: np.ndarray, Z: np.ndarray, out: np.ndarray | None = None
     m = Z.shape[0]
     if n == 0 or m == 0:
         return np.zeros((n, m))
-    centre = Z.mean(axis=0)
-    xa = np.ones((n, d + 2))
-    za = np.ones((m, d + 2))
+    # what Z.mean(axis=0) computes, without its dispatch
+    centre = np.add.reduce(Z, 0) / m
+    xa = np.empty((n, d + 2))
+    za = np.empty((m, d + 2))
+    xa[:, d + 1] = 1.0
+    za[:, d] = 1.0
     Xc = np.subtract(X, centre, out=xa[:, :d])
     Zc = np.subtract(Z, centre, out=za[:, :d])
     xn = np.einsum("ij,ij->i", Xc, Xc, out=xa[:, d])
@@ -112,21 +117,23 @@ def _sqdist_expanded(X: np.ndarray, Z: np.ndarray, out: np.ndarray | None = None
     D = dgemm(1.0, za.T, xa.T, trans_a=1, c=c, overwrite_c=1).T
     # _GUARD is a power of two, so _GUARD xn + _GUARD zn is _GUARD (xn + zn),
     # exactly away from subnormals, and cannot overflow where that sum would
-    bound = _GUARD * xn.max() + _GUARD * zn.max()
-    # not greater, so that NaN is a candidate; the flat nonzero is several
-    # times faster than the 2-d one at (400, 50)
-    kept = np.greater(D, bound)
-    candidates = np.logical_not(kept, out=kept).ravel().nonzero()[0]
+    bound = _GUARD * np.maximum.reduce(xn) + _GUARD * np.maximum.reduce(zn)
+    # D is C-contiguous, so the guard reads and writes it through a flat
+    # view, by flat index: the flat nonzero is several times faster than the
+    # 2-d one at (400, 50).  Not greater, so that NaN is a candidate
+    flat = D.reshape(-1)
+    kept = np.greater(flat, bound)
+    candidates = np.logical_not(kept, out=kept).nonzero()[0]
     del kept
     rows, cols = np.divmod(candidates, m)
-    flagged = ~(D[rows, cols] > _GUARD * xn[rows] + _GUARD * zn[cols])
-    rows, cols = rows[flagged], cols[flagged]
+    flagged = ~(flat[candidates] > _GUARD * xn[rows] + _GUARD * zn[cols])
+    candidates, rows, cols = candidates[flagged], rows[flagged], cols[flagged]
     step = max(1, _GUARD_PIECE // d)
     for start in range(0, rows.size, step):
-        r, c = rows[start:start + step], cols[start:start + step]
-        diff = X[r]
-        diff -= Z[c]
-        D[r, c] = np.einsum("ij,ij->i", diff, diff)
+        piece = slice(start, start + step)
+        diff = X[rows[piece]]
+        diff -= Z[cols[piece]]
+        flat[candidates[piece]] = np.einsum("ij,ij->i", diff, diff)
     return D
 
 
@@ -180,7 +187,7 @@ class GaussianKernel:
         # a unit above the floor, as most blocks of a wide kernel do, has
         # every value at least e * _FLUSH, and needs neither the clamp nor
         # the zeroing pass; the minimum costs a fraction of either.
-        if out.min(initial=0.0) < _FLUSH_EXPONENT + 1.0:
+        if np.minimum.reduce(out, None, initial=0.0) < _FLUSH_EXPONENT + 1.0:
             np.maximum(out, _FLUSH_EXPONENT, out=out)
             np.exp(out, out=out)
             np.multiply(out, out > _FLUSH, out=out)
@@ -191,7 +198,11 @@ class GaussianKernel:
     def gram(self, X: np.ndarray, Z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """k(X[i], Z[j]) for all pairs, shape (n, m), written into ``out``
         when it is given, a C-contiguous (n, m) array."""
-        sq = _sqdist_expanded(*_checked(X, Z), out=out)
+        return self._gram(*_checked(X, Z), out=out)
+
+    def _gram(self, X: np.ndarray, Z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """``gram`` of float arrays that ``_checked`` would pass, unchecked."""
+        sq = _sqdist_expanded(X, Z, out=out)
         return self._from_sqdist(sq, out=sq)
 
     def blocks(self, X: np.ndarray, Z: np.ndarray):
@@ -199,8 +210,12 @@ class GaussianKernel:
         len(Z))`` rows of X: K = ``gram(X[start:stop], Z)`` and D the squared
         distances it is made from.  K and D are views of two C-contiguous
         buffers reused for every chunk, which saves page faults: a caller may
-        overwrite them, and copies what it keeps."""
-        X, Z = _checked(X, Z)
+        overwrite them, and copies what it keeps.  X and Z are checked at
+        the call, before the first chunk is asked for."""
+        return self._blocks(*_checked(X, Z))
+
+    def _blocks(self, X: np.ndarray, Z: np.ndarray):
+        """``blocks`` of float arrays that ``_checked`` would pass, unchecked."""
         n, m = X.shape[0], Z.shape[0]
         chunk = chunk_rows(n, m)
         k_buf = np.empty((chunk, m))

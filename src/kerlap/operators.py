@@ -280,7 +280,8 @@ def assemble(
     q = np.empty((p, p))
     kpp = np.empty((p, p))
     b = np.zeros(p)
-    for start, stop, kb, db in kernel.blocks(X, coords):
+    # X is the dataset's, checked when it was built
+    for start, stop, kb, db in kernel._blocks(X, coords):
         # every distance is in [0, inf], whose kernel values are finite; an
         # infinite one has k = 0 and would make P = inf * 0 = NaN
         _check_block_finite(db, start, "kernel derivative")
@@ -303,12 +304,14 @@ def assemble(
     del kb, db
 
     _mirror_upper(ktk)
-    # Znp^T Znp / n by the polarization identity; Q holds each product it
-    # subtracts in turn, so no other p x p array is made
+    # Znp^T Znp / n by the polarization identity, in the C order of Q and
+    # Kpp: the symmetric K^T K is read as its C-order transpose, and only
+    # P^T K + K^T P mixes orders.  Q holds each product it subtracts in
+    # turn, so no other p x p array is made
     s2 = kernel.sigma**2
-    B = pk
-    B += pk.T
-    B -= np.multiply(ktk, q, out=q)
+    B = np.add(pk.T, pk)
+    del pk
+    B -= np.multiply(ktk.T, q, out=q)
     B /= 2.0 * n * s2
     B /= s2
     B += np.multiply(kpp, mu, out=q)
@@ -328,9 +331,9 @@ def assemble(
     if factor is not None:
         if upper is None:
             upper = np.ascontiguousarray(factor[:p]).T
-        # sygst overwrites the upper triangle of B with that of
-        # (L^T)^-T B (L^T)^-1 = L^-1 B L^-T
-        C, info = dsygst(B, upper, itype=1, lower=0, overwrite_a=1)
+        # sygst overwrites the upper triangle of a Fortran-order B with that
+        # of (L^T)^-T B (L^T)^-1 = L^-1 B L^-T
+        C, info = dsygst(np.asfortranarray(B), upper, itype=1, lower=0, overwrite_a=1)
         lapack_info("sygst", info)
         B = _mirror_upper(C)
     return OperatorBundle(knp=None, znp=None, A=A, B=B, b=b, kpp=kpp)
@@ -404,7 +407,7 @@ def prune_landmarks(
     for start in range(0, p, step):
         stop = min(p, start + step)
         block = buf[:(stop - start) * (p - start)].reshape(stop - start, p - start)
-        kpp[start:stop, start:] = kernel.gram(coords[start:stop], coords[start:], out=block)
+        kpp[start:stop, start:] = kernel._gram(coords[start:stop], coords[start:], out=block)
     del buf, block
     c, piv, r, info = dpstrf(kpp.T, tol=PRUNE_TOL, lower=1, overwrite_a=1)
     lapack_info("pstrf", info)

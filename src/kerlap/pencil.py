@@ -90,6 +90,11 @@ class PencilDecomposition:
         p = self.factor.shape[0]
         if rhs.shape != (p,):
             raise InvalidArgumentError(f"rhs has shape {rhs.shape}, expected ({p},)")
+        return self._solve(lam, rhs)
+
+    def _solve(self, lam: float, rhs: np.ndarray) -> np.ndarray:
+        """``solve`` of a lam and a float (p,) rhs that it would pass, unchecked:
+        ``filter_coefficients`` calls it on the b it has checked."""
         F, info = _shifted_cholesky(self.reduced, lam)
         if info != 0:
             raise SingularPencilError(
@@ -253,7 +258,8 @@ def gevd(A: np.ndarray, B: np.ndarray) -> PencilDecomposition:
         raise InvalidArgumentError(f"shape mismatch: A {C.shape} vs B {B.shape}")
 
     # both norms before potrf factors B and sygst reduces C, in place
-    norm_a, norm_b = _frobenius_norm(C), np.linalg.norm(B, 1)
+    # ||B||_1 as np.linalg.norm(B, 1) computes it, without its dispatch
+    norm_a, norm_b = _frobenius_norm(C), np.add.reduce(np.abs(B), 0).max()
     L, jitter = _cholesky_with_jitter(B, "B")
     C, info = dsygst(C, L, lower=1, overwrite_a=1)
     lapack_info("sygst", info)

@@ -14,7 +14,7 @@ from scipy.linalg.lapack import dpocon, dpotrf
 from kerlap import estimator, kernel as kernel_module, operators, pencil
 from kerlap.baselines import GraphConfig, harmonic_propagate, krr_fit
 from kerlap.bench import export_eigenvectors, generate_instance, preset, trial_seed
-from kerlap.errors import InvalidArgumentError, SingularPencilError
+from kerlap.errors import InvalidArgumentError, ResourceLimitError, SingularPencilError
 from kerlap.estimator import (
     DENSE_REPRESENTER,
     LANDMARK_KERNEL,
@@ -199,26 +199,52 @@ class TestFit:
     @pytest.mark.parametrize("draw", ["circles", "fig2"])
     def test_readme_route_is_fit(self, draw):
         # README's "run the steps of fit yourself" route, on a whitened draw
-        # (circles n = p = 400) and an unwhitened one (fig2 at n = 200)
+        # (circles n = p = 400) and on fig2's trial 0 at every n of its grid,
+        # none of them whitened (p = n at n = 25)
         if draw == "circles":
-            seed, sol = 0, False
-            ds = gen_circles(CirclesSpec(n=400, n_labeled=4, angles="equispaced", seed=seed))
-            k, p, mu = GaussianKernel(0.2), 400, 1.0 / 400
+            ds = gen_circles(CirclesSpec(n=400, n_labeled=4, angles="equispaced", seed=0))
+            cases = [(ds, GaussianKernel(0.2), 400, 1.0 / 400, 0, False)]
         else:
             cfg = preset("fig2")
-            seed, sol = trial_seed(1, 200, 0), cfg.sigma_over_labeled
-            ds, _ = generate_instance(cfg, 200, seed)
-            k, p, mu = GaussianKernel(cfg.kernel_sigma), cfg.resolve_p(200), cfg.resolve_mu(200)
-        for spec in (TIK, FilterSpec("cutoff", 1e-3)):
-            drawn, F = prune_landmarks(ds, k, select_landmarks(ds, p, seed))
-            bundle = assemble(ds, k, drawn, mu, sigma_over_labeled=sol, factor=F)
-            dec = gevd(bundle.A, bundle.B)
-            if F is not None:
-                L = F[:F.shape[1]]
-                dec = replace(dec, factor=dtrmm(1.0, dec.factor, L, side=1, lower=1))
-            want = fit(ds, k, p, mu, spec, seed, sigma_over_labeled=sol).coefficients
-            assert np.array_equal(filter_coefficients(dec, spec, bundle.b), want)
-        assert (F is None) == (draw == "fig2")
+            cases = []
+            for n in cfg.n_grid:
+                seed = trial_seed(1, n, 0)
+                ds, _ = generate_instance(cfg, n, seed)
+                cases.append((ds, GaussianKernel(cfg.kernel_sigma), cfg.resolve_p(n),
+                              cfg.resolve_mu(n), seed, cfg.sigma_over_labeled))
+            assert cases[0][2] == cases[0][0].n == 25
+        for ds, k, p, mu, seed, sol in cases:
+            for spec in (TIK, FilterSpec("cutoff", 1e-3)):
+                drawn, F = prune_landmarks(ds, k, select_landmarks(ds, p, seed))
+                bundle = assemble(ds, k, drawn, mu, sigma_over_labeled=sol, factor=F)
+                dec = gevd(bundle.A, bundle.B)
+                if F is not None:
+                    L = F[:F.shape[1]]
+                    dec = replace(dec, factor=dtrmm(1.0, dec.factor, L, side=1, lower=1))
+                want = fit(ds, k, p, mu, spec, seed, sigma_over_labeled=sol).coefficients
+                assert np.array_equal(filter_coefficients(dec, spec, bundle.b), want)
+            assert (F is None) == (draw == "fig2")
+
+    def test_fit_calls_each_step_once_by_name(self, monkeypatch):
+        # fit reaches its five steps through estimator's own bindings, one
+        # call each, so that a tracer or README's route that binds them by
+        # name sees every step; on a pruned draw too
+        steps = ("select_landmarks", "prune_landmarks", "assemble", "gevd",
+                 "filter_coefficients")
+        calls = []
+        for name in steps:
+            def counted(*args, _step=getattr(estimator, name), _name=name, **kwargs):
+                calls.append(_name)
+                return _step(*args, **kwargs)
+            monkeypatch.setattr(estimator, name, counted)
+        rng = np.random.default_rng(32)
+        X = rng.standard_normal((30, 3))
+        for data, p in ((X, 10), (np.repeat(X[:10], 2, axis=0), 20)):
+            calls.clear()
+            model = fit(SemiDataset(data, rng.standard_normal(6)), GaussianKernel(0.8), p, 0.1,
+                        TIK, 0)
+            assert calls == list(steps)
+        assert model.coefficients.size < 20
 
     def test_only_the_cutoff_filter_eigensolves(self, monkeypatch):
         def no_eigensolve(*args, **kwargs):
@@ -389,6 +415,19 @@ class TestFitExact:
         assert coef.shape == (n * (d + 1),)
         assert np.all(coef[n_l:n] == 0.0)
         assert np.all(coef[:n_l] != 0.0)
+
+    def test_default_dense_cap(self):
+        # the default cap is on n*(d+1) = 2000: n = 500 at d = 3 is solved,
+        # n = 667 at d = 2 (2001) is refused before any kernel value
+        rng = np.random.default_rng(15)
+        ds = SemiDataset(rng.standard_normal((500, 3)), rng.standard_normal(5))
+        model = fit_exact(ds, GaussianKernel(1.0), lam=0.1, mu=0.01)
+        assert model.coefficients.shape == (2000,)
+        assert np.all(np.isfinite(model.coefficients))
+        ds = SemiDataset(rng.standard_normal((667, 2)), rng.standard_normal(5))
+        with pytest.raises(ResourceLimitError, match=r"^dense basis size n\*\(d\+1\) = 2001 "
+                           r"exceeds the cap 2000"):
+            fit_exact(ds, GaussianKernel(1.0), lam=0.1, mu=0.01)
 
     def test_no_pencil_route(self, monkeypatch):
         # one Cholesky of the reduced system: no pencil is assembled,

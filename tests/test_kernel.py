@@ -284,6 +284,17 @@ class TestGram:
         assert [stop - start for start, stop, _, _ in k.blocks(X[:3], Z)] == [1, 1, 1]
         assert list(k.blocks(np.zeros((0, 3)), Z)) == []
 
+    def test_blocks_checks_at_the_call(self):
+        # blocks checks its arguments when it is called, before any chunk is
+        # asked for; only its private core trusts them
+        k = GaussianKernel(1.0)
+        with pytest.raises(InvalidArgumentError, match="^dimension mismatch"):
+            k.blocks(np.zeros((2, 3)), np.zeros((2, 2)))
+        with pytest.raises(InvalidArgumentError, match="^X contains non-finite entries$"):
+            k.blocks([[np.nan]], [[0.0]])
+        with pytest.raises(InvalidArgumentError, match="^Z must be 2-d"):
+            k.blocks(np.zeros((2, 3)), np.zeros(3))
+
     @pytest.mark.parametrize("case", ["duplicates", "offset 1e8", "two clusters 1e6"])
     def test_blocks_on_hostile_inputs(self, case):
         # the distances come from an expansion in the norms and X Z^T; where
@@ -344,6 +355,21 @@ class TestGram:
             for j in range(3):
                 sq = math.fsum((a - b) ** 2 for a, b in zip(X[i], Z[j]))
                 assert G[i, j] == pytest.approx(math.exp(-sq / 18.0), rel=1e-14)
+
+    @pytest.mark.parametrize("sigma", [0.5, 1.0, 3.0])
+    def test_flush_floor(self, sigma):
+        # kernel values below 2^-500, squared distances beyond about
+        # 693.1 sigma^2, are flushed to 0: 692 sigma^2 keeps exp(-346), and
+        # 694 sigma^2 gives exactly 0, in gram and in blocks
+        k = GaussianKernel(sigma)
+        x = np.zeros((1, 1))
+        kept, flushed = np.sqrt([[692.0]]) * sigma, np.sqrt([[694.0]]) * sigma
+        assert k.gram(x, kept)[0, 0] == pytest.approx(math.exp(-346.0), rel=1e-12)
+        assert k.gram(x, flushed)[0, 0] == 0.0
+        [(_, _, K, _)] = k.blocks(np.vstack([x, x]), kept)
+        assert np.all(K > 0.0)
+        [(_, _, K, _)] = k.blocks(np.vstack([x, x]), flushed)
+        assert np.all(K == 0.0)
 
     def test_overflowing_distance_gives_zero_kernel(self):
         # finite coordinates whose squared distance overflows: the kernel

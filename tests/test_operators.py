@@ -385,6 +385,24 @@ class TestPruneAndWhiten:
         kept, factor = prune_landmarks(ds, GaussianKernel(1.0), lm)
         assert kept is lm and factor is None
 
+    @pytest.mark.parametrize("sigma", [0.5, 2.0])
+    def test_whiten_pivot(self, sigma):
+        # two landmarks delta sigma apart: their Gram's last pivot is
+        # 1 - exp(-delta^2) ~ delta^2.  At 1e-3 sigma (pivot 1e-6, below
+        # WHITEN_PIVOT) the full-rank draw is whitened; at 1e-2 sigma (pivot
+        # 1e-4) it is kept as drawn
+        k = GaussianKernel(sigma)
+        for delta, pivot, whitened in ((1e-3, 1e-6, True), (1e-2, 1e-4, False)):
+            X = np.array([[0.0, 0.0], [delta * sigma, 0.0], [3.0 * sigma, sigma]])
+            ds = SemiDataset(inputs=X, labels=[1.0])
+            lm = np.array([0, 1])
+            kept, factor = prune_landmarks(ds, k, lm)
+            if whitened:
+                assert sorted(kept) == [0, 1] and factor.shape == (2, 2)
+                assert factor[1, 1] ** 2 == pytest.approx(pivot, rel=1e-3)
+            else:
+                assert kept is lm and factor is None
+
     @pytest.mark.parametrize("budget", [None, 7 * 60])
     def test_factor_of_kept_gram(self, budget, monkeypatch):
         # 60 points on a 1-d interval at sigma = 0.5: Kpp of all of them has

@@ -77,6 +77,34 @@ class TestGevd:
         with pytest.raises(InvalidArgumentError, match="asymmetric"):
             gevd(A, np.eye(2))
 
+    @pytest.mark.parametrize("name", ["A", "B"])
+    def test_asymmetry_tolerance(self, name):
+        # ||M - M^T||_F above 1e-8 ||M||_F is refused, by gevd and
+        # pencil_solve alike: a relative asymmetry of 2e-8 is, 5e-9 is not.
+        # S symmetric and K antisymmetric are orthogonal, so that
+        # ||S + t K||_F = ||S||_F up to t^2 and the asymmetry is 2 t ||K||_F
+        rng = np.random.default_rng(8)
+        A, B = random_pencil(rng, 8)
+        S = A if name == "A" else B
+        K = np.triu(rng.standard_normal((8, 8)), 1)
+        K = (K - K.T) / np.linalg.norm(K - K.T)
+        rhs = rng.standard_normal(8)
+        for rel, refused in ((2e-8, True), (5e-9, False)):
+            M = S + rel / 2 * np.linalg.norm(S) * K
+            assert np.linalg.norm(M - M.T) / np.linalg.norm(M) == pytest.approx(rel, rel=1e-6)
+            pencil = {"A": A, "B": B, name: M}
+            if refused:
+                with pytest.raises(InvalidArgumentError, match=f"^{name} is asymmetric beyond"):
+                    gevd(pencil["A"], pencil["B"])
+                with pytest.raises(InvalidArgumentError, match=f"^{name} is asymmetric beyond"):
+                    pencil_solve(pencil["A"], pencil["B"], 0.5, rhs)
+            else:
+                # accepted, and solved as the symmetric part
+                sym = {key: (value + value.T) / 2 for key, value in pencil.items()}
+                check_invariants(sym["A"], sym["B"], gevd(pencil["A"], pencil["B"]))
+                assert np.array_equal(pencil_solve(pencil["A"], pencil["B"], 0.5, rhs),
+                                      pencil_solve(sym["A"], sym["B"], 0.5, rhs))
+
     def test_non_finite_rejected(self):
         with pytest.raises(InvalidArgumentError):
             gevd(np.array([[np.nan, 0], [0, 1.0]]), np.eye(2))
