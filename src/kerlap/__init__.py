@@ -51,9 +51,7 @@ from .synthdata import (
     CirclesSpec,
     GaussianMixSpec,
     bayes_error,
-    gen_circles,
     gen_circles_with_truth,
-    gen_gaussian_mix,
     gen_gaussian_mix_with_truth,
 )
 
@@ -87,9 +85,7 @@ __all__ = [
     "filter_coefficients",
     "fit",
     "fit_exact",
-    "gen_circles",
     "gen_circles_with_truth",
-    "gen_gaussian_mix",
     "gen_gaussian_mix_with_truth",
     "gevd",
     "graph_bandwidth",

@@ -13,9 +13,9 @@ Each array is checked once, where it enters the library: every public
 entry checks its arguments, and ``fit`` calls its five steps through their
 public entries.  Below that layer, the private cores
 ``GaussianKernel._gram``, ``GaussianKernel._blocks`` and
-``PencilDecomposition._solve`` check nothing.  They are given only arrays
-that a ``SemiDataset``, a ``FittedModel`` or the entry that calls them has
-checked."""
+``PencilDecomposition._solve`` check nothing, and only ``_gram`` has a
+checked twin, ``gram``.  They are given only arrays that a ``SemiDataset``,
+a ``FittedModel`` or the entry that calls them has checked."""
 
 import math
 import numbers

@@ -137,7 +137,7 @@ def fit(
     (the Tikhonov filter) or O(r^3) for an eigensolve (the cutoff filter),
     plus O(r^3) on a whitened draw to compose the whitening into the
     pencil's factor; memory is O(p^2) plus one row chunk of
-    ``GaussianKernel.blocks``.  The model stores one coefficient per kept
+    ``GaussianKernel._blocks``.  The model stores one coefficient per kept
     landmark.
     """
     instance("ds", ds, SemiDataset)

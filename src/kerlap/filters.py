@@ -61,7 +61,7 @@ def filter_coefficients(dec: PencilDecomposition, f: FilterSpec, b: np.ndarray) 
     the pencil (A, B) that ``dec = gevd(A, B)`` decomposes, linear in b.
 
     For the Tikhonov filter c is (A + lam*B)^-1 b, which
-    ``PencilDecomposition.solve`` returns without the eigenpairs; the cutoff
+    ``PencilDecomposition._solve`` returns without the eigenpairs; the cutoff
     filter reads them, which eigensolves the pencil on the first read, and
     applies them by two BLAS ``gemv`` on the Fortran-order eigenvectors.
     """

@@ -5,12 +5,12 @@ the derivative feature maps.
 model JSON format all take it.  Every evaluation is over all pairs of rows
 of two (rows, d) arrays: ``gram`` (kernel values), ``grad1_gram`` (gradients
 in the first argument) and ``cross_hessian_gram`` (mixed second derivatives,
-one per argument).  A single pair is a batch of one row each.  ``blocks``
-yields ``gram`` and the squared distances behind it chunk by chunk: the
-landmark assembly and prediction loop over it, and the pruning Gram takes
-chunks of the same ``chunk_rows``.  ``gram`` and ``blocks`` check their
-arguments; the library calls their unchecked cores ``_gram`` and
-``_blocks`` on arrays it has already checked (see ``errors``).
+one per argument).  A single pair is a batch of one row each.  Each
+checks its arguments.  Two unchecked cores serve the library on arrays it
+has already checked (see ``errors``): ``_gram``, and ``_blocks``, which
+yields ``gram`` and the squared distances behind it chunk by chunk.  The
+landmark assembly and prediction loop over ``_blocks``, and the pruning
+Gram takes chunks of the same ``chunk_rows``.
 
 Squared distances come from the expansion ||x||^2 + ||z||^2 - 2<x, z>, the
 whole block as one BLAS matrix product of rows augmented by their squared
@@ -40,7 +40,7 @@ from scipy.linalg.blas import dgemm
 
 from .errors import InvalidArgumentError, array, real
 
-# entries in a chunk of ``blocks``: 4 MB of distances and 4 MB of kernel values
+# entries in a chunk of ``_blocks``: 4 MB of distances and 4 MB of kernel values
 _CHUNK_BUDGET = 1 << 19
 
 # Rounding leaves an expanded squared distance off by c eps (|x|^2 + |z|^2),
@@ -93,7 +93,7 @@ def _sqdist_expanded(X: np.ndarray, Z: np.ndarray, out: np.ndarray | None = None
     entries at most the scalar bound ``_GUARD`` (max xn + max zn) are
     candidates for that test, so no (n, m) array of bounds is formed.  The
     distances are written into ``out`` when it is given, a C-contiguous
-    (n, m) array that ``blocks`` reuses from one chunk to the next.
+    (n, m) array that ``_blocks`` reuses from one chunk to the next.
     """
     n, d = X.shape
     m = Z.shape[0]
@@ -205,17 +205,13 @@ class GaussianKernel:
         sq = _sqdist_expanded(X, Z, out=out)
         return self._from_sqdist(sq, out=sq)
 
-    def blocks(self, X: np.ndarray, Z: np.ndarray):
+    def _blocks(self, X: np.ndarray, Z: np.ndarray):
         """Yield (start, stop, K, D) for chunks of ``chunk_rows(len(X),
         len(Z))`` rows of X: K = ``gram(X[start:stop], Z)`` and D the squared
         distances it is made from.  K and D are views of two C-contiguous
         buffers reused for every chunk, which saves page faults: a caller may
-        overwrite them, and copies what it keeps.  X and Z are checked at
-        the call, before the first chunk is asked for."""
-        return self._blocks(*_checked(X, Z))
-
-    def _blocks(self, X: np.ndarray, Z: np.ndarray):
-        """``blocks`` of float arrays that ``_checked`` would pass, unchecked."""
+        overwrite them, and copies what it keeps.  X and Z are float arrays
+        that ``_checked`` would pass, and are not checked again."""
         n, m = X.shape[0], Z.shape[0]
         chunk = chunk_rows(n, m)
         k_buf = np.empty((chunk, m))

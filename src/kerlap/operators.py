@@ -29,7 +29,7 @@ that product would cancel (see ``kernel``), so every distance is accurate
 for data far from the origin.
 
 ``assemble`` streams: one loop over the kernel's row chunks of K and D
-(``GaussianKernel.blocks``) accumulates K^T K (BLAS ``syrk``), P^T K, b,
+(``GaussianKernel._blocks``) accumulates K^T K (BLAS ``syrk``), P^T K, b,
 the labeled rows' K_l^T K_l when A averages over them, and the landmark
 rows of D and K (Q and Kpp).  K^T K is shared with A.  The work is O(n p d)
 for D plus O(n p^2) for the products, all in BLAS, and the memory O(p^2)
@@ -51,8 +51,8 @@ from the factor instead of solving for it.
 representer basis {k_{X_i}} + {d_j k_{X_i}} instead of a landmark subset.
 The dense oracle estimator solves the same problem from one block of that
 basis' Gram, without the pencil, and ``assemble_dense`` is its reference.
-Neither assembly symmetrizes its output: the ``pencil`` solvers check and
-symmetrize every pencil they are given.
+``assemble`` returns an exactly symmetric A and B; ``assemble_dense``'s B is
+symmetric up to rounding, and the ``pencil`` solvers symmetrize it.
 
 Every CSV file the library writes goes through ``write_csv`` and every one
 it reads through ``read_csv``, which owns the checks on the rows.
@@ -315,6 +315,11 @@ def assemble(
     B /= 2.0 * n * s2
     B /= s2
     B += np.multiply(kpp, mu, out=q)
+    if factor is None:
+        # Q and Kpp hold two GEMM entries per landmark pair, which sum the
+        # same terms in different orders; sygst below reads B's upper triangle
+        B = np.add(B, B.T, out=q)
+        B /= 2.0
     del q
     b /= n_l
     if shared:

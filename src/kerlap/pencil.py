@@ -10,7 +10,7 @@ shifted by one tolerance, that A is positive semi-definite in the
 B-metric: tol = ||A||_F / ||B||_1 * max(1e-8, 64 eps cond_1(B)), a
 rounding bound for the reduction (``_clamp_tolerance``).  ||A||_F is at
 least ||A||_2, so the check is never stricter than the same rule in the
-2-norm.  The ``PencilDecomposition`` it returns solves
+2-norm.  The ``PencilDecomposition`` it returns gives the Tikhonov filter
 (A + lam*B)^-1 rhs = L^-T (C + lam I)^-1 L^-1 rhs with one Cholesky
 factorization of C + lam I, and computes its eigenpairs only when first
 read: ``syevd`` on C, and the eigenvectors back-transformed by L^-T with
@@ -82,19 +82,11 @@ class PencilDecomposition:
     reduced: np.ndarray
     jitter: float
 
-    def solve(self, lam: float, rhs: np.ndarray) -> np.ndarray:
-        """x = (A + lam*B)^-1 rhs as L^-T (C + lam I)^-1 L^-1 rhs, for lam > 0,
-        by one Cholesky factorization of C + lam I: O(p^3 / 3) work."""
-        lam = real("lam", lam)
-        rhs = array("rhs", rhs, ndim=1)
-        p = self.factor.shape[0]
-        if rhs.shape != (p,):
-            raise InvalidArgumentError(f"rhs has shape {rhs.shape}, expected ({p},)")
-        return self._solve(lam, rhs)
-
     def _solve(self, lam: float, rhs: np.ndarray) -> np.ndarray:
-        """``solve`` of a lam and a float (p,) rhs that it would pass, unchecked:
-        ``filter_coefficients`` calls it on the b it has checked."""
+        """x = (A + lam*B)^-1 rhs as L^-T (C + lam I)^-1 L^-1 rhs, for lam > 0,
+        by one Cholesky factorization of C + lam I: O(p^3 / 3) work.  Nothing
+        is checked: ``filter_coefficients`` calls it with the lam of a
+        ``FilterSpec`` and a float (p,) rhs it has checked."""
         F, info = _shifted_cholesky(self.reduced, lam)
         if info != 0:
             raise SingularPencilError(
@@ -145,7 +137,7 @@ def _check_symmetric(M: np.ndarray, name: str) -> np.ndarray:
     M = array(name, M, ndim=2)
     if M.shape[0] != M.shape[1] or M.shape[0] < 1:
         raise InvalidArgumentError(f"{name} must be square and non-empty, got shape {M.shape}")
-    if (M == M.T).all():  # as every assembled pencil is: (M + M^T)/2 is M
+    if (M == M.T).all():  # as assemble's pencils are: (M + M^T)/2 is M
         return np.array(M, order="F")
     # on scipy's BLAS: numpy's pool would spin against the solvers' next
     scale = dnrm2(M.ravel(order="K"))
@@ -227,10 +219,10 @@ def _clamp_tolerance(norm_a: float, L: np.ndarray, norm_b: float) -> float:
 
 def _shifted_cholesky(C: np.ndarray, shift: float) -> tuple[np.ndarray, int]:
     """LAPACK ``potrf`` of C + shift*I from C's lower triangle: (lower factor,
-    info), the factor's upper triangle zeroed."""
+    info), C's strict upper triangle left above it, which no caller reads."""
     M = np.array(C, order="F")
     M.flat[:: M.shape[0] + 1] += shift
-    F, info = dpotrf(M, lower=1, clean=1, overwrite_a=1)
+    F, info = dpotrf(M, lower=1, clean=0, overwrite_a=1)
     return F, lapack_info("potrf", info)
 
 

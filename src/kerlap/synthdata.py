@@ -1,9 +1,9 @@
 """Seeded generators for the two benchmark families: concentric circles and a
 two-Gaussian mixture.
 
-Both generators return datasets whose labeled points occupy the leading rows
-(the library-wide convention); ``*_with_truth`` variants additionally return
-the ground-truth labels of every generated point for transductive scoring.
+Both generators return a dataset whose labeled points occupy the leading rows
+(the library-wide convention) and the ground-truth labels of every generated
+point, in the dataset's row order, for transductive scoring.
 
 Randomness comes from ``numpy.random.default_rng`` (PCG64); normal samples
 use numpy's standard-normal transform.  A fixed seed fully determines the
@@ -166,10 +166,6 @@ def gen_circles_with_truth(spec: CirclesSpec) -> tuple[SemiDataset, np.ndarray]:
     return ds, truth[order]
 
 
-def gen_circles(spec: CirclesSpec) -> SemiDataset:
-    return gen_circles_with_truth(spec)[0]
-
-
 def gen_gaussian_mix_with_truth(spec: GaussianMixSpec) -> tuple[SemiDataset, np.ndarray]:
     rng = np.random.default_rng(spec.seed)
     classes = rng.integers(0, 2, spec.n) * 2 - 1
@@ -194,7 +190,3 @@ def gen_gaussian_mix_with_truth(spec: GaussianMixSpec) -> tuple[SemiDataset, np.
     order = np.concatenate([chosen, rest])
     ds = SemiDataset(inputs=points[order], labels=classes[chosen].astype(float))
     return ds, classes[order].astype(np.int64)
-
-
-def gen_gaussian_mix(spec: GaussianMixSpec) -> SemiDataset:
-    return gen_gaussian_mix_with_truth(spec)[0]

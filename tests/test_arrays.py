@@ -40,8 +40,7 @@ def kernel_call(method, side):
     def call(v):
         args = [ROW, ROW]
         args[side] = v
-        out = getattr(K, method)(*args)
-        return list(out) if method == "blocks" else out
+        return getattr(K, method)(*args)
     return call
 
 
@@ -51,7 +50,7 @@ CALLS = {
     ("SemiDataset", "inputs"): (2, lambda v: SemiDataset(v, [1.0])),
     ("SemiDataset", "labels"): (1, lambda v: SemiDataset(DS.inputs, v)),
     **{(f"GaussianKernel.{method}", arg): (2, kernel_call(method, side))
-       for method in ("gram", "blocks", "grad1_gram", "cross_hessian_gram")
+       for method in ("gram", "grad1_gram", "cross_hessian_gram")
        for side, arg in enumerate("XZ")},
     ("FittedModel", "basis_coordinates"): (2, lambda v: FittedModel(K, v, [0.0], LANDMARK_KERNEL)),
     ("FittedModel", "coefficients"): (1, lambda v: FittedModel(K, ROW, v, LANDMARK_KERNEL)),
@@ -69,7 +68,6 @@ CALLS = {
     # before either is used
     ("reduce_pencil", "A"): (2, lambda v: gevd(v, B2)),
     ("reduce_pencil", "B"): (2, lambda v: gevd(B2, v)),
-    ("PencilDecomposition.solve", "rhs"): (1, lambda v: gevd(I2, I2).solve(1.0, v)),
     ("pencil_solve", "A"): (2, lambda v: pencil_solve(v, I2, 1.0, np.ones(2))),
     ("pencil_solve", "B"): (2, lambda v: pencil_solve(I2, v, 1.0, np.ones(2))),
     ("pencil_solve", "rhs"): (1, lambda v: pencil_solve(I2, I2, 1.0, v)),

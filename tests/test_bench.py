@@ -30,8 +30,8 @@ from kerlap.errors import InvalidArgumentError
 from kerlap.kernel import GaussianKernel
 from kerlap.operators import SemiDataset, save_dataset_csv, write_csv
 from kerlap.synthdata import (
-    ALLOCATIONS, ANGLES, CirclesSpec, GaussianMixSpec, gen_circles, gen_circles_with_truth,
-    gen_gaussian_mix, gen_gaussian_mix_with_truth,
+    ALLOCATIONS, ANGLES, CirclesSpec, GaussianMixSpec, gen_circles_with_truth,
+    gen_gaussian_mix_with_truth,
 )
 
 
@@ -154,7 +154,7 @@ class TestConfig:
 
     def test_fit_model_refuses_the_graph_baseline(self):
         cfg = ExperimentConfig(method="graph")
-        ds = gen_gaussian_mix(GaussianMixSpec(n=20, n_labeled=2, d=2, seed=0))
+        ds = gen_gaussian_mix_with_truth(GaussianMixSpec(n=20, n_labeled=2, d=2, seed=0))[0]
         with pytest.raises(InvalidArgumentError, match="fits no model"):
             fit_model(cfg, ds, seed=0)
 
@@ -297,7 +297,7 @@ def eigvecs_csv(tmp_path, ds, grid, sigma, p, mu, count):
 
 class TestExportEigenvectors:
     def test_zero_count_header_only(self, tmp_path):
-        ds = gen_gaussian_mix(GaussianMixSpec(n=30, n_labeled=3, d=2, seed=0))
+        ds = gen_gaussian_mix_with_truth(GaussianMixSpec(n=30, n_labeled=3, d=2, seed=0))[0]
         out = export_eigenvectors(ds, GaussianKernel(1.0), p=10, mu=0.1, count=0, grid=ds.inputs)
         assert out.shape == (30, 0)
         path = eigvecs_csv(tmp_path, ds, ds.inputs, 1.0, p=10, mu=0.1, count=0)
@@ -305,7 +305,7 @@ class TestExportEigenvectors:
         assert lines == ["x0,x1"]
 
     def test_sign_convention(self, monkeypatch):
-        ds = gen_gaussian_mix(GaussianMixSpec(n=40, n_labeled=4, d=2, seed=1))
+        ds = gen_gaussian_mix_with_truth(GaussianMixSpec(n=40, n_labeled=4, d=2, seed=1))[0]
         vals = export_eigenvectors(ds, GaussianKernel(1.0), p=15, mu=0.1, count=5,
                                    grid=ds.inputs)
         # at 400-row query chunks (15 landmarks), 30 copies of the data span
@@ -321,7 +321,7 @@ class TestExportEigenvectors:
 
     def test_empty_grid(self, tmp_path):
         # like predict on 0 queries: a (0, count) array, and a header-only CSV
-        ds = gen_gaussian_mix(GaussianMixSpec(n=30, n_labeled=3, d=2, seed=0))
+        ds = gen_gaussian_mix_with_truth(GaussianMixSpec(n=30, n_labeled=3, d=2, seed=0))[0]
         out = export_eigenvectors(ds, GaussianKernel(1.0), p=10, mu=0.1, count=3,
                                   grid=np.zeros((0, 2)))
         assert out.shape == (0, 3)
@@ -329,7 +329,7 @@ class TestExportEigenvectors:
         assert path.read_text().strip().splitlines() == ["x0,x1,e1,e2,e3"]
 
     def test_csv_shape(self, tmp_path):
-        ds = gen_circles(CirclesSpec(n=60, n_labeled=4, seed=2))
+        ds = gen_circles_with_truth(CirclesSpec(n=60, n_labeled=4, seed=2))[0]
         path = eigvecs_csv(tmp_path, ds, ds.inputs, 0.3, p=20, mu=0.05, count=3)
         values = export_eigenvectors(ds, GaussianKernel(0.3), p=20, mu=0.05, count=3,
                                      grid=ds.inputs)
@@ -349,7 +349,7 @@ class TestExportEigenvectors:
         assert path.read_bytes() == b"x0,e1\r\n0.0,1.414213562373095\r\n100.0,0.0\r\n"
 
     def test_count_validation(self):
-        ds = gen_gaussian_mix(GaussianMixSpec(n=20, n_labeled=2, d=2, seed=3))
+        ds = gen_gaussian_mix_with_truth(GaussianMixSpec(n=20, n_labeled=2, d=2, seed=3))[0]
         with pytest.raises(InvalidArgumentError):
             export_eigenvectors(ds, GaussianKernel(1.0), p=5, mu=0.1, count=6,
                                 grid=ds.inputs)
@@ -373,7 +373,7 @@ class TestExportEigenvectors:
     def test_fit_parameters_checked_for_every_count(self, p, mu, count, seed, name):
         # count = 0 still draws the landmarks and assembles, so every fit
         # parameter is checked and the error names the bad one
-        ds = gen_gaussian_mix(GaussianMixSpec(n=20, n_labeled=2, d=2, seed=3))
+        ds = gen_gaussian_mix_with_truth(GaussianMixSpec(n=20, n_labeled=2, d=2, seed=3))[0]
         with pytest.raises(InvalidArgumentError, match=f"^{name} must be"):
             export_eigenvectors(ds, GaussianKernel(1.0), p=p, mu=mu, count=count,
                                 grid=ds.inputs, seed=seed)

@@ -15,7 +15,7 @@ from kerlap.estimator import model_from_json, predict, schedule
 from kerlap.kernel import GaussianKernel
 from kerlap.operators import load_dataset_csv, read_points, save_dataset_csv
 from kerlap.svgplot import render_svg
-from kerlap.synthdata import CirclesSpec, gen_circles
+from kerlap.synthdata import CirclesSpec, gen_circles_with_truth
 
 
 def run(argv):
@@ -47,10 +47,10 @@ class TestGenerate:
                     "--angles", "equispaced", "--allocation", "proportional",
                     "--seed", "3", "--out", str(out)])
         assert code == 0
-        save_dataset_csv(gen_circles(CirclesSpec(
+        save_dataset_csv(gen_circles_with_truth(CirclesSpec(
             n=41, n_labeled=5, num_circles=3, inner_radius=0.5, radius_step=0.7,
             angles="equispaced", allocation="proportional", seed=3,
-        )), ref)
+        ))[0], ref)
         assert out.read_bytes() == ref.read_bytes()
 
     def test_invalid_args_exit_2(self, tmp_path):

@@ -35,7 +35,7 @@ from kerlap.operators import (
     SemiDataset, assemble, assemble_dense, prune_landmarks, select_landmarks,
 )
 from kerlap.pencil import gevd, pencil_solve
-from kerlap.synthdata import CirclesSpec, gen_circles
+from kerlap.synthdata import CirclesSpec, gen_circles_with_truth
 
 TIK = FilterSpec("tikhonov", 1.0)
 
@@ -104,7 +104,8 @@ class TestFit:
         # below p, and the pruned, whitened fit predicts what the full
         # (jittered) pencil does
         n, seed = 400, 0
-        ds = gen_circles(CirclesSpec(n=n, n_labeled=4, angles="equispaced", seed=seed))
+        ds, _ = gen_circles_with_truth(CirclesSpec(n=n, n_labeled=4, angles="equispaced",
+                                                   seed=seed))
         k, mu = GaussianKernel(0.2), 1.0 / n
         model = fit(ds, k, n, mu, TIK, seed)
         assert model.coefficients.size < n
@@ -127,7 +128,8 @@ class TestFit:
 
         monkeypatch.setattr(estimator, "gevd", spy)
         n = 400
-        ds = gen_circles(CirclesSpec(n=n, n_labeled=4, angles="equispaced", seed=seed))
+        ds, _ = gen_circles_with_truth(CirclesSpec(n=n, n_labeled=4, angles="equispaced",
+                                                   seed=seed))
         model = fit(ds, GaussianKernel(0.2), n, 1.0 / n, TIK, seed)
         assert model.coefficients.size < n and len(pencils) == 1
         B = pencils[0]
@@ -172,7 +174,8 @@ class TestFit:
             k, p, mu, seed = GaussianKernel(cfg.kernel_sigma), 200, 1.0 / 2000, 0
         else:
             seed = int(draw[-1])
-            ds = gen_circles(CirclesSpec(n=400, n_labeled=4, angles="equispaced", seed=seed))
+            ds, _ = gen_circles_with_truth(CirclesSpec(n=400, n_labeled=4, angles="equispaced",
+                                                       seed=seed))
             k, p, mu = GaussianKernel(0.2), 400, 1.0 / 400
         kept, dec, b = _landmark_decomposition(ds, k, p, mu, seed)
         B = assemble(ds, k, kept, mu).B
@@ -202,7 +205,8 @@ class TestFit:
         # (circles n = p = 400) and on fig2's trial 0 at every n of its grid,
         # none of them whitened (p = n at n = 25)
         if draw == "circles":
-            ds = gen_circles(CirclesSpec(n=400, n_labeled=4, angles="equispaced", seed=0))
+            ds, _ = gen_circles_with_truth(CirclesSpec(n=400, n_labeled=4, angles="equispaced",
+                                                       seed=0))
             cases = [(ds, GaussianKernel(0.2), 400, 1.0 / 400, 0, False)]
         else:
             cfg = preset("fig2")

@@ -51,13 +51,7 @@ def random_pair(rng, d, sigma):
     return x, x + sigma * t * u
 
 
-BATCH_FORMS = ("gram", "blocks", "grad1_gram", "cross_hessian_gram")
-
-
-def evaluate(k, form, X, Z):
-    """One batch form of k on (X, Z); the chunked form runs to its end."""
-    result = getattr(k, form)(X, Z)
-    return list(result) if form == "blocks" else result
+BATCH_FORMS = ("gram", "grad1_gram", "cross_hessian_gram")
 
 
 class TestEval:
@@ -94,25 +88,25 @@ class TestEval:
         k = GaussianKernel(1.0)
         for form in BATCH_FORMS:
             with pytest.raises(InvalidArgumentError, match="dimension mismatch"):
-                evaluate(k, form, [[1.0, 2.0]], [[1.0]])
+                getattr(k, form)([[1.0, 2.0]], [[1.0]])
             with pytest.raises(InvalidArgumentError, match="dimension mismatch"):
-                evaluate(k, form, np.zeros((2, 2)), np.zeros((2, 3)))
+                getattr(k, form)(np.zeros((2, 2)), np.zeros((2, 3)))
 
     def test_non_2d_input(self):
         k = GaussianKernel(1.0)
         for form in BATCH_FORMS:
             with pytest.raises(InvalidArgumentError, match="2-d"):
-                evaluate(k, form, [1.0, 2.0], [[1.0, 2.0]])
+                getattr(k, form)([1.0, 2.0], [[1.0, 2.0]])
             with pytest.raises(InvalidArgumentError, match="2-d"):
-                evaluate(k, form, [[1.0, 2.0]], np.zeros((1, 1, 2)))
+                getattr(k, form)([[1.0, 2.0]], np.zeros((1, 1, 2)))
 
     def test_non_finite_input(self):
         k = GaussianKernel(1.0)
         for form in BATCH_FORMS:
             with pytest.raises(InvalidArgumentError, match="non-finite"):
-                evaluate(k, form, [[np.nan, 0.0]], [[0.0, 0.0]])
+                getattr(k, form)([[np.nan, 0.0]], [[0.0, 0.0]])
             with pytest.raises(InvalidArgumentError, match="non-finite"):
-                evaluate(k, form, [[0.0]], [[np.inf]])
+                getattr(k, form)([[0.0]], [[np.inf]])
 
     @pytest.mark.parametrize("sigma", [0.0, -1.0, np.nan, np.inf])
     def test_bad_sigma(self, sigma):
@@ -137,7 +131,8 @@ class TestEval:
         X = np.array([[0.0, 0.0], [1.0, -2.0], [1e100, 0.0]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            G, blocks, G1, H = (evaluate(k, form, X, X) for form in BATCH_FORMS)
+            G, G1, H = (getattr(k, form)(X, X) for form in BATCH_FORMS)
+            blocks = list(k._blocks(X, X))
         assert np.all(np.diag(G) == 1.0) and np.array_equal(blocks[0][2], G)
         assert np.all(np.isfinite(G1)) and np.all(np.isfinite(H))
         if sigma < 1.0:
@@ -268,32 +263,21 @@ class TestGram:
         k = GaussianKernel(0.7)
         X, Z = rng.standard_normal((6, 3)), rng.standard_normal((4, 3))
         monkeypatch.setattr(kernel_module, "_CHUNK_BUDGET", 4 * 4)
-        chunks = list(k.blocks(X, Z))
+        chunks = list(k._blocks(X, Z))
         assert [(start, stop) for start, stop, _, _ in chunks] == [(0, 4), (4, 6)]
         K0, D0 = chunks[0][2], chunks[0][3]
         for start, stop, K, D in chunks:
             assert np.shares_memory(K, K0) and np.shares_memory(D, D0)
             assert not np.shares_memory(K, D)
-        for start, stop, K, D in k.blocks(X, Z):
+        for start, stop, K, D in k._blocks(X, Z):
             assert np.array_equal(K, k.gram(X[start:stop], Z))
             exact = ((X[start:stop, None, :] - Z[None, :, :]) ** 2).sum(axis=2)
             assert np.allclose(D, exact, rtol=1e-15, atol=0)
             assert np.array_equal(K, np.exp(-D / (2.0 * 0.7**2)))
         # a budget below one row of Z still gives one-row chunks; no rows, none
         monkeypatch.setattr(kernel_module, "_CHUNK_BUDGET", 3)
-        assert [stop - start for start, stop, _, _ in k.blocks(X[:3], Z)] == [1, 1, 1]
-        assert list(k.blocks(np.zeros((0, 3)), Z)) == []
-
-    def test_blocks_checks_at_the_call(self):
-        # blocks checks its arguments when it is called, before any chunk is
-        # asked for; only its private core trusts them
-        k = GaussianKernel(1.0)
-        with pytest.raises(InvalidArgumentError, match="^dimension mismatch"):
-            k.blocks(np.zeros((2, 3)), np.zeros((2, 2)))
-        with pytest.raises(InvalidArgumentError, match="^X contains non-finite entries$"):
-            k.blocks([[np.nan]], [[0.0]])
-        with pytest.raises(InvalidArgumentError, match="^Z must be 2-d"):
-            k.blocks(np.zeros((2, 3)), np.zeros(3))
+        assert [stop - start for start, stop, _, _ in k._blocks(X[:3], Z)] == [1, 1, 1]
+        assert list(k._blocks(np.zeros((0, 3)), Z)) == []
 
     @pytest.mark.parametrize("case", ["duplicates", "offset 1e8", "two clusters 1e6"])
     def test_blocks_on_hostile_inputs(self, case):
@@ -313,7 +297,7 @@ class TestGram:
             X[20:] -= 1e6
         Z = X[rng.permutation(40)[:15]]
         k = GaussianKernel(0.9)
-        [(_, _, K, D)] = k.blocks(X, Z)
+        [(_, _, K, D)] = k._blocks(X, Z)
         exact = ((X[:, None, :] - Z[None, :, :]) ** 2).sum(axis=2)
         coincident = (X[:, None, :] == Z[None, :, :]).all(axis=2)
         assert coincident.sum() >= 15
@@ -340,7 +324,7 @@ class TestGram:
         flagged = exact <= own
         kept = (exact > own) & (exact <= scalar)
         assert flagged.sum() >= 35 and kept.sum() >= 100
-        [(_, _, K, D)] = GaussianKernel(50.0).blocks(X, Z)
+        [(_, _, K, D)] = GaussianKernel(50.0)._blocks(X, Z)
         assert np.array_equal(D[flagged], exact[flagged])
         assert np.all(np.abs(D[kept] - exact[kept]) <= 1e-12 * exact[kept])
         assert np.all(np.abs(D - exact) <= 1e-12 * exact)
@@ -360,15 +344,15 @@ class TestGram:
     def test_flush_floor(self, sigma):
         # kernel values below 2^-500, squared distances beyond about
         # 693.1 sigma^2, are flushed to 0: 692 sigma^2 keeps exp(-346), and
-        # 694 sigma^2 gives exactly 0, in gram and in blocks
+        # 694 sigma^2 gives exactly 0, in gram and in _blocks
         k = GaussianKernel(sigma)
         x = np.zeros((1, 1))
         kept, flushed = np.sqrt([[692.0]]) * sigma, np.sqrt([[694.0]]) * sigma
         assert k.gram(x, kept)[0, 0] == pytest.approx(math.exp(-346.0), rel=1e-12)
         assert k.gram(x, flushed)[0, 0] == 0.0
-        [(_, _, K, _)] = k.blocks(np.vstack([x, x]), kept)
+        [(_, _, K, _)] = k._blocks(np.vstack([x, x]), kept)
         assert np.all(K > 0.0)
-        [(_, _, K, _)] = k.blocks(np.vstack([x, x]), flushed)
+        [(_, _, K, _)] = k._blocks(np.vstack([x, x]), flushed)
         assert np.all(K == 0.0)
 
     def test_overflowing_distance_gives_zero_kernel(self):

@@ -22,7 +22,8 @@ from kerlap.operators import (
     save_dataset_csv,
     select_landmarks,
 )
-from kerlap.synthdata import CirclesSpec, gen_circles
+from kerlap.synthdata import CirclesSpec, GaussianMixSpec, gen_circles_with_truth, \
+    gen_gaussian_mix_with_truth
 
 
 # Single-pair kernel entries for the brute-force oracles, each the 1x1 batch
@@ -248,11 +249,27 @@ class TestAssemble:
                 assert np.abs(getattr(four, name) - getattr(one, name)).max() <= 1e-15, name
         assert np.abs(chunked[1].B - single[1].B).max() <= 1e-15
 
+    @pytest.mark.parametrize("draw", ["all rows", "sigma_over_labeled", "whitened"])
+    def test_pencil_is_exactly_symmetric(self, draw):
+        # Q[i, j] and Q[j, i], and the same entries of Kpp, differ in their
+        # last bits on fig2-like data; B is exactly symmetric all the same,
+        # so gevd copies it as it stands
+        ds, _ = gen_gaussian_mix_with_truth(GaussianMixSpec(n=200, n_labeled=20, seed=1))
+        k = GaussianKernel(3.0)
+        landmarks, factor = select_landmarks(ds, 50, seed=0), None
+        if draw == "whitened":
+            # five landmarks drawn twice make the drawn Gram singular
+            ds = SemiDataset(np.vstack([ds.inputs, ds.inputs[:5]]), ds.labels)
+            landmarks, factor = prune_landmarks(ds, k, np.r_[0:45, 200:205])
+            assert factor is not None
+        bun = assemble(ds, k, landmarks, 1 / 200, draw == "sigma_over_labeled", factor)
+        assert np.array_equal(bun.A, bun.A.T) and np.array_equal(bun.B, bun.B.T)
+
     def test_small_sigma_circles_have_no_subnormal_entry(self):
         # fig1's geometry and sigma: without the kernel's flush, many K
         # entries lie below 2^-500 and their products in A and B are
         # subnormal, which slows every BLAS call on them
-        ds = gen_circles(CirclesSpec(n=400, n_labeled=4, angles="equispaced", seed=0))
+        ds, _ = gen_circles_with_truth(CirclesSpec(n=400, n_labeled=4, angles="equispaced", seed=0))
         k = GaussianKernel(0.2)
         lm = select_landmarks(ds, 150, seed=1)
         K = k.gram(ds.inputs, ds.inputs[lm])

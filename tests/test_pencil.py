@@ -329,7 +329,7 @@ class TestReducedPencil:
         copies = A.copy(), B.copy()
         dec = gevd(A, B)
         C = dec.reduced.copy()
-        dec.solve(0.5, np.ones(20))
+        filter_coefficients(dec, FilterSpec("tikhonov", 0.5), np.ones(20))
         assert dec.eigenvectors is dec.eigenvectors  # eigensolved once, when first read
         assert np.array_equal(dec.reduced, C)
         assert np.array_equal(A, copies[0]) and np.array_equal(B, copies[1])
@@ -348,16 +348,22 @@ class TestReducedPencil:
         dec = gevd(np.diag([1.0, -1e-9]), np.eye(2))
         with pytest.raises(SingularPencilError, match=(
                 r"^C \+ lam\*I is not positive definite: Cholesky failed at pivot 2$")) as info:
-            dec.solve(1e-12, np.ones(2))
+            filter_coefficients(dec, FilterSpec("tikhonov", 1e-12), np.ones(2))
         assert info.value.pivot == 2
 
-    def test_solve_checks_its_arguments(self):
-        pencil = gevd(np.eye(2), np.eye(2))
-        assert np.allclose(pencil.solve(1.0, np.array([2.0, 4.0])), [1.0, 2.0], atol=1e-12)
-        with pytest.raises(InvalidArgumentError, match="^lam "):
-            pencil.solve(0.0, np.ones(2))
-        with pytest.raises(InvalidArgumentError, match="^rhs has shape"):
-            pencil.solve(1.0, np.ones(3))
+    def test_solve_reads_no_upper_triangle(self):
+        # the factor and C are read through their lower triangles only, and
+        # the shifted Cholesky factor by potrs with lower=1: NaN above every
+        # diagonal changes no entry of x
+        rng = np.random.default_rng(9)
+        A, B = random_pencil(rng, 40, rank=10)
+        dec = gevd(A, B)
+        rhs = rng.standard_normal(40)
+        upper = np.triu(np.ones((40, 40), dtype=bool), 1)
+        factor, reduced = dec.factor.copy(order="F"), dec.reduced.copy(order="F")
+        factor[upper] = reduced[upper] = np.nan
+        x = PencilDecomposition(factor, reduced, dec.jitter)._solve(0.5, rhs)
+        assert np.array_equal(x, dec._solve(0.5, rhs))
 
     def test_symmetric_input_is_copied_as_it_stands(self):
         # an exactly symmetric M skips (M + M^T) / 2, which is M itself, and
@@ -501,8 +507,10 @@ class TestLayout:
             spd = [_spd_solve(np.array(M, order=order), rhs, "M")
                    for M in (A + np.eye(30), singular)]
             assert spd[0][1] == 0.0 and spd[1][1] > 0.0
+            tikhonov = filter_coefficients(dec, FilterSpec("tikhonov", 0.5), rhs)
+            assert np.array_equal(tikhonov, dec._solve(0.5, rhs))
             results.append([dec.factor, dec.reduced, dec.eigenvalues, dec.eigenvectors,
-                            dec.solve(0.5, rhs), pencil_solve(a, b, 0.5, rhs),
+                            tikhonov, pencil_solve(a, b, 0.5, rhs),
                             *(x for x, _ in spd)])
         for c_order, f_order in zip(*results):
             assert np.array_equal(c_order, f_order)

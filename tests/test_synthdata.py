@@ -9,9 +9,7 @@ from kerlap.synthdata import (
     CirclesSpec,
     GaussianMixSpec,
     bayes_error,
-    gen_circles,
     gen_circles_with_truth,
-    gen_gaussian_mix,
     gen_gaussian_mix_with_truth,
 )
 
@@ -19,7 +17,7 @@ from kerlap.synthdata import (
 class TestCircles:
     def test_points_lie_on_circles(self):
         spec = CirclesSpec(n=200, n_labeled=4, seed=0)
-        ds = gen_circles(spec)
+        ds = gen_circles_with_truth(spec)[0]
         norms = np.linalg.norm(ds.inputs, axis=1)
         radii = np.array([1.0, 2.0, 3.0, 4.0])
         dist_to_circle = np.abs(norms[:, None] - radii[None, :]).min(axis=1)
@@ -27,13 +25,13 @@ class TestCircles:
 
     def test_one_label_per_circle(self):
         spec = CirclesSpec(n=100, n_labeled=4, num_circles=4, seed=1)
-        ds = gen_circles(spec)
+        ds = gen_circles_with_truth(spec)[0]
         labeled_radii = np.linalg.norm(ds.inputs[:4], axis=1)
         assert sorted(np.round(labeled_radii).astype(int)) == [1, 2, 3, 4]
 
     def test_round_robin_extra_labels(self):
         spec = CirclesSpec(n=100, n_labeled=6, num_circles=4, seed=2)
-        ds = gen_circles(spec)
+        ds = gen_circles_with_truth(spec)[0]
         labeled_radii = np.round(np.linalg.norm(ds.inputs[:6], axis=1)).astype(int)
         counts = {r: (labeled_radii == r).sum() for r in (1, 2, 3, 4)}
         assert counts[1] == 2 and counts[2] == 2 and counts[3] == 1 and counts[4] == 1
@@ -56,7 +54,7 @@ class TestCircles:
 
     def test_equispaced_angles(self):
         spec = CirclesSpec(n=40, n_labeled=4, angles="equispaced", seed=4)
-        ds = gen_circles(spec)
+        ds = gen_circles_with_truth(spec)[0]
         norms = np.round(np.linalg.norm(ds.inputs, axis=1)).astype(int)
         inner = ds.inputs[norms == 1]
         angles = np.sort(np.arctan2(inner[:, 1], inner[:, 0]))
@@ -65,7 +63,7 @@ class TestCircles:
 
     def test_proportional_allocation(self):
         spec = CirclesSpec(n=1000, n_labeled=4, allocation="proportional", seed=5)
-        ds = gen_circles(spec)
+        ds = gen_circles_with_truth(spec)[0]
         norms = np.round(np.linalg.norm(ds.inputs, axis=1)).astype(int)
         counts = np.array([(norms == r).sum() for r in (1, 2, 3, 4)])
         assert counts.sum() == 1000
@@ -73,7 +71,7 @@ class TestCircles:
 
     def test_custom_radii(self):
         spec = CirclesSpec(n=40, n_labeled=4, inner_radius=2.0, radius_step=0.5, seed=6)
-        ds = gen_circles(spec)
+        ds = gen_circles_with_truth(spec)[0]
         norms = np.linalg.norm(ds.inputs, axis=1)
         assert set(np.round(norms, 6)) <= {2.0, 2.5, 3.0, 3.5}
 
@@ -113,17 +111,19 @@ class TestGaussianMix:
             if np.unique(np.random.default_rng(s).integers(0, 2, 2)).size == 1
         )
         with pytest.raises(InvalidArgumentError, match="both classes"):
-            gen_gaussian_mix(GaussianMixSpec(n=2, n_labeled=2, d=1, separation=1.0, seed=seed))
+            gen_gaussian_mix_with_truth(GaussianMixSpec(n=2, n_labeled=2, d=1, separation=1.0,
+                                                        seed=seed))
 
     def test_deterministic(self):
         spec = GaussianMixSpec(n=200, n_labeled=20, d=5, seed=11)
-        a = gen_gaussian_mix(spec)
-        b = gen_gaussian_mix(spec)
+        a = gen_gaussian_mix_with_truth(spec)[0]
+        b = gen_gaussian_mix_with_truth(spec)[0]
         assert np.array_equal(a.inputs, b.inputs)
         assert np.array_equal(a.labels, b.labels)
 
     def test_zero_separation_allowed(self):
-        ds = gen_gaussian_mix(GaussianMixSpec(n=30, n_labeled=4, d=2, separation=0.0, seed=1))
+        ds, _ = gen_gaussian_mix_with_truth(GaussianMixSpec(n=30, n_labeled=4, d=2, separation=0.0,
+                                                            seed=1))
         assert ds.n == 30
 
     def test_validation(self):
